@@ -39,6 +39,17 @@ def _write_or_print(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _plain(obj):
+    """The same JSON value in plain Python types: numpy scalars become int, float or bool."""
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if hasattr(obj, "item"):
+        return obj.item()
+    return obj
+
+
 def _cmd_mu(args: argparse.Namespace) -> int:
     if not (1 <= args.loops <= MAX_LOOPS_MU and 1 <= args.k_max <= MAX_K):
         print(f"mu: need 1 <= loops <= {MAX_LOOPS_MU} and 1 <= k-max <= {MAX_K}", file=sys.stderr)
@@ -90,8 +101,8 @@ def _cmd_diagrams(args: argparse.Namespace) -> int:
 
 
 def _cmd_magic(args: argparse.Namespace) -> int:
-    if not (1 <= args.loops <= MAX_LOOPS_MAGIC):
-        print(f"magic: need 1 <= loops <= {MAX_LOOPS_MAGIC}", file=sys.stderr)
+    if not (1 <= args.loops <= MAX_LOOPS_MAGIC and 0 <= args.k_max <= MAX_K):
+        print(f"magic: need 1 <= loops <= {MAX_LOOPS_MAGIC} and 0 <= k-max <= {MAX_K}", file=sys.stderr)
         return 2
     report = magic.verify_magic(args.loops, args.k_max)
     payload = {
@@ -115,7 +126,7 @@ def _cmd_magic(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     report = run_suite(args.suite, radius=args.radius, nodes=args.nodes, tol=args.tol)
-    payload = report.payload()
+    payload = _plain(report.payload())
     payload["suite"] = args.suite
     if args.json:
         _write_or_print(json.dumps(payload, indent=2) + "\n", args.out)

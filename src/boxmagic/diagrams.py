@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations, product
 
 __all__ = [
     "EXTERNALS",
@@ -263,18 +263,54 @@ def integrand(d: BoxDiagram) -> IntegrandExpr:
     return IntegrandExpr(numerator=d.dashed, denominator=d.solid)
 
 
+def _colour_cells(d: BoxDiagram) -> list[list[str]]:
+    """Equitable partition of the internal vertices by colour refinement.
+
+    A vertex starts with the colour given by its relations to the four
+    fixed externals; each round recolours it by its old colour and the
+    multiset of (colour, relation) over the other internal vertices,
+    until the number of cells stops growing.  Colours are ranks of
+    sorted signatures, so they never depend on the internal labels.
+    Returns the cells ordered by colour.
+    """
+    solid: dict[tuple[str, str], int] = {}
+    dashed: dict[tuple[str, str], int] = {}
+    for edges, count in ((d.solid, solid), (d.dashed, dashed)):
+        for (a, b) in edges:
+            count[(a, b)] = count[(b, a)] = count.get((a, b), 0) + 1
+    internals = d.internals
+    # rel[v][u]: solid multiplicity, dashed multiplicity, v < u, u < v.
+    rel = {v: {u: (solid.get((v, u), 0), dashed.get((v, u), 0), (v, u) in d.order, (u, v) in d.order)
+               for u in d.vertices if u != v}
+           for v in internals}
+    colour = {v: tuple(rel[v][x] for x in EXTERNALS) for v in internals}
+    cells = len(set(colour.values()))
+    while True:
+        sig = {v: (colour[v], tuple(sorted((colour[u], r) for u, r in rel[v].items() if u in colour)))
+               for v in internals}
+        rank = {s: i for i, s in enumerate(sorted(set(sig.values())))}
+        colour = {v: rank[sig[v]] for v in internals}
+        if len(rank) == cells:
+            break
+        cells = len(rank)
+    return [[v for v in internals if colour[v] == c] for c in range(cells)]
+
+
 def canonical_key(d: BoxDiagram):
     """Label-permutation-invariant key; equal keys iff isomorphic diagrams.
 
-    Minimizes the (solid, dashed, order) encoding over all permutations
-    of the internal labels, externals fixed.  Brute force, so n <= 8.
+    Internal vertices are split into colour cells by refinement
+    (`_colour_cells`), which any isomorphism preserves; the key is the
+    least (n, solid, dashed, order) encoding over the relabellings that
+    number the cells in colour order and permute vertices only within a
+    cell.  The permutations tried are the product of the cell sizes'
+    factorials, at most n!, so n <= 8.
     """
     if d.n > 8:
         raise ValueError("canonical_key supports at most 8 internal vertices")
-    internals = d.internals
     best = None
-    for perm in permutations(internals):
-        mapping = dict(zip(internals, perm))
+    for perms in product(*(permutations(cell) for cell in _colour_cells(d))):
+        mapping = {v: f"T{i}" for i, v in enumerate(chain.from_iterable(perms), start=1)}
 
         def rn(v: str) -> str:
             return mapping.get(v, v)
@@ -294,7 +330,9 @@ def enumerate_diagrams(n: int) -> list[BoxDiagram]:
     """All distinct n-loop diagrams, one representative per isomorphism class.
 
     Breadth-first over the four attachment sites with canonical-key
-    deduplication; output deterministically sorted by key.
+    deduplication.  Each class is represented by the first diagram
+    found in it, and the classes are returned in discovery order, which
+    is deterministic.
     """
     if n < 1:
         raise ValueError("loop count must be >= 1")
@@ -310,7 +348,7 @@ def enumerate_diagrams(n: int) -> list[BoxDiagram]:
                 if key not in nxt:
                     nxt[key] = child
         current = nxt
-    return [current[k] for k in sorted(current)]
+    return list(current.values())
 
 
 def to_dot(d: BoxDiagram, name: str = "boxdiag") -> str:

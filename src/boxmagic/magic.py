@@ -34,7 +34,9 @@ image_left(w, w') = image_right(w', w); `verify_magic` is the
 correctness gate for this reconstruction: it recomputes every
 enumerated diagram independently and requires identical images.
 
-All arithmetic is exact; no floating point enters this module.
+All arithmetic is exact; no floating point enters this module.  Rows
+and images are carried as integer numerators over lcm(1..k+1)^n and
+become Fractions only in the public results.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
@@ -122,36 +124,49 @@ class EigenvalueTable:
             raise ValueError("mu^(n)_1 must equal 1")
 
 
+def _lcm_upto(m: int) -> int:
+    """lcm(1, 2, ..., m)."""
+    return math.lcm(*range(1, m + 1))
+
+
+def _a_numerators(n: int, k: int) -> tuple[tuple[int, ...], int]:
+    """Row a^k(n, .) as integer numerators over the common denominator lcm(1..k+1)^n.
+
+    Returns (numerators, denominator).  With L = lcm(1..k+1), the
+    recursion becomes A_1[p] = L/(k+1), A_n[p] = sum_{q >= p} A_{n-1}[q] L/(q+1):
+    every step is exact in integers.
+    """
+    if n < 1 or k < 0:
+        raise ValueError("need n >= 1 and k >= 0")
+    lcm = _lcm_upto(k + 1)
+    weights = [lcm // (q + 1) for q in range(k + 1)]
+    row = [weights[k]] * (k + 1)
+    for _ in range(n - 1):
+        acc = 0
+        for q in range(k, -1, -1):
+            acc += row[q] * weights[q]
+            row[q] = acc
+    return tuple(row), lcm**n
+
+
 @lru_cache(maxsize=None)
 def a_table(n: int, k: int) -> CoeffTable:
     """The coefficient row a^k(n, .), by the exact recursion."""
-    if n < 1 or k < 0:
-        raise ValueError("need n >= 1 and k >= 0")
-    if n == 1:
-        row = tuple(Fraction(1, k + 1) for _ in range(k + 1))
-    else:
-        prev = a_table(n - 1, k).a
-        # a^k(n, p) = sum_{q >= p} a^k(n-1, q)/(q+1): one suffix-sum pass.
-        row_rev = []
-        acc = Fraction(0)
-        for q in range(k, -1, -1):
-            acc += prev[q] / (q + 1)
-            row_rev.append(acc)
-        row = tuple(reversed(row_rev))
-    return CoeffTable(n=n, k=k, a=row)
+    nums, den = _a_numerators(n, k)
+    return CoeffTable(n=n, k=k, a=tuple(Fraction(a, den) for a in nums))
 
 
 def mu(n: int, k: int) -> Fraction:
     """Eigenvalue mu^(n)_k via the alternating-binomial sum over a^(k-1)(n, .)."""
     if k < 1:
         raise ValueError("component index k must be >= 1")
-    row = a_table(n, k - 1).a
+    nums, den = _a_numerators(n, k - 1)
     sign = -1 if k % 2 == 0 else 1  # (-1)^(k+p+1) at p = 0
-    total = Fraction(0)
-    for p in range(k):
-        total += sign * row[p] * math.comb(k - 1, p)
+    total = 0
+    for p, a in enumerate(nums):
+        total += sign * a * math.comb(k - 1, p)
         sign = -sign
-    return total
+    return Fraction(total, den)
 
 
 def mu2_closed(k: int) -> Fraction:
@@ -170,74 +185,61 @@ def mu_table(n: int, k_max: int) -> EigenvalueTable:
 def ladder_image(n: int, k: int, side: str = "right") -> GeneratorImage:
     """Image of the degree-k generator under the n-loop ladder operator.
 
-    Computed directly from the coefficient table and recomputed through
-    the one-step ladder recursion; the two must agree exactly.
+    Read off the coefficient table; the one-step ladder recursion that
+    agrees with it lives in the tests as an oracle.
     """
     row = a_table(n, k).a
     coeffs = row if side == "right" else tuple(reversed(row))
-    img = GeneratorImage(k=k, side=side, coeffs=coeffs)
-    if n > 1:
-        rec = _ladder_image_recursive(n, k, side)
-        if rec != img:
-            raise AssertionError("ladder recursion disagrees with the coefficient table")
-    return img
-
-
-def _ladder_image_recursive(n: int, k: int, side: str) -> GeneratorImage:
-    """Ladder image via image^(n) = 1/(k+1) sum_p monomial * image^(n-1)(p)."""
-    if n == 1:
-        row = tuple(Fraction(1, k + 1) for _ in range(k + 1))
-        return GeneratorImage(k, side, row)
-    out = [Fraction(0)] * (k + 1)
-    for p in range(k + 1):
-        sub = _ladder_image_recursive(n - 1, p, side).coeffs
-        for q in range(p + 1):
-            if side == "right":
-                # multiplier (w11)^(k-p) keeps the w' exponent q
-                out[q] += sub[q] / (k + 1)
-            else:
-                # multiplier (w'11)^(k-p) raises the w' exponent to k-p+q
-                out[k - p + q] += sub[q] / (k + 1)
-    return GeneratorImage(k, side, tuple(out))
+    return GeneratorImage(k=k, side=side, coeffs=coeffs)
 
 
 _DIRECT_SIDE = {"Z1": "left", "Z2": "right", "W1": "left", "W2": "right"}
 
 
 @lru_cache(maxsize=None)
-def _image_by_history(history: tuple[str, ...], side: str, k: int) -> tuple[Fraction, ...]:
+def _image_numerators(history: tuple[str, ...], side: str, k: int) -> tuple[int, ...]:
+    """Image coefficients as integer numerators over lcm(1..k+1)^(len(history)+1).
+
+    Every rule divides by an integer in 1..k+1 once per loop, so the
+    common denominator of a degree-k image grows by one factor
+    L = lcm(1..k+1) per peeled slingshot; a degree-p sub-image is
+    brought over to L by the integer factor (L/lcm(1..p+1))^loops.
+    """
+    lcm = _lcm_upto(k + 1)
     if not history:
-        return tuple(Fraction(1, k + 1) for _ in range(k + 1))
+        return (lcm // (k + 1),) * (k + 1)
     site = history[-1]
     if _DIRECT_SIDE[site] != side:
         # Route through the swap symmetry: the other family is direct.
         other = "left" if side == "right" else "right"
-        return tuple(reversed(_image_by_history(history, other, k)))
+        return tuple(reversed(_image_numerators(history, other, k)))
     prev = history[:-1]
-    out = [Fraction(0)] * (k + 1)
-    if site == "Z1":
+    out = [0] * (k + 1)
+    if site in ("Z1", "Z2"):
+        # Multiply by (w'11)^(k-p) (Z1) or (w11)^(k-p) (Z2), recurse at p, weight 1/(k+1).
+        shift = site == "Z1"
         for p in range(k + 1):
-            sub = _image_by_history(prev, "left", p)
-            for q in range(p + 1):
-                out[k - p + q] += sub[q] / (k + 1)
-    elif site == "Z2":
-        for p in range(k + 1):
-            sub = _image_by_history(prev, "right", p)
-            for q in range(p + 1):
-                out[q] += sub[q] / (k + 1)
+            scale = (lcm // _lcm_upto(p + 1)) ** len(history) * (lcm // (k + 1))
+            for q, c in enumerate(_image_numerators(prev, side, p)):
+                out[k - p + q if shift else q] += c * scale
     elif site == "W1":
-        sub = _image_by_history(prev, "left", k)
-        for q in range(k + 1):
-            w = sub[q] / (k - q + 1)
-            for j in range(q, k + 1):
-                out[j] += w
-    else:  # W2
-        sub = _image_by_history(prev, "right", k)
-        for q in range(k + 1):
-            w = sub[q] / (q + 1)
-            for r in range(q + 1):
-                out[r] += w
+        # (w11)^(k-q) (w'11)^q -> 1/(k-q+1) sum_{j >= q} (w11)^(k-j) (w'11)^j: a prefix sum.
+        acc = 0
+        for q, c in enumerate(_image_numerators(prev, side, k)):
+            acc += c * (lcm // (k - q + 1))
+            out[q] = acc
+    else:  # W2, the mirror: a suffix sum.
+        sub = _image_numerators(prev, side, k)
+        acc = 0
+        for q in range(k, -1, -1):
+            acc += sub[q] * (lcm // (q + 1))
+            out[q] = acc
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _history_solid(history: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
+    return from_history(history).solid
 
 
 def diagram_image(d: BoxDiagram, side: str, k: int) -> GeneratorImage:
@@ -250,9 +252,10 @@ def diagram_image(d: BoxDiagram, side: str, k: int) -> GeneratorImage:
         raise ValueError(f"unsupported generator family {side!r}")
     if k < 0:
         raise ValueError("generator degree must be >= 0")
-    if from_history(d.history).solid != d.solid:
+    if _history_solid(d.history) != d.solid:
         raise ValueError("diagram history does not reproduce the diagram")
-    return GeneratorImage(k, side, _image_by_history(d.history, side, k))
+    den = _lcm_upto(k + 1) ** d.n
+    return GeneratorImage(k, side, tuple(Fraction(c, den) for c in _image_numerators(d.history, side, k)))
 
 
 def eigenvalue_extract(img: GeneratorImage, k: int) -> Fraction:
@@ -316,9 +319,9 @@ def fraction_str(x: Fraction) -> str:
 
 def fraction_decimal(x: Fraction, digits: int = 30) -> str:
     """Decimal rendering at the given number of significant digits."""
-    getcontext().prec = digits
-    d = Decimal(x.numerator) / Decimal(x.denominator)
-    return str(d)
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return str(Decimal(x.numerator) / Decimal(x.denominator))
 
 
 def mu_table_payload(n: int, k_max: int) -> dict:

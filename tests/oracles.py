@@ -9,13 +9,21 @@ every exponent is even, and otherwise to
 which is a rational multiple of pi^2.  Carrying coefficients as
 Gaussian rationals keeps every sphere integral exact, so the pairing
 and inner-product tables can be checked with no numerical tolerance.
+
+The exact combinatorial layers have brute-force oracles here too: the
+all-permutations canonical key of a box diagram, the a-table row by
+Fraction suffix sums, the ladder image by the one-step ladder
+recursion, and diagram images by peeling the history in Fractions.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import permutations
 
+from boxmagic.diagrams import BoxDiagram
+from boxmagic.magic import GeneratorImage
 from boxmagic.tbasis import BasisExpansion, MultiPoly, t_poly
 
 
@@ -149,3 +157,100 @@ def exact_inner_product(f1: BasisExpansion, f2: BasisExpansion) -> GC:
     p1 = _drop_norm_powers(f1.degt())
     p2 = _conj_poly(_drop_norm_powers(f2))
     return sphere_integral_over_2pi2(p1 * p2)
+
+
+def brute_force_key(d: BoxDiagram) -> tuple:
+    """Least (n, solid, dashed, order) encoding over all n! internal relabellings."""
+    internals = d.internals
+    best = None
+    for perm in permutations(internals):
+        mapping = dict(zip(internals, perm))
+
+        def rn(v: str) -> str:
+            return mapping.get(v, v)
+
+        key = (
+            d.n,
+            tuple(sorted(tuple(sorted((rn(a), rn(b)))) for (a, b) in d.solid)),
+            tuple(sorted(tuple(sorted((rn(a), rn(b)))) for (a, b) in d.dashed)),
+            tuple(sorted((rn(a), rn(b)) for (a, b) in d.order)),
+        )
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def a_row_fraction(n: int, k: int) -> tuple[Fraction, ...]:
+    """a^k(n, .) by a^k(n, p) = sum_{q >= p} a^k(n-1, q)/(q+1) in Fractions."""
+    row = [Fraction(1, k + 1)] * (k + 1)
+    for _ in range(n - 1):
+        acc = Fraction(0)
+        for q in range(k, -1, -1):
+            acc += row[q] / (q + 1)
+            row[q] = acc
+    return tuple(row)
+
+
+def mu_fraction(n: int, k: int) -> Fraction:
+    """mu^(n)_k = sum_p (-1)^(k+p+1) a^(k-1)(n, p) C(k-1, p) in Fractions."""
+    return sum(((-1) ** (k + p + 1) * a * math.comb(k - 1, p)
+                for p, a in enumerate(a_row_fraction(n, k - 1))), Fraction(0))
+
+
+def ladder_image_recursive(n: int, k: int, side: str) -> GeneratorImage:
+    """Ladder image via image^(n) = 1/(k+1) sum_p monomial * image^(n-1)(p).
+
+    Unmemoised, so exponential in n: keep n and k small.
+    """
+    if n == 1:
+        row = tuple(Fraction(1, k + 1) for _ in range(k + 1))
+        return GeneratorImage(k, side, row)
+    out = [Fraction(0)] * (k + 1)
+    for p in range(k + 1):
+        sub = ladder_image_recursive(n - 1, p, side).coeffs
+        for q in range(p + 1):
+            if side == "right":
+                # multiplier (w11)^(k-p) keeps the w' exponent q
+                out[q] += sub[q] / (k + 1)
+            else:
+                # multiplier (w'11)^(k-p) raises the w' exponent to k-p+q
+                out[k - p + q] += sub[q] / (k + 1)
+    return GeneratorImage(k, side, tuple(out))
+
+
+_DIRECT_SIDE = {"Z1": "left", "Z2": "right", "W1": "left", "W2": "right"}
+
+
+def image_by_history_fraction(history: tuple[str, ...], side: str, k: int) -> tuple[Fraction, ...]:
+    """Diagram image by peeling the last slingshot, rule by rule, in Fractions."""
+    if not history:
+        return tuple(Fraction(1, k + 1) for _ in range(k + 1))
+    site = history[-1]
+    if _DIRECT_SIDE[site] != side:
+        other = "left" if side == "right" else "right"
+        return tuple(reversed(image_by_history_fraction(history, other, k)))
+    prev = history[:-1]
+    out = [Fraction(0)] * (k + 1)
+    if site == "Z1":
+        for p in range(k + 1):
+            sub = image_by_history_fraction(prev, "left", p)
+            for q in range(p + 1):
+                out[k - p + q] += sub[q] / (k + 1)
+    elif site == "Z2":
+        for p in range(k + 1):
+            sub = image_by_history_fraction(prev, "right", p)
+            for q in range(p + 1):
+                out[q] += sub[q] / (k + 1)
+    elif site == "W1":
+        sub = image_by_history_fraction(prev, "left", k)
+        for q in range(k + 1):
+            w = sub[q] / (k - q + 1)
+            for j in range(q, k + 1):
+                out[j] += w
+    else:  # W2
+        sub = image_by_history_fraction(prev, "right", k)
+        for q in range(k + 1):
+            w = sub[q] / (q + 1)
+            for r in range(q + 1):
+                out[r] += w
+    return tuple(out)

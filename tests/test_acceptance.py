@@ -17,7 +17,6 @@ import pytest
 from boxmagic.diagrams import EXTERNALS, assign_radii, enumerate_diagrams
 from boxmagic.hc import ComplexQuaternion
 from boxmagic.magic import (
-    _ladder_image_recursive,
     a_table,
     ladder_image,
     mu,
@@ -34,7 +33,7 @@ from boxmagic.quadrature import (
     poisson_check,
 )
 from boxmagic.tbasis import BasisExpansion, TIndex, inner_product, t_poly
-from oracles import GC, exact_inner_product
+from oracles import GC, exact_inner_product, ladder_image_recursive
 
 W_IN = ComplexQuaternion(0.28 + 0.1j, -0.06 + 0.04j, 0.03 - 0.09j, 0.24 - 0.05j)
 
@@ -88,7 +87,7 @@ def test_criterion_04_coefficient_table_properties():
                 assert all(row[p] >= row[p + 1] > 0 for p in range(k))
         for n in (2, 3, 4):
             for k in range(0, 9):
-                assert _ladder_image_recursive(n, k, "right").coeffs == \
+                assert ladder_image_recursive(n, k, "right").coeffs == \
                     ladder_image(n, k).coeffs
 
 

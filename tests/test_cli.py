@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from boxmagic.cli import main
+from boxmagic.cli import MAX_K, main
 
 
 def run(capsys, *argv):
@@ -93,6 +93,19 @@ class TestMagic:
         code, _, _ = run(capsys, "magic", "--loops", "9")
         assert code == 2
 
+    def test_k_max_out_of_range(self, capsys):
+        for k_max in (-1, MAX_K + 1):
+            code, out, err = run(capsys, "magic", "--loops", "2", "--k-max", str(k_max))
+            assert code == 2
+            assert "PASS" not in out
+            assert "k-max" in err
+
+    def test_k_max_bounds_accepted(self, capsys):
+        for k_max in ("0", str(MAX_K)):
+            code, out, _ = run(capsys, "magic", "--loops", "1", "--k-max", k_max)
+            assert code == 0
+            assert "PASS" in out
+
 
 class TestVerify:
     def test_normalization_json(self, capsys):
@@ -102,6 +115,15 @@ class TestVerify:
         assert payload["schema"] == "boxmagic.verify-report/1"
         assert payload["suite"] == "normalization"
         assert payload["checks"][0]["passed"] is True
+
+    def test_orthogonality_json(self, capsys):
+        # Its residual is a numpy scalar; the JSON must still hold plain values.
+        code, out, _ = run(capsys, "verify", "orthogonality", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["passed"] is True
+        assert payload["checks"][0]["passed"] is True
+        assert isinstance(payload["checks"][0]["residual"], float)
 
     def test_low_node_run_still_reports_structure(self, capsys):
         code, out, _ = run(capsys, "verify", "lemma-zp", "--nodes", "8", "--json")

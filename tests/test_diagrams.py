@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from boxmagic.diagrams import (
     one_loop,
     to_dot,
 )
+from oracles import brute_force_key
 
 
 class TestOneLoop:
@@ -128,6 +130,18 @@ class TestCanonicalKey:
         other = from_history(("W2", "W2"))
         assert canonical_key(ladder3) == canonical_key(other)
 
+    def test_matches_brute_force_key(self):
+        # Every child attempted while enumerating up to five loops: two
+        # children get equal keys exactly when their brute-force keys are equal.
+        for n in range(1, 5):
+            children = [attach_slingshot(d, s) for d in enumerate_diagrams(n) for s in EXTERNALS]
+            keys = [canonical_key(c) for c in children]
+            brute = [brute_force_key(c) for c in children]
+            for i in range(len(children)):
+                for j in range(i):
+                    assert (keys[i] == keys[j]) == (brute[i] == brute[j]), \
+                        (children[i].history, children[j].history)
+
     def test_size_limit(self):
         d = one_loop()
         for _ in range(8):
@@ -144,6 +158,8 @@ class TestEnumeration:
         assert len(enumerate_diagrams(2)) == 2
         assert len(enumerate_diagrams(3)) == 6
         assert len(enumerate_diagrams(4)) == 20
+        assert len(enumerate_diagrams(5)) == 68
+        assert len(enumerate_diagrams(6)) == 232
 
     def test_invariants_and_external_degree_property(self):
         # At every external vertex the solid count exceeds the dashed
@@ -160,6 +176,22 @@ class TestEnumeration:
         a = [d.history for d in enumerate_diagrams(3)]
         b = [d.history for d in enumerate_diagrams(3)]
         assert a == b
+
+    def test_representatives_unchanged(self):
+        # SHA-256 of the sorted representative histories, recorded when
+        # canonical_key still tried all n! relabellings and the output was
+        # sorted by key: the first diagram found in each class is kept.
+        pinned = {
+            1: "b18a48f02566e6150fce7a3ece72478f44afc0341489d43f01f25f0351984bab",
+            2: "b2d40088e9e0ea4525d474630aa95f34b1727046e33d3f2ec4c489aca9394438",
+            3: "5570f2c6992e470c22a935454e298966e1a73477093dc77f95ea226164907ff7",
+            4: "ce61f4c06ef82265256454b77b88fa0539388b39395b15b4a4cb0600c676e28c",
+            5: "b88a1b348c4da8477251da82d18e1b37cbd0f055f7f89e90ce7d890e25e5a4dc",
+            6: "b5d94989b4bcc41b44c3da0623b0a3ac1635595beec116544a91535ae04c1d49",
+        }
+        for n, digest in pinned.items():
+            histories = sorted(d.history for d in enumerate_diagrams(n))
+            assert hashlib.sha256(repr(histories).encode()).hexdigest() == digest, n
 
     def test_range_validation(self):
         with pytest.raises(ValueError):

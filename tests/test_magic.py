@@ -2,17 +2,18 @@
 
 from __future__ import annotations
 
+from decimal import getcontext
 from fractions import Fraction
+from itertools import chain, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxmagic.diagrams import attach_slingshot, enumerate_diagrams, from_history, one_loop
+from boxmagic.diagrams import EXTERNALS, attach_slingshot, enumerate_diagrams, from_history, one_loop
 from boxmagic.magic import (
     CoeffTable,
     GeneratorImage,
-    _ladder_image_recursive,
     a_table,
     diagram_image,
     eigenvalue_extract,
@@ -26,6 +27,7 @@ from boxmagic.magic import (
     payload_to_csv,
     verify_magic,
 )
+from oracles import a_row_fraction, image_by_history_fraction, ladder_image_recursive, mu_fraction
 
 
 class TestATable:
@@ -54,6 +56,11 @@ class TestATable:
     def test_recursion_preserves_row_sum(self, n, k):
         assert sum(a_table(n, k).a) == 1
 
+    def test_matches_fraction_oracle(self):
+        for n in range(1, 9):
+            for k in range(0, 33):
+                assert a_table(n, k).a == a_row_fraction(n, k)
+
     def test_invariant_validation(self):
         with pytest.raises(ValueError):
             CoeffTable(n=1, k=1, a=(Fraction(1, 2), Fraction(1, 3)))
@@ -78,6 +85,11 @@ class TestMu:
         assert mu2_closed(2) == Fraction(-1, 2)
         assert mu2_closed(3) == Fraction(1, 6)
         assert mu(2, 5) == Fraction(1, 20)
+
+    def test_matches_fraction_oracle(self):
+        for n in range(1, 9):
+            for k in range(1, 33):
+                assert mu(n, k) == mu_fraction(n, k)
 
     def test_table_invariant(self):
         t = mu_table(3, 8)
@@ -104,7 +116,7 @@ class TestLadderImage:
         for n in (2, 3, 4):
             for k in range(0, 9):
                 for side in ("left", "right"):
-                    assert _ladder_image_recursive(n, k, side).coeffs == \
+                    assert ladder_image_recursive(n, k, side).coeffs == \
                         ladder_image(n, k, side).coeffs
 
     def test_left_is_swap_of_right(self):
@@ -138,6 +150,15 @@ class TestDiagramImage:
         for k in range(0, 9):
             images = {diagram_image(d, "right", k).coeffs for d in ds}
             assert len(images) == 1
+
+    def test_matches_fraction_oracle(self):
+        # Every attachment history up to four loops, not only the
+        # representatives, so all four peeling rules meet every prefix.
+        for h in chain.from_iterable(product(EXTERNALS, repeat=m) for m in range(4)):
+            d = from_history(h)
+            for side in ("left", "right"):
+                for k in range(0, 7):
+                    assert diagram_image(d, side, k).coeffs == image_by_history_fraction(h, side, k)
 
     def test_unsupported_side_reported(self):
         with pytest.raises(ValueError):
@@ -192,6 +213,25 @@ class TestSerialization:
     def test_fraction_decimal_digits(self):
         s = fraction_decimal(Fraction(1, 3))
         assert s.startswith("0.333333333333333333333333333333")
+
+    def test_fraction_decimal_keeps_global_context(self):
+        prec = getcontext().prec
+        fraction_decimal(Fraction(1, 3))
+        fraction_decimal(Fraction(1, 7), digits=50)
+        assert getcontext().prec == prec
+
+    def test_fraction_decimal_bytes(self):
+        # Renderings recorded before the decimal context became local.
+        cases = {
+            Fraction(2, 3): "0.666666666666666666666666666667",
+            Fraction(-1, 12): "-0.0833333333333333333333333333333",
+            Fraction(1, 20): "0.05",
+            Fraction(10**40, 7): "1.42857142857142857142857142857E+39",
+            mu(5, 9): "0.381054276781208188416133322491",
+            mu(16, 64): "-0.964551031488532618869740475107",
+        }
+        for x, text in cases.items():
+            assert fraction_decimal(x) == text
 
     def test_payload_round_trip(self):
         payload = mu_table_payload(2, 5)
