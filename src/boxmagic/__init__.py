@@ -6,7 +6,7 @@ Subpackages:
 * `tbasis`     matrix-coefficient polynomial bases and exact pairings;
 * `diagrams`   box-diagram construction, ordering and enumeration;
 * `magic`      exact-rational operator engine and magic identities;
-* `polylog`    polylogarithms and the explicit ladder functions;
+* `polylog`    polylogarithms and the ladder functions Phi^(L);
 * `quadrature` deterministic cycle quadrature and verification checks;
 * `cli`        the `boxmagic` command-line interface.
 """

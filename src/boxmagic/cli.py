@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -30,6 +31,22 @@ MAX_LOOPS_MU = 16
 MAX_K = 64
 MAX_LOOPS_DIAGRAMS = 5
 MAX_LOOPS_MAGIC = 4
+
+
+def _positive(text: str) -> float:
+    """argparse type: a finite number > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
+def _out_path(text: str) -> str:
+    """argparse type: a file path whose directory exists."""
+    path = Path(text)
+    if path.is_dir() or not path.parent.is_dir():
+        raise argparse.ArgumentTypeError(f"cannot write {text!r}: not a file in an existing directory")
+    return text
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -92,7 +109,11 @@ def _cmd_diagrams(args: argparse.Namespace) -> int:
     print(f"{len(ds)} distinct {args.loops}-loop box diagram(s)")
     if args.dot_dir:
         outdir = Path(args.dot_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"diagrams: cannot create {outdir}: {exc}", file=sys.stderr)
+            return 2
         for i, d in enumerate(ds):
             name = f"boxdiag_n{args.loops}_{i}"
             (outdir / f"{name}.dot").write_text(dg.to_dot(d, name), encoding="utf-8")
@@ -125,7 +146,11 @@ def _cmd_magic(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = run_suite(args.suite, radius=args.radius, nodes=args.nodes, tol=args.tol)
+    try:
+        report = run_suite(args.suite, radius=args.radius, nodes=args.nodes, tol=args.tol)
+    except ValueError as exc:  # node count or budget, or a verification point on the wrong side of the cycle
+        print(f"verify: {exc}", file=sys.stderr)
+        return 2
     payload = _plain(report.payload())
     payload["suite"] = args.suite
     if args.json:
@@ -160,14 +185,14 @@ def build_parser() -> argparse.ArgumentParser:
     mu.add_argument("--loops", "-n", type=int, required=True)
     mu.add_argument("--k-max", type=int, default=16)
     mu.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    mu.add_argument("--out", default=None)
+    mu.add_argument("--out", type=_out_path, default=None)
     mu.set_defaults(func=_cmd_mu)
 
     ac = sub.add_parser("acoeff", help="exact generator coefficient row")
     ac.add_argument("--loops", "-n", type=int, required=True)
     ac.add_argument("--k", type=int, required=True)
     ac.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    ac.add_argument("--out", default=None)
+    ac.add_argument("--out", type=_out_path, default=None)
     ac.set_defaults(func=_cmd_acoeff)
 
     di = sub.add_parser("diagrams", help="enumerate box diagrams")
@@ -179,16 +204,16 @@ def build_parser() -> argparse.ArgumentParser:
     mg.add_argument("--loops", "-n", type=int, required=True)
     mg.add_argument("--k-max", type=int, default=8)
     mg.add_argument("--json", action="store_true")
-    mg.add_argument("--out", default=None)
+    mg.add_argument("--out", type=_out_path, default=None)
     mg.set_defaults(func=_cmd_magic)
 
     ve = sub.add_parser("verify", help="numerical verification suites")
     ve.add_argument("suite", choices=SUITES + ("all",))
-    ve.add_argument("--radius", type=float, default=None)
+    ve.add_argument("--radius", type=_positive, default=None)
     ve.add_argument("--nodes", type=int, default=None)
-    ve.add_argument("--tol", type=float, default=None)
+    ve.add_argument("--tol", type=_positive, default=None)
     ve.add_argument("--json", action="store_true")
-    ve.add_argument("--out", default=None)
+    ve.add_argument("--out", type=_out_path, default=None)
     ve.set_defaults(func=_cmd_verify)
 
     ph = sub.add_parser("phi", help="evaluate the ladder functions")
@@ -196,7 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--x", type=float, required=True)
     ph.add_argument("--y", type=float, required=True)
     ph.add_argument("--constant", choices=tuple(polylog.PHI1_CONSTANTS), default="printed",
-                    help="constant-term variant of the level-1 function")
+                    help="constant term of the level-1 function: printed (pi^3/3, the default) "
+                         "or pi-squared (pi^2/3); only pi-squared agrees with the integral "
+                         "representation of Phi^(1)")
     ph.set_defaults(func=_cmd_phi)
 
     return p

@@ -433,6 +433,8 @@ def orthogonality_check(two_l_max: int = 3, R: float = 0.9, nodes_s3: int = 24,
     """
     if two_l_max > 3:
         raise ValueError("orthogonality check is desk-scale: need 2l <= 3")
+    for chart, n in (("s3", nodes_s3), ("u2", nodes_u2)):
+        QuadratureSpec(chart, R, n)  # raises ValueError below 4 nodes or above NODE_BUDGET
     idxs = list(_basis_indices(two_l_max))
 
     # Harmonic pairing on the 3-sphere.

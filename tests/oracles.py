@@ -14,6 +14,11 @@ The exact combinatorial layers have brute-force oracles here too: the
 all-permutations canonical key of a box diagram, the a-table row by
 Fraction suffix sums, the ladder image by the one-step ladder
 recursion, and diagram images by peeling the history in Fractions.
+
+The polylogarithms and ladder functions are checked against
+one-dimensional integral representations, summed by a Gauss-Legendre
+rule after the substitution t = s^6, which tames the logarithmic
+end-point singularities.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import permutations
+
+import numpy as np
 
 from boxmagic.diagrams import BoxDiagram
 from boxmagic.magic import GeneratorImage
@@ -254,3 +261,36 @@ def image_by_history_fraction(history: tuple[str, ...], side: str, k: int) -> tu
             for r in range(q + 1):
                 out[r] += w
     return tuple(out)
+
+
+_GL_NODES = 400
+_GL_POWER = 6
+
+
+def _gauss_legendre_01() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t and weights on [0, 1] of a Gauss-Legendre rule in s, t = s^6."""
+    x, w = np.polynomial.legendre.leggauss(_GL_NODES)
+    s = 0.5 * (x + 1.0)
+    return s**_GL_POWER, 0.5 * w * _GL_POWER * s ** (_GL_POWER - 1)
+
+
+def li_oracle(N: int, z) -> np.ndarray:
+    """Li_N(z) = z/(N-1)! Int_0^1 (-ln t)^(N-1) / (1 - z t) dt, for z off the cut [1, oo)."""
+    t, w = _gauss_legendre_01()
+    z = np.atleast_1d(np.asarray(z, dtype=complex))[:, None]
+    return z[:, 0] * ((w * (-np.log(t)) ** (N - 1)) / (1.0 - z * t)).sum(axis=1) / math.factorial(N - 1)
+
+
+def phi_oracle(L: int, x, y) -> np.ndarray:
+    """Phi^(L)(x, y) from the Usyukina-Davydychev integral representation.
+
+    Phi^(L) = -1/(L!(L-1)!) Int_0^1 ln^(L-1)(t) (ln(y/x) + ln t)^(L-1)
+              (ln(y/x) + 2 ln t) / (y t^2 + (1-x-y) t + x) dt.
+    """
+    t, w = _gauss_legendre_01()
+    x = np.atleast_1d(np.asarray(x, dtype=float))[:, None]
+    y = np.atleast_1d(np.asarray(y, dtype=float))[:, None]
+    lt = np.log(t)[None, :]
+    lyx = np.log(y / x)
+    f = lt ** (L - 1) * (lyx + lt) ** (L - 1) * (lyx + 2.0 * lt) / (y * t * t + (1.0 - x - y) * t + x)
+    return -(f @ w) / (math.factorial(L) * math.factorial(L - 1))

@@ -3,10 +3,24 @@
 from __future__ import annotations
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from boxmagic.cli import MAX_K, main
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_process(*argv: str, code: str | None = None) -> subprocess.CompletedProcess:
+    """`python -m boxmagic.cli ARGV` (or `python -c CODE`) in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    cmd = [sys.executable, "-c", code] if code else [sys.executable, "-m", "boxmagic.cli", *argv]
+    return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
 
 
 def run(capsys, *argv):
@@ -149,7 +163,7 @@ class TestPhi:
     def test_level_two(self, capsys):
         code, out, _ = run(capsys, "phi", "--level", "2", "--x", "0.1", "--y", "0.2")
         assert code == 0
-        assert out.strip().startswith("34.8103284999297")
+        assert out.strip().startswith("34.328001574515")
 
     def test_constant_variant_flag(self, capsys):
         code, out, _ = run(capsys, "phi", "--level", "1", "--x", "0.1", "--y", "0.1",
@@ -166,3 +180,64 @@ class TestPhi:
         with pytest.raises(SystemExit) as exc:
             run(capsys, "phi", "--level", "1", "--x", "0.1", "--y", "0.1", "--frob", "1")
         assert exc.value.code == 2
+
+    def test_non_finite_exit_2(self, capsys):
+        for x, y in (("0.1", "nan"), ("inf", "0.1"), ("nan", "nan")):
+            code, out, err = run(capsys, "phi", "--level", "2", "--x", x, "--y", y)
+            assert code == 2
+            assert out == ""
+            assert "finite" in err
+
+
+# (argv, exit code): usage errors exit 2, a check that really fails exits 1.
+# "{missing}" stands for a file in a directory that does not exist,
+# "{file}" for an existing file.
+CONTRACT_GRID = [
+    (("verify", "normalization", "--nodes", "8"), 0),
+    (("verify", "normalization", "--nodes", "8", "--tol", "1e-300"), 1),
+    (("verify", "normalization", "--nodes", "3"), 2),
+    (("verify", "orthogonality", "--nodes", "3"), 2),
+    (("verify", "normalization", "--nodes", "65"), 2),
+    (("verify", "normalization", "--radius", "-1"), 2),
+    (("verify", "poisson", "--radius", "nan"), 2),
+    (("verify", "collapse", "--tol", "0"), 2),
+    (("verify", "normalization", "--nodes", "8", "--out", "{missing}"), 2),
+    (("phi", "--level", "2", "--x", "0.1", "--y", "0.2"), 0),
+    (("phi", "--level", "2", "--x", "0.1", "--y", "nan"), 2),
+    (("phi", "--level", "1", "--x", "inf", "--y", "0.1"), 2),
+    (("phi", "--level", "1", "--x", "0.6", "--y", "0.6"), 2),
+    (("phi", "--level", "3", "--x", "0.1", "--y", "0.2"), 2),
+    (("mu", "--loops", "2", "--k-max", "4", "--out", "{missing}"), 2),
+    (("mu", "--loops", "0"), 2),
+    (("acoeff", "--loops", "2", "--k", "x"), 2),
+    (("magic", "--loops", "2", "--k-max", "-1"), 2),
+    (("diagrams", "--loops", "9"), 2),
+    (("diagrams", "--loops", "2", "--dot-dir", "{file}"), 2),
+]
+
+
+class TestContract:
+    @pytest.mark.parametrize("argv, expected", CONTRACT_GRID, ids=[" ".join(a) for a, _ in CONTRACT_GRID])
+    def test_exit_code_and_no_traceback(self, tmp_path, argv, expected):
+        paths = {"{missing}": str(tmp_path / "missing" / "out.txt"), "{file}": str(tmp_path / "file")}
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        proc = run_process(*(paths.get(a, a) for a in argv))
+        assert proc.returncode in (0, 1, 2)
+        assert "Traceback" not in proc.stderr
+        assert "nan" not in proc.stdout.lower()
+        assert proc.returncode == expected, proc.stderr
+        if expected == 2:
+            assert proc.stderr.strip()
+
+
+class TestDependencies:
+    def test_cli_import_leaves_scipy_out(self):
+        proc = run_process(code="import sys, boxmagic.cli; print('scipy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_numpy_is_the_only_runtime_dependency(self):
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+        names = [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]]
+        assert names == ["numpy"]
