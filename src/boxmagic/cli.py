@@ -67,38 +67,34 @@ def _plain(obj):
     return obj
 
 
-def _cmd_mu(args: argparse.Namespace) -> int:
-    if not (1 <= args.loops <= MAX_LOOPS_MU and 1 <= args.k_max <= MAX_K):
-        print(f"mu: need 1 <= loops <= {MAX_LOOPS_MU} and 1 <= k-max <= {MAX_K}", file=sys.stderr)
-        return 2
-    payload = magic.mu_table_payload(args.loops, args.k_max)
+def _emit_table(args: argparse.Namespace, payload: dict, title: str, key: str) -> int:
+    """Write an exact table payload as JSON, CSV or text lines `key=... exact decimal`."""
     if args.format == "json":
         _write_or_print(magic.payload_to_json(payload), args.out)
     elif args.format == "csv":
         _write_or_print(magic.payload_to_csv(payload), args.out)
     else:
-        lines = [f"mu^({args.loops})_k for k = 1..{args.k_max}"]
+        lines = [title]
         for row in payload["values"]:
-            lines.append(f"  k={row['k']:<3d} {row['exact']:>24s}   {row['decimal']}")
+            lines.append(f"  {key}={row[key]:<3d} {row['exact']:>24s}   {row['decimal']}")
         _write_or_print("\n".join(lines) + "\n", args.out)
     return 0
+
+
+def _cmd_mu(args: argparse.Namespace) -> int:
+    if not (1 <= args.loops <= MAX_LOOPS_MU and 1 <= args.k_max <= MAX_K):
+        print(f"mu: need 1 <= loops <= {MAX_LOOPS_MU} and 1 <= k-max <= {MAX_K}", file=sys.stderr)
+        return 2
+    return _emit_table(args, magic.mu_table_payload(args.loops, args.k_max),
+                       f"mu^({args.loops})_k for k = 1..{args.k_max}", "k")
 
 
 def _cmd_acoeff(args: argparse.Namespace) -> int:
     if not (1 <= args.loops <= MAX_LOOPS_MU and 0 <= args.k <= MAX_K):
         print(f"acoeff: need 1 <= loops <= {MAX_LOOPS_MU} and 0 <= k <= {MAX_K}", file=sys.stderr)
         return 2
-    payload = magic.a_table_payload(args.loops, args.k)
-    if args.format == "json":
-        _write_or_print(magic.payload_to_json(payload), args.out)
-    elif args.format == "csv":
-        _write_or_print(magic.payload_to_csv(payload), args.out)
-    else:
-        lines = [f"a^{args.k}({args.loops}, p) for p = 0..{args.k}"]
-        for row in payload["values"]:
-            lines.append(f"  p={row['p']:<3d} {row['exact']:>24s}   {row['decimal']}")
-        _write_or_print("\n".join(lines) + "\n", args.out)
-    return 0
+    return _emit_table(args, magic.a_table_payload(args.loops, args.k),
+                       f"a^{args.k}({args.loops}, p) for p = 0..{args.k}", "p")
 
 
 def _cmd_diagrams(args: argparse.Namespace) -> int:

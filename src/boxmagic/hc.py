@@ -9,8 +9,10 @@ N(Z) = det Z = z11*z22 - z12*z21.  Under the coordinate identification
 the norm equals (z0)^2 + (z1)^2 + (z2)^2 + (z3)^2.  The conformal group
 acts by fractional linear transformations Z -> (aZ+b)(cZ+d)^-1.
 
-This module also provides parametrized charts of the two integration
-cycles used by the verification suite:
+This module also holds the one chart definition of each integration
+cycle used by the verification suite, vectorised over numpy arrays of
+angles (the quadrature grids are these charts at 1-D node arrays
+placed on separate axes):
 
 * U(2)_R, the set of R-scaled unitary matrices, carrying the holomorphic
   4-form dV = (1/4) dz11^dz12^dz21^dz22, oriented so that the integral
@@ -21,8 +23,6 @@ cycles used by the verification suite:
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +30,6 @@ import numpy as np
 __all__ = [
     "ComplexQuaternion",
     "GroupElement",
-    "CyclePoint",
     "norm",
     "inverse",
     "conformal_act",
@@ -228,63 +227,51 @@ def in_domain(Z: ComplexQuaternion, R: float, sign: str) -> bool:
     return domain_side(Z, R) == sign
 
 
-@dataclass(frozen=True)
-class CyclePoint:
-    """A chart point on an integration cycle with its quadrature weight.
+def chart_u2(R: float, phi, psi, theta, chi):
+    """Chart of U(2)_R at angles (phi, psi, theta, chi); numpy-broadcasting.
 
-    For U(2)_R charts the weight is the pulled-back value of the
-    holomorphic 4-form dV times the supplied chart cell measure; for
-    S^3_R it is the Euclidean surface density times the cell measure.
-    """
+    Returns (z11, z12, z21, z22, density) for the points
+    R * e^{i phi} * q(psi, theta, chi), with q the unit quaternion
+    [[cos(theta) e^{i psi}, sin(theta) e^{i chi}],
+     [-sin(theta) e^{-i chi}, cos(theta) e^{-i psi}]];
+    ranges phi in [0, pi), psi, chi in [0, 2 pi), theta in [0, pi/2].
+    The double cover (phi, q) ~ (phi + pi, -q) is handled by the halved
+    phi range.  The density
 
-    point: ComplexQuaternion
-    weight: complex
+        -i * R^4 * e^{4 i phi} * cos(theta) * sin(theta)
 
-
-def _su2(psi: float, theta: float, chi: float) -> tuple[complex, complex, complex, complex]:
-    """Unit quaternion q in Hopf coordinates, as 2x2 matrix entries."""
-    c, s = math.cos(theta), math.sin(theta)
-    return (
-        c * cmath.exp(1j * psi),
-        s * cmath.exp(1j * chi),
-        -s * cmath.exp(-1j * chi),
-        c * cmath.exp(-1j * psi),
-    )
-
-
-def chart_u2(R: float, phi: float, psi: float, theta: float, chi: float,
-             cell: float = 1.0) -> CyclePoint:
-    """Chart point of U(2)_R at angles (phi, psi, theta, chi).
-
-    The point is R * e^{i phi} * q(psi, theta, chi) with q a unit
-    quaternion; ranges phi in [0, pi), psi, chi in [0, 2 pi),
-    theta in [0, pi/2].  The double cover (phi, q) ~ (phi + pi, -q) is
-    handled by the halved phi range.  The weight density is
-
-        -i * R^4 * e^{4 i phi} * cos(theta) * sin(theta),
-
-    the closed-form Jacobian of dV = (1/4) dz11^dz12^dz21^dz22 in this
+    is the closed-form Jacobian of dV = (1/4) dz11^dz12^dz21^dz22 in this
     chart, with the global sign calibrated so that integrating
-    weight / N(Z)^2 over the chart yields -2*pi^3*i.
+    density / N(Z)^2 over the chart yields -2*pi^3*i.
+
+    Only the angle inputs pass through exp, cos and sin; the entries are
+    products of these factors, so 1-D node arrays on separate axes give
+    the whole product grid by broadcasting.
     """
-    q11, q12, q21, q22 = _su2(psi, theta, chi)
-    f = R * cmath.exp(1j * phi)
-    point = ComplexQuaternion(f * q11, f * q12, f * q21, f * q22)
-    w = -1j * R**4 * cmath.exp(4j * phi) * math.cos(theta) * math.sin(theta)
-    return CyclePoint(point, w * cell)
+    c, s = np.cos(theta), np.sin(theta)
+    e = np.exp(1j * phi)
+    z11 = R * c * e * np.exp(1j * psi)
+    z12 = R * s * e * np.exp(1j * chi)
+    z21 = -R * s * e * np.exp(-1j * chi)
+    z22 = R * c * e * np.exp(-1j * psi)
+    density = -1j * R**4 * np.exp(4j * phi) * c * s
+    return z11, z12, z21, z22, density
 
 
-def chart_s3(R: float, psi: float, theta: float, chi: float,
-             cell: float = 1.0) -> CyclePoint:
-    """Chart point of S^3_R (real quaternion coordinates) at Hopf angles.
+def chart_s3(R: float, psi, theta, chi):
+    """Chart of S^3_R (real quaternion coordinates) at Hopf angles; numpy-broadcasting.
 
-    The weight density is the surface measure R^3 cos(theta) sin(theta);
-    integrating it over the full chart gives 2*pi^2*R^3.
+    Returns (z11, z12, z21, z22, density): the points R * q(psi, theta, chi)
+    of `chart_u2` at phi = 0 and the surface density R^3 cos(theta) sin(theta),
+    whose integral over the full chart is 2*pi^2*R^3.
     """
-    q11, q12, q21, q22 = _su2(psi, theta, chi)
-    point = ComplexQuaternion(R * q11, R * q12, R * q21, R * q22)
-    w = R**3 * math.cos(theta) * math.sin(theta)
-    return CyclePoint(point, w * cell)
+    c, s = np.cos(theta), np.sin(theta)
+    z11 = R * c * np.exp(1j * psi)
+    z12 = R * s * np.exp(1j * chi)
+    z21 = -R * s * np.exp(-1j * chi)
+    z22 = R * c * np.exp(-1j * psi)
+    density = R**3 * c * s
+    return z11, z12, z21, z22, density
 
 
 def random_near_identity(rng: np.random.Generator, scale: float) -> GroupElement:

@@ -22,11 +22,10 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .hc import ComplexQuaternion, CyclePoint, GroupElement, conformal_act, domain_side
+from .hc import ComplexQuaternion, GroupElement, chart_s3, chart_u2, conformal_act, domain_side
 from .tbasis import BasisExpansion, TIndex, term_of_inverse_argument
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "SuiteReport",
     "DomainError",
     "integrate",
-    "cycle_points",
     "poisson_eval",
     "lemma_zp_eval",
     "collapse_z1",
@@ -81,48 +79,27 @@ class QuadratureSpec:
             raise ValueError("total node count exceeds the configured budget")
 
 
-@lru_cache(maxsize=32)
 def _grid(chart: str, radius: float, n: int):
-    """Flattened chart arrays (z11, z12, z21, z22, weights)."""
-    psi = np.arange(n) * (2.0 * np.pi / n)
-    chi = np.arange(n) * (2.0 * np.pi / n)
+    """Flattened chart arrays (z11, z12, z21, z22, weights) of the product rule.
+
+    The chart is called once with each 1-D node array on its own axis, so
+    exp, cos and sin run over n values per angle and broadcasting forms
+    the products; the weights are the chart density times the
+    Gauss-Legendre theta weights and the cell measure.
+    """
+    periodic = np.arange(n) * (2.0 * np.pi / n)
     x, wgl = np.polynomial.legendre.leggauss(n)
     theta = 0.25 * np.pi * (x + 1.0)
     wth = wgl * 0.25 * np.pi
-    R = radius
     if chart == "u2":
         phi = np.arange(n) * (np.pi / n)
-        PHI, PSI, TH, CHI = np.meshgrid(phi, psi, theta, chi, indexing="ij")
-        WTH = np.broadcast_to(wth[None, None, :, None], PHI.shape)
-        c, s = np.cos(TH), np.sin(TH)
-        e = np.exp(1j * PHI)
-        z11 = R * c * e * np.exp(1j * PSI)
-        z12 = R * s * e * np.exp(1j * CHI)
-        z21 = -R * s * e * np.exp(-1j * CHI)
-        z22 = R * c * e * np.exp(-1j * PSI)
-        cell = (np.pi / n) * (2.0 * np.pi / n) ** 2
-        w = -1j * R**4 * np.exp(4j * PHI) * c * s * WTH * cell
+        *z, density = chart_u2(radius, phi[:, None, None, None], periodic[:, None, None],
+                               theta[:, None], periodic)
+        w = density * wth[:, None] * ((np.pi / n) * (2.0 * np.pi / n) ** 2)
     else:
-        PSI, TH, CHI = np.meshgrid(psi, theta, chi, indexing="ij")
-        WTH = np.broadcast_to(wth[None, :, None], PSI.shape)
-        c, s = np.cos(TH), np.sin(TH)
-        z11 = R * c * np.exp(1j * PSI)
-        z12 = R * s * np.exp(1j * CHI)
-        z21 = -R * s * np.exp(-1j * CHI)
-        z22 = R * c * np.exp(-1j * PSI)
-        cell = (2.0 * np.pi / n) ** 2
-        w = (R**3 * c * s * WTH * cell).astype(complex)
-    out = tuple(a.ravel().copy() for a in (z11, z12, z21, z22, w))
-    for a in out:
-        a.setflags(write=False)
-    return out
-
-
-def cycle_points(spec: QuadratureSpec):
-    """Chart nodes as CyclePoint records (weights include cell measures)."""
-    z11, z12, z21, z22, w = _grid(spec.chart, spec.radius, spec.nodes_per_dim)
-    for i in range(len(w)):
-        yield CyclePoint(ComplexQuaternion(z11[i], z12[i], z21[i], z22[i]), complex(w[i]))
+        *z, density = chart_s3(radius, periodic[:, None, None], theta[:, None], periodic)
+        w = (density * wth[:, None] * (2.0 * np.pi / n) ** 2).astype(complex)
+    return tuple(a.ravel() for a in np.broadcast_arrays(*z, w))
 
 
 def _tree_sum(values: np.ndarray) -> complex:
@@ -139,11 +116,13 @@ def _tree_sum(values: np.ndarray) -> complex:
     return complex(buf[0])
 
 
-def _max_workers() -> int:
+def _max_workers(nodes: int) -> int:
+    """BOXMAGIC_THREADS, capped by the CPU count and the node count."""
     try:
-        return max(1, int(os.environ.get("BOXMAGIC_THREADS", "1")))
+        wanted = int(os.environ.get("BOXMAGIC_THREADS", "1"))
     except ValueError:
         return 1
+    return max(1, min(wanted, os.cpu_count() or 1, nodes))
 
 
 def integrate(spec: QuadratureSpec, f) -> complex:
@@ -153,7 +132,7 @@ def integrate(spec: QuadratureSpec, f) -> complex:
     values; non-finite values abort with the offending node coordinates.
     """
     z11, z12, z21, z22, w = _grid(spec.chart, spec.radius, spec.nodes_per_dim)
-    workers = _max_workers()
+    workers = _max_workers(w.size)
     if workers == 1:
         vals = np.asarray(f(z11, z12, z21, z22), dtype=complex)
         vals = np.broadcast_to(vals, w.shape)
@@ -223,6 +202,15 @@ def collapse_z1(phi: BasisExpansion, W: ComplexQuaternion, R: float,
     return val * 1j / (2.0 * np.pi**3)
 
 
+_ENTRIES = ("z11", "z12", "z21", "z22")
+
+
+def _entry_index(ij: str) -> int:
+    if ij not in _ENTRIES:
+        raise ValueError("ij must name one of the four entries")
+    return _ENTRIES.index(ij)
+
+
 def lemma_zp_eval(ij: str, k: int, W: ComplexQuaternion, Wp: ComplexQuaternion,
                   R: float, nodes: int = 20) -> complex:
     """Two-point collapse (i/2 pi^3) Int (z_ij)^k dV / (N(Z-W) N(Z-W')).
@@ -230,12 +218,10 @@ def lemma_zp_eval(ij: str, k: int, W: ComplexQuaternion, Wp: ComplexQuaternion,
     Equals 1/(k+1) sum_p (w_ij)^p (w'_ij)^(k-p) for W, W' strictly
     inside radius R.
     """
-    if ij not in ("z11", "z12", "z21", "z22"):
-        raise ValueError("ij must name one of the four entries")
+    pos = _entry_index(ij)
     _require_side(W, R, "plus", "first evaluation point")
     _require_side(Wp, R, "plus", "second evaluation point")
     spec = QuadratureSpec("u2", R, nodes)
-    pos = {"z11": 0, "z12": 1, "z21": 2, "z22": 3}[ij]
 
     def f(a, b, c, d):
         entry = (a, b, c, d)[pos]
@@ -245,9 +231,10 @@ def lemma_zp_eval(ij: str, k: int, W: ComplexQuaternion, Wp: ComplexQuaternion,
 
 
 def zp_closed_form(ij: str, k: int, W: ComplexQuaternion, Wp: ComplexQuaternion) -> complex:
-    pos = {"z11": "z11", "z12": "z12", "z21": "z21", "z22": "z22"}[ij]
-    w = getattr(W, pos)
-    wp = getattr(Wp, pos)
+    """Closed form 1/(k+1) sum_p (w_ij)^p (w'_ij)^(k-p) of `lemma_zp_eval`."""
+    _entry_index(ij)
+    w = getattr(W, ij)
+    wp = getattr(Wp, ij)
     return sum(w**p * wp ** (k - p) for p in range(k + 1)) / (k + 1)
 
 
@@ -422,6 +409,50 @@ def _basis_indices(two_l_max: int):
                 yield (L, n, m)
 
 
+def _gram(prim: np.ndarray, dual: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Every pairing sum_nodes w * prim[i] * dual[j] at once, as (prim * w) @ dual^T.
+
+    Scales `prim` in place.
+    """
+    prim *= w
+    return prim @ dual.T
+
+
+def _orthogonality_grams(two_l_max: int, R: float, nodes_s3: int, nodes_u2: int):
+    """Gram matrices of both pairings, each with its exact diagonal.
+
+    Rows and columns follow `_basis_indices`; on the 4-cycle each index
+    takes the norm powers k = 0, 1 in turn.  The exact values vanish off
+    the diagonal.
+    """
+    idxs = list(_basis_indices(two_l_max))
+
+    # Harmonic pairing on the 3-sphere.
+    a, b, c, d, w = _grid("s3", R, nodes_s3)
+    prim = np.empty((len(idxs), w.size), dtype=complex)
+    dual = np.empty_like(prim)
+    for row, (L, n, m) in enumerate(idxs):
+        prim[row] = BasisExpansion({TIndex(L, n, m, 0): 1}, "H+").degt().eval_entries(a, b, c, d)
+        di, fac = term_of_inverse_argument(L, m, n, -1)
+        dual[row] = BasisExpansion({di: fac}, "H-").eval_entries(a, b, c, d)
+    sphere = (_gram(prim, dual, w) / (2.0 * np.pi**2 * R), np.ones(len(idxs)))
+
+    # Polynomial pairing on the 4-cycle.
+    a, b, c, d, w = _grid("u2", R, nodes_u2)
+    nz = a * d - b * c
+    prim = np.empty((2 * len(idxs), w.size), dtype=complex)
+    dual = np.empty_like(prim)
+    for row, (L, n, m) in enumerate(idxs):
+        base = BasisExpansion({TIndex(L, n, m, 0): 1}).eval_entries(a, b, c, d)
+        for kk in (0, 1):
+            prim[2 * row + kk] = base * nz**kk
+            di, fac = term_of_inverse_argument(L, m, n, -kk - 2)
+            dual[2 * row + kk] = BasisExpansion({di: fac}).eval_entries(a, b, c, d)
+    cycle = (1j / (2.0 * np.pi**3) * _gram(prim, dual, w),
+             np.repeat([1.0 / (L + 1) for (L, _, _) in idxs], 2))
+    return sphere, cycle
+
+
 def orthogonality_check(two_l_max: int = 3, R: float = 0.9, nodes_s3: int = 24,
                         nodes_u2: int = 16, tol: float = 1e-6) -> CheckResult:
     """Both orthogonality families against their exact Kronecker values.
@@ -430,56 +461,18 @@ def orthogonality_check(two_l_max: int = 3, R: float = 0.9, nodes_s3: int = 24,
     degree-bounded element with an inverse-argument dual; the polynomial
     pairing over the 4-cycle additionally scans norm powers k, k' in
     {0, 1} and checks the 1/(2l+1) values with delta matching in k.
+    Each family is one Gram-matrix product.
     """
     if two_l_max > 3:
         raise ValueError("orthogonality check is desk-scale: need 2l <= 3")
     for chart, n in (("s3", nodes_s3), ("u2", nodes_u2)):
         QuadratureSpec(chart, R, n)  # raises ValueError below 4 nodes or above NODE_BUDGET
-    idxs = list(_basis_indices(two_l_max))
-
-    # Harmonic pairing on the 3-sphere.
-    a, b, c, d, w = _grid("s3", R, nodes_s3)
-    prim = {}
-    dual = {}
-    dual_exact = {}
-    for (L, n, m) in idxs:
-        f1 = BasisExpansion({TIndex(L, n, m, 0): 1}, "H+")
-        prim[(L, n, m)] = f1.degt().eval_entries(a, b, c, d)
-        di, fac = term_of_inverse_argument(L, m, n, -1)
-        f2 = BasisExpansion({di: fac}, "H-")
-        dual[(L, n, m)] = f2.eval_entries(a, b, c, d)
-        dual_exact[(L, n, m)] = f2
-    worst = 0.0
-    for i1 in idxs:
-        for i2 in idxs:
-            num = np.sum(w * prim[i1] * dual[i2]) / (2.0 * np.pi**2 * R)
-            want = 1.0 if i1 == i2 else 0.0
-            worst = max(worst, abs(num - want))
-    h_worst = worst
-
-    # Polynomial pairing on the 4-cycle.
-    a, b, c, d, w = _grid("u2", R, nodes_u2)
-    nz = a * d - b * c
-    prim_u = {}
-    dual_u = {}
-    for (L, n, m) in idxs:
-        base = BasisExpansion({TIndex(L, n, m, 0): 1}).eval_entries(a, b, c, d)
-        for kk in (0, 1):
-            prim_u[(L, n, m, kk)] = base * nz**kk
-        for kk in (0, 1):
-            di, fac = term_of_inverse_argument(L, m, n, -kk - 2)
-            dual_u[(L, n, m, kk)] = BasisExpansion({di: fac}).eval_entries(a, b, c, d)
-    worst = 0.0
-    for (L1, n1, m1, k1), v1 in prim_u.items():
-        for (L2, n2, m2, k2), v2 in dual_u.items():
-            num = 1j / (2.0 * np.pi**3) * np.sum(w * v1 * v2)
-            want = 1.0 / (L1 + 1) if (L1, n1, m1, k1) == (L2, n2, m2, k2) else 0.0
-            worst = max(worst, abs(num - want))
-    u_worst = worst
-
+    (gs, want_s), (gu, want_u) = _orthogonality_grams(two_l_max, R, nodes_s3, nodes_u2)
+    h_worst = float(np.abs(gs - np.diag(want_s)).max())
+    u_worst = float(np.abs(gu - np.diag(want_u)).max())
     return CheckResult(
         "orthogonality", max(h_worst, u_worst), tol, max(nodes_s3, nodes_u2),
-        {"pairs_sphere": len(idxs) ** 2, "pairs_cycle": (2 * len(idxs)) ** 2,
+        {"pairs_sphere": gs.size, "pairs_cycle": gu.size,
          "sphere_worst": h_worst, "cycle_worst": u_worst, "radius": R},
     )
 

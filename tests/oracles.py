@@ -19,6 +19,10 @@ The polylogarithms and ladder functions are checked against
 one-dimensional integral representations, summed by a Gauss-Legendre
 rule after the substitution t = s^6, which tames the logarithmic
 end-point singularities.
+
+The quadrature grids have a reference build that evaluates exp, cos
+and sin over full meshgrids, and the orthogonality Gram matrices a
+reference that sums each pair of value rows separately.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 
 from boxmagic.diagrams import BoxDiagram
 from boxmagic.magic import GeneratorImage
-from boxmagic.tbasis import BasisExpansion, MultiPoly, t_poly
+from boxmagic.tbasis import BasisExpansion, MultiPoly, TIndex, t_poly, term_of_inverse_argument
 
 
 class GC:
@@ -294,3 +298,64 @@ def phi_oracle(L: int, x, y) -> np.ndarray:
     lyx = np.log(y / x)
     f = lt ** (L - 1) * (lyx + lt) ** (L - 1) * (lyx + 2.0 * lt) / (y * t * t + (1.0 - x - y) * t + x)
     return -(f @ w) / (math.factorial(L) * math.factorial(L - 1))
+
+
+def meshgrid_grid(chart: str, radius: float, n: int):
+    """Flattened chart arrays (z11, z12, z21, z22, weights) built over meshgrids."""
+    psi = np.arange(n) * (2.0 * np.pi / n)
+    chi = np.arange(n) * (2.0 * np.pi / n)
+    x, wgl = np.polynomial.legendre.leggauss(n)
+    theta = 0.25 * np.pi * (x + 1.0)
+    wth = wgl * 0.25 * np.pi
+    R = radius
+    if chart == "u2":
+        phi = np.arange(n) * (np.pi / n)
+        PHI, PSI, TH, CHI = np.meshgrid(phi, psi, theta, chi, indexing="ij")
+        WTH = np.broadcast_to(wth[None, None, :, None], PHI.shape)
+        c, s = np.cos(TH), np.sin(TH)
+        e = np.exp(1j * PHI)
+        z11 = R * c * e * np.exp(1j * PSI)
+        z12 = R * s * e * np.exp(1j * CHI)
+        z21 = -R * s * e * np.exp(-1j * CHI)
+        z22 = R * c * e * np.exp(-1j * PSI)
+        cell = (np.pi / n) * (2.0 * np.pi / n) ** 2
+        w = -1j * R**4 * np.exp(4j * PHI) * c * s * WTH * cell
+    else:
+        PSI, TH, CHI = np.meshgrid(psi, theta, chi, indexing="ij")
+        WTH = np.broadcast_to(wth[None, :, None], PSI.shape)
+        c, s = np.cos(TH), np.sin(TH)
+        z11 = R * c * np.exp(1j * PSI)
+        z12 = R * s * np.exp(1j * CHI)
+        z21 = -R * s * np.exp(-1j * CHI)
+        z22 = R * c * np.exp(-1j * PSI)
+        cell = (2.0 * np.pi / n) ** 2
+        w = (R**3 * c * s * WTH * cell).astype(complex)
+    return tuple(a.ravel().copy() for a in (z11, z12, z21, z22, w))
+
+
+def orthogonality_pairs(two_l_max: int, R: float, nodes_s3: int, nodes_u2: int):
+    """Both orthogonality pairing matrices, one np.sum per pair of value rows."""
+    idxs = [(L, n, m) for L in range(two_l_max + 1)
+            for n in range(-L, L + 1, 2) for m in range(-L, L + 1, 2)]
+
+    a, b, c, d, w = meshgrid_grid("s3", R, nodes_s3)
+    prim, dual = {}, {}
+    for (L, n, m) in idxs:
+        prim[(L, n, m)] = BasisExpansion({TIndex(L, n, m, 0): 1}, "H+").degt().eval_entries(a, b, c, d)
+        di, fac = term_of_inverse_argument(L, m, n, -1)
+        dual[(L, n, m)] = BasisExpansion({di: fac}, "H-").eval_entries(a, b, c, d)
+    sphere = np.array([[np.sum(w * prim[i1] * dual[i2]) / (2.0 * np.pi**2 * R) for i2 in idxs]
+                       for i1 in idxs])
+
+    a, b, c, d, w = meshgrid_grid("u2", R, nodes_u2)
+    nz = a * d - b * c
+    prim_u, dual_u = {}, {}
+    for (L, n, m) in idxs:
+        base = BasisExpansion({TIndex(L, n, m, 0): 1}).eval_entries(a, b, c, d)
+        for kk in (0, 1):
+            prim_u[(L, n, m, kk)] = base * nz**kk
+            di, fac = term_of_inverse_argument(L, m, n, -kk - 2)
+            dual_u[(L, n, m, kk)] = BasisExpansion({di: fac}).eval_entries(a, b, c, d)
+    cycle = np.array([[1j / (2.0 * np.pi**3) * np.sum(w * v1 * v2) for v2 in dual_u.values()]
+                      for v1 in prim_u.values()])
+    return sphere, cycle

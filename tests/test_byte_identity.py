@@ -34,6 +34,35 @@ PINNED_JSON = {
         "65034be480fdd263265149dd41be20c2a76c96400ee865a2a3b7cf149aac883e",
 }
 
+# Text and CSV outputs of the same `mu` and `acoeff` argument sets,
+# recorded before the two commands shared one table emitter.
+PINNED_TABLES = {
+    ("mu", "--loops", "1", "--k-max", "8", "--format", "text"):
+        "879a4959e2735ba71da40c4b5875fea85fb2567aa2488f1218fff315dcad6078",
+    ("mu", "--loops", "1", "--k-max", "8", "--format", "csv"):
+        "54e4fbf5b3f49942ceb80174f4d8d7cf84011203a6497bc91f2a80e335bfee94",
+    ("mu", "--loops", "2", "--k-max", "16", "--format", "text"):
+        "7cf7688b6504f32d5d5a7ced1f3363b8c5244d3801bb23154c194a56dbdff890",
+    ("mu", "--loops", "2", "--k-max", "16", "--format", "csv"):
+        "f1cfa3a874fcc97b218346d57d372e0d2419117980784ff1b9bd67ac50f2f55e",
+    ("mu", "--loops", "4", "--k-max", "32", "--format", "text"):
+        "296846c9d4d62d0a307a264fd4cfb4b370f6cc20498259c794f23401fa7a4143",
+    ("mu", "--loops", "4", "--k-max", "32", "--format", "csv"):
+        "7260589fc1a2b3ce08211a6df355cf5a2ba84f56a754f821c3ec73eaeefa6cc8",
+    ("mu", "--loops", "16", "--k-max", "64", "--format", "text"):
+        "c8ab5c38eee9823dbe8f147b2410fa1a583b25190a160ba02a24f572a6717785",
+    ("mu", "--loops", "16", "--k-max", "64", "--format", "csv"):
+        "e823bb83983ea44610225a13e51e5331377470be4fc4268faf63d3be3623e7fb",
+    ("acoeff", "--loops", "3", "--k", "8", "--format", "text"):
+        "997d033b67c85f44486d64d4c03b7a2b7dbe2c65708b30bbad82a7d61e768866",
+    ("acoeff", "--loops", "3", "--k", "8", "--format", "csv"):
+        "1a94ad8f5d5cc508e38b6dd01c0f3ebe0d296b3e6780c7ed7edbb58310f76b59",
+    ("acoeff", "--loops", "8", "--k", "24", "--format", "text"):
+        "13e9244ea48735366a671c881b1a344b721a5168714844870ce11543fffecf4b",
+    ("acoeff", "--loops", "8", "--k", "24", "--format", "csv"):
+        "9c629b414c6344c68db9c729f33b4fa8d1bfff8ee161104b18c302dcaa211335",
+}
+
 # Digest of repr(sorted DOT file contents), with each file's own name
 # (boxdiag_n{n}_{i}) replaced by NAME: only the discovery index i may move.
 PINNED_DOT = {
@@ -53,6 +82,12 @@ def _sha256(text: str) -> str:
 def test_json_bytes(capsys, argv):
     assert main(list(argv)) == 0
     assert _sha256(capsys.readouterr().out) == PINNED_JSON[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_TABLES), ids=" ".join)
+def test_table_bytes(capsys, argv):
+    assert main(list(argv)) == 0
+    assert _sha256(capsys.readouterr().out) == PINNED_TABLES[argv]
 
 
 @pytest.mark.parametrize("n", sorted(PINNED_DOT))

@@ -137,10 +137,10 @@ class TestDomains:
         assert in_domain(ComplexQuaternion(2, 0, 0, 2), 1.0, "minus")
 
     def test_cycle_point_is_boundary(self):
-        cp = chart_u2(1.2, 0.3, 1.1, 0.7, 2.0)
-        assert domain_side(cp.point, 1.2) == "boundary"
-        assert not in_domain(cp.point, 1.2, "plus")
-        assert not in_domain(cp.point, 1.2, "minus")
+        point = ComplexQuaternion(*chart_u2(1.2, 0.3, 1.1, 0.7, 2.0)[:4])
+        assert domain_side(point, 1.2) == "boundary"
+        assert not in_domain(point, 1.2, "plus")
+        assert not in_domain(point, 1.2, "minus")
 
     def test_bad_sign_rejected(self):
         with pytest.raises(ValueError):
@@ -150,15 +150,14 @@ class TestDomains:
 class TestCharts:
     def test_u2_point_on_cycle(self):
         R = 0.8
-        cp = chart_u2(R, 0.5, 1.0, 0.6, 2.5)
-        m = cp.point.as_matrix()
+        m = ComplexQuaternion(*chart_u2(R, 0.5, 1.0, 0.6, 2.5)[:4]).as_matrix()
         assert np.allclose(m @ m.conj().T, R * R * np.eye(2), atol=1e-12)
 
     def test_s3_point_real_coords(self):
-        cp = chart_s3(1.3, 1.0, 0.6, 2.5)
-        coords = cp.point.to_coords()
+        point = ComplexQuaternion(*chart_s3(1.3, 1.0, 0.6, 2.5)[:4])
+        coords = point.to_coords()
         assert max(abs(c.imag) for c in coords) < 1e-12
-        assert abs(norm(cp.point) - 1.3**2) < 1e-12
+        assert abs(norm(point) - 1.3**2) < 1e-12
 
     def test_u2_jacobian_matches_finite_differences(self):
         # Central differences of the chart map against the closed-form weight.
@@ -166,8 +165,7 @@ class TestCharts:
         h = 1e-5
 
         def entries(p):
-            cp = chart_u2(R, *p)
-            return np.array([cp.point.z11, cp.point.z12, cp.point.z21, cp.point.z22])
+            return np.array(chart_u2(R, *p)[:4])
 
         jac = np.zeros((4, 4), dtype=complex)
         for j in range(4):
@@ -177,12 +175,12 @@ class TestCharts:
             dn[j] -= h
             jac[:, j] = (entries(up) - entries(dn)) / (2 * h)
         det = np.linalg.det(jac) / 4.0
-        w = chart_u2(R, *params).weight
+        w = chart_u2(R, *params)[4]
         # The calibrated orientation flips the sign of the raw chart Jacobian.
         assert abs(det + w) <= 1e-8 * abs(w)
 
     def test_s3_weight_density(self):
         import math
 
-        cp = chart_s3(2.0, 0.1, 0.4, 0.2, cell=0.5)
-        assert cp.weight == pytest.approx(2.0**3 * math.cos(0.4) * math.sin(0.4) * 0.5)
+        density = chart_s3(2.0, 0.1, 0.4, 0.2)[4]
+        assert density == pytest.approx(2.0**3 * math.cos(0.4) * math.sin(0.4))

@@ -7,13 +7,16 @@ import math
 import numpy as np
 import pytest
 
+from boxmagic import quadrature
 from boxmagic.hc import ComplexQuaternion, chart_s3, chart_u2
 from boxmagic.quadrature import (
     DomainError,
     QuadratureSpec,
+    _grid,
+    _max_workers,
+    _orthogonality_grams,
     collapse_z1,
     conformal_check,
-    cycle_points,
     integrate,
     lemma_zp_check,
     lemma_zp_eval,
@@ -26,6 +29,7 @@ from boxmagic.quadrature import (
     zp_closed_form,
 )
 from boxmagic.tbasis import BasisExpansion, TIndex
+from oracles import meshgrid_grid, orthogonality_pairs
 
 W_IN = ComplexQuaternion(0.31 + 0.12j, -0.08 + 0.05j, 0.04 - 0.11j, 0.27 - 0.06j)
 WP_IN = ComplexQuaternion(-0.22 + 0.03j, 0.10 + 0.02j, -0.03 + 0.07j, -0.18 - 0.04j)
@@ -53,17 +57,24 @@ class TestSpecAndGrids:
             QuadratureSpec("u2", 1.0, 90)  # exceeds the node budget
 
     def test_grid_matches_scalar_charts(self):
-        # The vectorized grids must agree with the scalar chart API.
-        spec = QuadratureSpec("u2", 0.8, 4)
-        pts = list(cycle_points(spec))
+        # Every grid node must agree with the chart evaluated at its own angles.
         n = 4
-        cell = (math.pi / n) * (2 * math.pi / n) ** 2
-        x, _ = np.polynomial.legendre.leggauss(n)
-        theta0 = 0.25 * math.pi * (x[0] + 1.0)
-        cp = chart_u2(0.8, 0.0, 0.0, theta0, 0.0, cell=cell)
-        got = pts[0]
-        assert got.point.z11 == pytest.approx(cp.point.z11, abs=1e-14)
-        assert got.point.z21 == pytest.approx(cp.point.z21, abs=1e-14)
+        x, wgl = np.polynomial.legendre.leggauss(n)
+        thetas = 0.25 * math.pi * (x + 1.0)
+        periodic = [2 * math.pi * j / n for j in range(n)]
+        cases = (
+            ("u2", (math.pi / n) * (2 * math.pi / n) ** 2,
+             lambda R, a: chart_u2(R, math.pi * a[0] / n, periodic[a[1]], thetas[a[2]], periodic[a[3]])),
+            ("s3", (2 * math.pi / n) ** 2,
+             lambda R, a: chart_s3(R, periodic[a[0]], thetas[a[1]], periodic[a[2]])),
+        )
+        for chart, cell, at in cases:
+            grid = _grid(chart, 0.8, n)
+            for i, a in enumerate(np.ndindex(*(n,) * (4 if chart == "u2" else 3))):
+                *z, density = at(0.8, a)
+                weight = density * wgl[a[-2]] * 0.25 * math.pi * cell
+                for got, want in zip(grid, (*z, weight)):
+                    assert got[i] == pytest.approx(want, abs=1e-14)
 
     def test_s3_total_weight(self):
         for R in (0.7, 1.25):
@@ -88,6 +99,29 @@ class TestSpecAndGrids:
         base = integrate(spec, f)
         monkeypatch.setenv("BOXMAGIC_THREADS", "3")
         assert integrate(spec, f) == base
+
+    @pytest.mark.parametrize("chart", ["u2", "s3"])
+    @pytest.mark.parametrize("n", [4, 12, 20, 24, 32])
+    @pytest.mark.parametrize("R", [0.8, 1.0, 1.25])
+    def test_grid_bitwise_matches_meshgrid_build(self, chart, n, R):
+        got = _grid(chart, R, n)
+        want = meshgrid_grid(chart, R, n)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.array_equal(g.view(np.float64), w.view(np.float64))
+
+    def test_worker_cap(self, monkeypatch):
+        # Only the count is computed; no thread is started.
+        monkeypatch.setattr(quadrature.os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("BOXMAGIC_THREADS", "1000000")
+        assert _max_workers(10**6) == 4
+        assert _max_workers(3) == 3
+        monkeypatch.setenv("BOXMAGIC_THREADS", "2")
+        assert _max_workers(10**6) == 2
+        monkeypatch.setattr(quadrature.os, "cpu_count", lambda: None)
+        assert _max_workers(10**6) == 1
+        monkeypatch.setenv("BOXMAGIC_THREADS", "many")
+        assert _max_workers(10**6) == 1
 
     def test_nonfinite_integrand_reported(self):
         spec = QuadratureSpec("s3", 1.0, 8)
@@ -173,6 +207,12 @@ class TestLemmaZp:
         with pytest.raises(DomainError):
             lemma_zp_eval("z11", 1, ComplexQuaternion(2, 0, 0, 2), WP_IN, 1.0, 8)
 
+    def test_bad_entry_refused(self):
+        with pytest.raises(ValueError, match="four entries"):
+            lemma_zp_eval("z13", 1, W_IN, WP_IN, 1.0, 8)
+        with pytest.raises(ValueError, match="four entries"):
+            zp_closed_form("z13", 1, W_IN, WP_IN)
+
 
 class TestOneLoop:
     def test_spot_regression(self):
@@ -201,6 +241,16 @@ class TestOrthogonality:
         res = orthogonality_check(two_l_max=3, nodes_s3=16, nodes_u2=12)
         assert res.passed
         assert res.details["pairs_sphere"] == 30 * 30
+
+    def test_gram_matches_per_pair_sums(self):
+        (gs, want_s), (gu, want_u) = _orthogonality_grams(3, 0.9, 16, 12)
+        sphere, cycle = orthogonality_pairs(3, 0.9, 16, 12)
+        assert gs.shape == sphere.shape == (30, 30)
+        assert gu.shape == cycle.shape == (60, 60)
+        assert np.abs(gs - sphere).max() <= 1e-13
+        assert np.abs(gu - cycle).max() <= 1e-13
+        assert np.abs(sphere - np.diag(want_s)).max() <= 1e-6
+        assert np.abs(cycle - np.diag(want_u)).max() <= 1e-6
 
     def test_scale_limit(self):
         with pytest.raises(ValueError):
