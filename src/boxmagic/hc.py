@@ -116,13 +116,6 @@ class ComplexQuaternion:
     def scale(self, s: complex) -> "ComplexQuaternion":
         return ComplexQuaternion(s * self.z11, s * self.z12, s * self.z21, s * self.z22)
 
-    def star(self) -> "ComplexQuaternion":
-        """Conjugate transpose Z*."""
-        return ComplexQuaternion(
-            self.z11.conjugate(), self.z21.conjugate(),
-            self.z12.conjugate(), self.z22.conjugate(),
-        )
-
 
 def norm(Z: ComplexQuaternion) -> complex:
     """Quadratic norm N(Z) = z11*z22 - z12*z21 (the determinant)."""

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .hc import ComplexQuaternion
 
@@ -106,22 +106,12 @@ class MultiPoly:
         return MultiPoly({(0, 0, 0, 0): c} if c != 0 else {})
 
     @staticmethod
-    def variable(ij: str) -> "MultiPoly":
-        pos = {"z11": 0, "z12": 1, "z21": 2, "z22": 3}[ij]
-        expo = [0, 0, 0, 0]
-        expo[pos] = 1
-        return MultiPoly({tuple(expo): 1})
-
-    @staticmethod
     def norm_poly() -> "MultiPoly":
         """N(Z) = z11 z22 - z12 z21."""
         return MultiPoly({(1, 0, 0, 1): 1, (0, 1, 1, 0): -1})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MultiPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -176,9 +166,6 @@ class MultiPoly:
             if d:
                 out[e] = out.get(e, 0) + c * d
         return MultiPoly(out)
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def __call__(self, z11, z12, z21, z22):
         val = 0
@@ -330,13 +317,6 @@ class BasisExpansion:
                 raise ValueError(f"term {idx} does not lie in {space}")
 
     @staticmethod
-    def from_terms(terms: Iterable[tuple[TIndex, object]], space: str | None = None) -> "BasisExpansion":
-        d: dict[TIndex, object] = {}
-        for idx, c in terms:
-            d[idx] = d.get(idx, 0) + c
-        return BasisExpansion(d, space)
-
-    @staticmethod
     def one() -> "BasisExpansion":
         return BasisExpansion({TIndex(0, 0, 0, 0): 1}, "H+")
 
@@ -372,16 +352,6 @@ class BasisExpansion:
         except ValueError:
             return False
         return True
-
-    def to_poly(self) -> MultiPoly:
-        """Exact polynomial form; requires every k >= 0."""
-        out = MultiPoly()
-        npoly = MultiPoly.norm_poly()
-        for idx, c in self.coeffs.items():
-            if idx.k < 0:
-                raise ValueError("negative norm power has no polynomial form")
-            out = out + (t_poly(idx.two_l, idx.two_n, idx.two_m) * npoly.pow(idx.k)).scale(c)
-        return out
 
     def __call__(self, Z: ComplexQuaternion) -> complex:
         return self.eval_entries(Z.z11, Z.z12, Z.z21, Z.z22)

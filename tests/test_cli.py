@@ -201,6 +201,8 @@ CONTRACT_GRID = [
     (("verify", "normalization", "--radius", "-1"), 2),
     (("verify", "poisson", "--radius", "nan"), 2),
     (("verify", "collapse", "--tol", "0"), 2),
+    (("verify", "conformal", "--radius", "1e-3"), 2),
+    (("verify", "conformal", "--radius", "100"), 2),
     (("verify", "normalization", "--nodes", "8", "--out", "{missing}"), 2),
     (("phi", "--level", "2", "--x", "0.1", "--y", "0.2"), 0),
     (("phi", "--level", "2", "--x", "0.1", "--y", "nan"), 2),
@@ -232,9 +234,10 @@ class TestContract:
 
 class TestDependencies:
     def test_cli_import_leaves_scipy_out(self):
-        proc = run_process(code="import sys, boxmagic.cli; print('scipy' in sys.modules)")
+        proc = run_process(code="import sys, boxmagic.cli; "
+                                "print([m for m in ('scipy', 'concurrent.futures') if m in sys.modules])")
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
 
     def test_numpy_is_the_only_runtime_dependency(self):
         tomllib = pytest.importorskip("tomllib")

@@ -13,13 +13,13 @@ from boxmagic.quadrature import (
     DomainError,
     QuadratureSpec,
     _grid,
-    _max_workers,
     _orthogonality_grams,
     collapse_z1,
     conformal_check,
     integrate,
     lemma_zp_check,
     lemma_zp_eval,
+    collapse_check,
     normalization_check,
     one_loop_eval,
     orthogonality_check,
@@ -93,13 +93,6 @@ class TestSpecAndGrids:
         f = lambda a, b, c, d: 1.0 / (a * d - b * c)
         assert integrate(spec, f) == integrate(spec, f)
 
-    def test_worker_count_invariance(self, monkeypatch):
-        spec = QuadratureSpec("u2", 1.0, 8)
-        f = lambda a, b, c, d: (a + d) / (a * d - b * c) ** 2
-        base = integrate(spec, f)
-        monkeypatch.setenv("BOXMAGIC_THREADS", "3")
-        assert integrate(spec, f) == base
-
     @pytest.mark.parametrize("chart", ["u2", "s3"])
     @pytest.mark.parametrize("n", [4, 12, 20, 24, 32])
     @pytest.mark.parametrize("R", [0.8, 1.0, 1.25])
@@ -109,19 +102,6 @@ class TestSpecAndGrids:
         for g, w in zip(got, want):
             assert g.shape == w.shape
             assert np.array_equal(g.view(np.float64), w.view(np.float64))
-
-    def test_worker_cap(self, monkeypatch):
-        # Only the count is computed; no thread is started.
-        monkeypatch.setattr(quadrature.os, "cpu_count", lambda: 4)
-        monkeypatch.setenv("BOXMAGIC_THREADS", "1000000")
-        assert _max_workers(10**6) == 4
-        assert _max_workers(3) == 3
-        monkeypatch.setenv("BOXMAGIC_THREADS", "2")
-        assert _max_workers(10**6) == 2
-        monkeypatch.setattr(quadrature.os, "cpu_count", lambda: None)
-        assert _max_workers(10**6) == 1
-        monkeypatch.setenv("BOXMAGIC_THREADS", "many")
-        assert _max_workers(10**6) == 1
 
     def test_nonfinite_integrand_reported(self):
         spec = QuadratureSpec("s3", 1.0, 8)
@@ -185,6 +165,16 @@ class TestCollapse:
         b = collapse_z1(phi, W_IN, 1.25, 20)
         assert abs(a - b) <= 1e-10
 
+    @pytest.mark.parametrize("radii", [(0.8, 1.25), (0.9,)])
+    def test_independence_needs_two_radii(self, radii):
+        res = collapse_check(radii=radii, nodes=16)
+        assert res.passed
+        single = len(radii) == 1
+        assert (res.details["r_independence_worst"] is None) == single
+        assert all((c["radius_independence"] is None) == single for c in res.details["cases"].values())
+        if single:
+            assert res.residual == max(c["residual"] for c in res.details["cases"].values())
+
 
 class TestLemmaZp:
     def test_degree_zero(self):
@@ -234,6 +224,13 @@ class TestOneLoop:
         res = conformal_check(nodes=16, samples=3)
         assert res.passed
         assert res.residual <= 1e-4
+
+    @pytest.mark.parametrize("r", [1e-3, 100.0])
+    def test_conformal_resampling_is_bounded(self, r):
+        # Far from the default radius nearly every map moves a point
+        # across the cycle; the check gives up after 20 draws per sample.
+        with pytest.raises(DomainError, match=f"radius {r}: 40 draws"):
+            conformal_check(r=r, nodes=8, samples=2)
 
 
 class TestOrthogonality:
@@ -291,3 +288,36 @@ class TestSuiteRunner:
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             run_suite("everything")
+
+    @pytest.mark.parametrize("name", quadrature.SUITES)
+    def test_flags_reach_the_check(self, name):
+        res = run_suite(name, radius=0.9, nodes=8, tol=0.5)
+        (check,) = res.checks
+        assert check.nodes == 8
+        assert check.tolerance == 0.5
+
+    @pytest.mark.parametrize("flags, expected", [
+        ({}, dict.fromkeys(quadrature.SUITES, {})),  # each default lives only in its check's signature
+        ({"radius": 0.7, "nodes": 10}, {
+            "normalization": {"radii": (0.7,), "nodes": 10},
+            "poisson": {"R": 0.7, "nodes": 10},
+            "lemma-zp": {"R": 0.7, "nodes": 10},
+            "collapse": {"radii": (0.7,), "nodes": 10},
+            "orthogonality": {"R": 0.7, "nodes_s3": 10, "nodes_u2": 10},
+            "conformal": {"r": 0.7, "nodes": 10},
+        }),
+    ])
+    def test_only_given_flags_are_passed(self, monkeypatch, flags, expected):
+        calls = {}
+
+        def recorder(name):
+            def check(*args, **kwargs):
+                assert not args
+                calls[name] = kwargs
+                return quadrature.CheckResult(name, 0.0, 1.0, 4)
+            return check
+
+        table = {nm: (recorder(nm), *rest) for nm, (_, *rest) in quadrature._CHECKS.items()}
+        monkeypatch.setattr(quadrature, "_CHECKS", table)
+        assert run_suite("all", **flags).passed
+        assert calls == expected
