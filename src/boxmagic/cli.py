@@ -56,17 +56,6 @@ def _write_or_print(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _plain(obj):
-    """The same JSON value in plain Python types: numpy scalars become int, float or bool."""
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if hasattr(obj, "item"):
-        return obj.item()
-    return obj
-
-
 def _emit_table(args: argparse.Namespace, payload: dict, title: str, key: str) -> int:
     """Write an exact table payload as JSON, CSV or text lines `key=... exact decimal`."""
     if args.format == "json":
@@ -147,7 +136,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as exc:  # node count or budget, or a verification point on the wrong side of the cycle
         print(f"verify: {exc}", file=sys.stderr)
         return 2
-    payload = _plain(report.payload())
+    payload = report.payload()
     payload["suite"] = args.suite
     if args.json:
         _write_or_print(json.dumps(payload, indent=2) + "\n", args.out)

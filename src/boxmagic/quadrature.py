@@ -4,9 +4,13 @@ Both cycles are parametrized through the unit-quaternion Hopf chart
 (psi, theta, chi); the 4-cycle adds the scaling phase phi.  Periodic
 dimensions (phi, psi, chi) use the trapezoid rule, the aperiodic theta
 uses Gauss-Legendre, so smooth integrands converge spectrally.  The
-integrand is evaluated over all nodes in one vectorised pass and summed
-by numpy's pairwise reduction, so the same flags give the same bits on
-every run.
+4-cycle grid is streamed one phi slice (n^3 nodes) at a time, so memory
+grows as n^3, not n^4.  Each check makes one pass over its grid: its
+integrands are the rows of one (rows, nodes) stack, they share the
+powers of the entries and of N(Z)^(+-1) (`tbasis.EntryPowers`) and any
+common denominator, and each slice is summed by numpy's pairwise
+reduction and added in slice order, so the same flags give the same
+bits on every run.
 
 The verification checks implement the analytic identities at desk
 scale: the cycle normalization integral, the Poisson-type reproducing
@@ -25,7 +29,7 @@ from itertools import combinations
 import numpy as np
 
 from .hc import ComplexQuaternion, chart_s3, chart_u2, conformal_act, domain_side
-from .tbasis import BasisExpansion, TIndex, term_of_inverse_argument
+from .tbasis import BasisExpansion, EntryPowers, TIndex, term_of_inverse_argument
 
 __all__ = [
     "QuadratureSpec",
@@ -79,9 +83,11 @@ class QuadratureSpec:
 
 
 def _grid(chart: str, radius: float, n: int):
-    """Flattened chart arrays (z11, z12, z21, z22, weights) of the product rule.
+    """Yield the product rule in pieces of flattened (z11, z12, z21, z22, weights).
 
-    The chart is called once with each 1-D node array on its own axis, so
+    The u2 grid comes one phi slice (n^3 nodes) at a time, the s3 grid
+    in one piece; in order, the pieces concatenate to the whole grid.
+    The chart is called with each 1-D node array on its own axis, so
     exp, cos and sin run over n values per angle and broadcasting forms
     the products; the weights are the chart density times the
     Gauss-Legendre theta weights and the cell measure.
@@ -91,32 +97,41 @@ def _grid(chart: str, radius: float, n: int):
     theta = 0.25 * np.pi * (x + 1.0)
     wth = wgl * 0.25 * np.pi
     if chart == "u2":
-        phi = np.arange(n) * (np.pi / n)
-        *z, density = chart_u2(radius, phi[:, None, None, None], periodic[:, None, None],
-                               theta[:, None], periodic)
-        w = density * wth[:, None] * ((np.pi / n) * (2.0 * np.pi / n) ** 2)
+        for phi in np.arange(n) * (np.pi / n):
+            *z, density = chart_u2(radius, phi, periodic[:, None, None], theta[:, None], periodic)
+            yield _flat(*z, density * wth[:, None] * ((np.pi / n) * (2.0 * np.pi / n) ** 2))
     else:
         *z, density = chart_s3(radius, periodic[:, None, None], theta[:, None], periodic)
-        w = (density * wth[:, None] * (2.0 * np.pi / n) ** 2).astype(complex)
-    return tuple(a.ravel() for a in np.broadcast_arrays(*z, w))
+        yield _flat(*z, (density * wth[:, None] * (2.0 * np.pi / n) ** 2).astype(complex))
 
 
-def integrate(spec: QuadratureSpec, f) -> complex:
-    """Weighted sum of f over the chart nodes.
+def _flat(*arrays):
+    return tuple(a.ravel() for a in np.broadcast_arrays(*arrays))
 
-    `f` receives the four entry arrays and must return an array of
-    values; non-finite values abort with the offending node coordinates.
+
+def integrate(spec: QuadratureSpec, f) -> np.ndarray:
+    """Weighted sums of a stack of integrands over the chart nodes.
+
+    `f` receives the four entry arrays of one grid piece and returns
+    values with the nodes on the last axis: one row or a (rows, nodes)
+    stack.  Each piece is reduced by numpy's pairwise sum and the pieces
+    are added in grid order, so the same flags give the same bits.  A
+    non-finite value aborts, naming its row and node.  Returns the sums,
+    of shape f(...).shape[:-1].
     """
-    z11, z12, z21, z22, w = _grid(spec.chart, spec.radius, spec.nodes_per_dim)
-    vals = np.broadcast_to(np.asarray(f(z11, z12, z21, z22), dtype=complex), w.shape)
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise FloatingPointError(
-            f"non-finite integrand value at node Z = "
-            f"[[{z11[i]}, {z12[i]}], [{z21[i]}, {z22[i]}]]"
-        )
-    return complex(np.sum(vals * w))
+    total = 0
+    for z11, z12, z21, z22, w in _grid(spec.chart, spec.radius, spec.nodes_per_dim):
+        vals = np.asarray(f(z11, z12, z21, z22), dtype=complex)
+        vals = np.broadcast_to(vals, vals.shape[:-1] + w.shape)
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            *row, i = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            raise FloatingPointError(
+                f"non-finite value of integrand {int(row[0]) if row else 0} at node Z = "
+                f"[[{z11[i]}, {z12[i]}], [{z21[i]}, {z22[i]}]]"
+            )
+        total = total + np.sum(vals * w, axis=-1)
+    return total
 
 
 def _norm_shift(z11, z12, z21, z22, P: ComplexQuaternion):
@@ -130,8 +145,31 @@ def _require_side(P: ComplexQuaternion, R: float, side: str, what: str) -> None:
         raise DomainError(f"{what} must lie on the '{side}' side of radius {R}, got '{got}'")
 
 
+def _kernel_pass(chart: str, R: float, nodes: int, rows) -> list[complex]:
+    """Normalized integrals of f(Z) / prod_P N(Z - P), one per (f, poles) in `rows`.
+
+    The measure is (i/2 pi^3) dV on U(2)_R and dS/(2 pi^2 R) on S^3_R;
+    a pole None stands for N(Z) itself.  All rows go through one pass
+    over the grid: they share the powers of the entries and of N(Z),
+    and rows with the same poles share their denominator.
+    """
+    if not rows:
+        raise ValueError("a kernel pass needs at least one integrand")
+
+    def f(a, b, c, d):
+        powers, inverse = EntryPowers(a, b, c, d), {}
+        for _, poles in rows:
+            if poles not in inverse:
+                inverse[poles] = 1.0 / math.prod(
+                    powers.power("N", 1) if P is None else _norm_shift(a, b, c, d, P) for P in poles)
+        return [powers.value(g) * inverse[poles] for g, poles in rows]
+
+    scale = 1j / (2.0 * np.pi**3) if chart == "u2" else 1.0 / (2.0 * np.pi**2 * R)
+    return (integrate(QuadratureSpec(chart, R, nodes), f) * scale).tolist()
+
+
 # ---------------------------------------------------------------------------
-# Collapse-identity evaluations
+# Collapse-identity evaluations, each the one-row case of a kernel pass
 
 
 def poisson_eval(phi: BasisExpansion, W: ComplexQuaternion, R: float,
@@ -141,10 +179,7 @@ def poisson_eval(phi: BasisExpansion, W: ComplexQuaternion, R: float,
     Equals phi(W) for harmonic phi with W strictly inside radius R.
     """
     _require_side(W, R, "plus", "evaluation point")
-    spec = QuadratureSpec("s3", R, nodes)
-    dphi = phi.degt()
-    val = integrate(spec, lambda a, b, c, d: dphi.eval_entries(a, b, c, d) / _norm_shift(a, b, c, d, W))
-    return val / (2.0 * np.pi**2 * R)
+    return _kernel_pass("s3", R, nodes, [(phi.degt(), (W,))])[0]
 
 
 def collapse_z1(phi: BasisExpansion, W: ComplexQuaternion, R: float,
@@ -155,23 +190,7 @@ def collapse_z1(phi: BasisExpansion, W: ComplexQuaternion, R: float,
     harmonic polynomial phi and W strictly inside radius R, for any R.
     """
     _require_side(W, R, "plus", "evaluation point")
-    spec = QuadratureSpec("u2", R, nodes)
-    dphi = phi.degt()
-    val = integrate(
-        spec,
-        lambda a, b, c, d: dphi.eval_entries(a, b, c, d)
-        / ((a * d - b * c) * _norm_shift(a, b, c, d, W)),
-    )
-    return val * 1j / (2.0 * np.pi**3)
-
-
-_ENTRIES = ("z11", "z12", "z21", "z22")
-
-
-def _entry_index(ij: str) -> int:
-    if ij not in _ENTRIES:
-        raise ValueError("ij must name one of the four entries")
-    return _ENTRIES.index(ij)
+    return _kernel_pass("u2", R, nodes, [(phi.degt(), (None, W))])[0]
 
 
 def lemma_zp_eval(ij: str, k: int, W: ComplexQuaternion, Wp: ComplexQuaternion,
@@ -181,24 +200,29 @@ def lemma_zp_eval(ij: str, k: int, W: ComplexQuaternion, Wp: ComplexQuaternion,
     Equals 1/(k+1) sum_p (w_ij)^p (w'_ij)^(k-p) for W, W' strictly
     inside radius R.
     """
-    pos = _entry_index(ij)
+    _check_entry(ij)
     _require_side(W, R, "plus", "first evaluation point")
     _require_side(Wp, R, "plus", "second evaluation point")
-    spec = QuadratureSpec("u2", R, nodes)
+    return _kernel_pass("u2", R, nodes, [(BasisExpansion.monomial(ij, k), (W, Wp))])[0]
 
-    def f(a, b, c, d):
-        entry = (a, b, c, d)[pos]
-        return entry**k / (_norm_shift(a, b, c, d, W) * _norm_shift(a, b, c, d, Wp))
 
-    return integrate(spec, f) * 1j / (2.0 * np.pi**3)
+def _check_entry(ij: str) -> None:
+    if ij not in ("z11", "z12", "z21", "z22"):
+        raise ValueError("ij must name one of the four entries")
 
 
 def zp_closed_form(ij: str, k: int, W: ComplexQuaternion, Wp: ComplexQuaternion) -> complex:
     """Closed form 1/(k+1) sum_p (w_ij)^p (w'_ij)^(k-p) of `lemma_zp_eval`."""
-    _entry_index(ij)
+    _check_entry(ij)
     w = getattr(W, ij)
     wp = getattr(Wp, ij)
     return sum(w**p * wp ** (k - p) for p in range(k + 1)) / (k + 1)
+
+
+def _require_one_loop_sides(points, r: float) -> None:
+    """Z1, Z2 strictly outside and W1, W2 strictly inside the cycle of radius r."""
+    for P, side, what in zip(points, ("minus", "minus", "plus", "plus"), ("Z1", "Z2", "W1", "W2")):
+        _require_side(P, r, side, what)
 
 
 def one_loop_eval(Z1: ComplexQuaternion, Z2: ComplexQuaternion,
@@ -209,19 +233,8 @@ def one_loop_eval(Z1: ComplexQuaternion, Z2: ComplexQuaternion,
     Requires Z1, Z2 strictly outside and W1, W2 strictly inside; any
     other configuration is a wrong-cycle placement and is refused.
     """
-    _require_side(Z1, r, "minus", "Z1")
-    _require_side(Z2, r, "minus", "Z2")
-    _require_side(W1, r, "plus", "W1")
-    _require_side(W2, r, "plus", "W2")
-    spec = QuadratureSpec("u2", r, nodes)
-
-    def f(a, b, c, d):
-        val = 1.0
-        for P in (Z1, Z2, W1, W2):
-            val = val / _norm_shift(a, b, c, d, P)
-        return val
-
-    return integrate(spec, f) * 1j / (2.0 * np.pi**3)
+    _require_one_loop_sides((Z1, Z2, W1, W2), r)
+    return _kernel_pass("u2", r, nodes, [(BasisExpansion.one(), (Z1, Z2, W1, W2))])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +294,14 @@ def _random_inside(rng: np.random.Generator, R: float, scale: float = 0.35) -> C
 
 def normalization_check(radii=(0.8, 1.25), nodes: int = 32, tol: float = 1e-8) -> CheckResult:
     """Cycle normalization: Int dV / N(Z)^2 = -2 pi^3 i at every radius."""
+    if not radii:
+        raise ValueError("normalization check needs at least one radius")
     target = -2j * np.pi**3
     worst = 0.0
     values = {}
     for R in radii:
         spec = QuadratureSpec("u2", float(R), nodes)
-        val = integrate(spec, lambda a, b, c, d: 1.0 / (a * d - b * c) ** 2)
+        val = complex(integrate(spec, lambda a, b, c, d: EntryPowers(a, b, c, d).power("1/N", 2)))
         rel = abs(val - target) / abs(target)
         values[str(R)] = {"value": [val.real, val.imag], "rel_err": rel}
         worst = max(worst, rel)
@@ -303,18 +318,13 @@ def poisson_check(R: float = 1.0, nodes: int = 24, tol: float = 1e-6,
         "z11^2": BasisExpansion.monomial("z11", 2),
         "t1_00": BasisExpansion({TIndex(2, 0, 0, 0): 1}, "H+"),
     }
-    worst = 0.0
+    rows = [(name, phi, _random_inside(rng, R)) for name, phi in cases.items() for _ in range(samples)]
+    got = _kernel_pass("s3", R, nodes, [(phi.degt(), (W,)) for _, phi, W in rows])
     details = {}
-    for name, phi in cases.items():
-        errs = []
-        for _ in range(samples):
-            W = _random_inside(rng, R)
-            got = poisson_eval(phi, W, R, nodes)
-            want = phi(W)
-            errs.append(abs(got - want) / max(1.0, abs(want)))
-        details[name] = max(errs)
-        worst = max(worst, max(errs))
-    return CheckResult("poisson", worst, tol, nodes, details)
+    for (name, phi, W), g in zip(rows, got):
+        want = phi(W)
+        details[name] = max(details.get(name, 0.0), abs(g - want) / max(1.0, abs(want)))
+    return CheckResult("poisson", max(details.values()), tol, nodes, details)
 
 
 def lemma_zp_check(R: float = 1.0, nodes: int = 20, tol: float = 1e-5,
@@ -323,16 +333,13 @@ def lemma_zp_check(R: float = 1.0, nodes: int = 20, tol: float = 1e-5,
     rng = _rng(seed)
     W = _random_inside(rng, R)
     Wp = _random_inside(rng, R)
-    worst = 0.0
+    powers = [(ij, k) for ij in ("z11", "z12") for k in range(k_max + 1)]
+    vals = _kernel_pass("u2", R, nodes, [(BasisExpansion.monomial(ij, k), (W, Wp)) for ij, k in powers])
     details = {}
-    for ij in ("z11", "z12"):
-        for k in range(k_max + 1):
-            got = lemma_zp_eval(ij, k, W, Wp, R, nodes)
-            want = zp_closed_form(ij, k, W, Wp)
-            err = abs(got - want) / max(1.0, abs(want))
-            details[f"{ij}^{k}"] = err
-            worst = max(worst, err)
-    return CheckResult("lemma-zp", worst, tol, nodes, details)
+    for (ij, k), got in zip(powers, vals):
+        want = zp_closed_form(ij, k, W, Wp)
+        details[f"{ij}^{k}"] = abs(got - want) / max(1.0, abs(want))
+    return CheckResult("lemma-zp", max(details.values()), tol, nodes, details)
 
 
 def collapse_check(radii=(0.8, 1.25), nodes: int = 24, tol: float = 1e-6,
@@ -347,13 +354,15 @@ def collapse_check(radii=(0.8, 1.25), nodes: int = 24, tol: float = 1e-6,
     W = _random_inside(rng, min(radii))
     cases = {f"z11^{k}": BasisExpansion.monomial("z11", k) for k in range(k_max + 1)}
     cases["t1_00"] = BasisExpansion({TIndex(2, 0, 0, 0): 1}, "H+")
+    rows = [(phi.degt(), (None, W)) for phi in cases.values()]
+    by_radius = [_kernel_pass("u2", R, nodes, rows) for R in radii]
     worst = 0.0
     worst_indep = 0.0 if len(radii) > 1 else None
     details = {}
-    for name, phi in cases.items():
+    for row, (name, phi) in enumerate(cases.items()):
         want = phi(W)
         scale = max(1.0, abs(want))
-        got = [collapse_z1(phi, W, R, nodes) for R in radii]
+        got = [vals[row] for vals in by_radius]
         err = max(abs(g - want) for g in got) / scale
         indep = None
         if worst_indep is not None:
@@ -375,13 +384,22 @@ def _basis_indices(two_l_max: int):
                 yield (L, n, m)
 
 
-def _gram(prim: np.ndarray, dual: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Every pairing sum_nodes w * prim[i] * dual[j] at once, as (prim * w) @ dual^T.
+def _dual(L: int, n: int, m: int, k: int) -> BasisExpansion:
+    """The dual t^l_{m,n}(Z^-1) N^k of t^l_{n,m}, as a plain-index term."""
+    di, fac = term_of_inverse_argument(L, m, n, k)
+    return BasisExpansion({di: fac})
 
-    Scales `prim` in place.
-    """
-    prim *= w
-    return prim @ dual.T
+
+def _gram(chart: str, R: float, nodes: int, prims, duals) -> np.ndarray:
+    """Every pairing sum_nodes w * prim_i * dual_j: (P * w) @ D^T, added up piece by piece."""
+    gram = 0
+    for a, b, c, d, w in _grid(chart, R, nodes):
+        powers = EntryPowers(a, b, c, d)
+        # A row may be a constant (t^0 N^0); broadcasting against w gives it every node.
+        prim, dual = (np.array(np.broadcast_arrays(w, *(powers.value(f) for f in fs))[1:])
+                      for fs in (prims, duals))
+        gram = gram + (prim * w) @ dual.T
+    return gram
 
 
 def _orthogonality_grams(two_l_max: int, R: float, nodes_s3: int, nodes_u2: int):
@@ -394,27 +412,14 @@ def _orthogonality_grams(two_l_max: int, R: float, nodes_s3: int, nodes_u2: int)
     idxs = list(_basis_indices(two_l_max))
 
     # Harmonic pairing on the 3-sphere.
-    a, b, c, d, w = _grid("s3", R, nodes_s3)
-    prim = np.empty((len(idxs), w.size), dtype=complex)
-    dual = np.empty_like(prim)
-    for row, (L, n, m) in enumerate(idxs):
-        prim[row] = BasisExpansion({TIndex(L, n, m, 0): 1}, "H+").degt().eval_entries(a, b, c, d)
-        di, fac = term_of_inverse_argument(L, m, n, -1)
-        dual[row] = BasisExpansion({di: fac}, "H-").eval_entries(a, b, c, d)
-    sphere = (_gram(prim, dual, w) / (2.0 * np.pi**2 * R), np.ones(len(idxs)))
+    prims = [BasisExpansion({TIndex(L, n, m, 0): 1}).degt() for (L, n, m) in idxs]
+    duals = [_dual(L, n, m, -1) for (L, n, m) in idxs]
+    sphere = (_gram("s3", R, nodes_s3, prims, duals) / (2.0 * np.pi**2 * R), np.ones(len(idxs)))
 
     # Polynomial pairing on the 4-cycle.
-    a, b, c, d, w = _grid("u2", R, nodes_u2)
-    nz = a * d - b * c
-    prim = np.empty((2 * len(idxs), w.size), dtype=complex)
-    dual = np.empty_like(prim)
-    for row, (L, n, m) in enumerate(idxs):
-        base = BasisExpansion({TIndex(L, n, m, 0): 1}).eval_entries(a, b, c, d)
-        for kk in (0, 1):
-            prim[2 * row + kk] = base * nz**kk
-            di, fac = term_of_inverse_argument(L, m, n, -kk - 2)
-            dual[2 * row + kk] = BasisExpansion({di: fac}).eval_entries(a, b, c, d)
-    cycle = (1j / (2.0 * np.pi**3) * _gram(prim, dual, w),
+    prims = [BasisExpansion({TIndex(L, n, m, kk): 1}) for (L, n, m) in idxs for kk in (0, 1)]
+    duals = [_dual(L, n, m, -kk - 2) for (L, n, m) in idxs for kk in (0, 1)]
+    cycle = (1j / (2.0 * np.pi**3) * _gram("u2", R, nodes_u2, prims, duals),
              np.repeat([1.0 / (L + 1) for (L, _, _) in idxs], 2))
     return sphere, cycle
 
@@ -427,7 +432,7 @@ def orthogonality_check(two_l_max: int = 3, R: float = 0.9, nodes_s3: int = 24,
     degree-bounded element with an inverse-argument dual; the polynomial
     pairing over the 4-cycle additionally scans norm powers k, k' in
     {0, 1} and checks the 1/(2l+1) values with delta matching in k.
-    Each family is one Gram-matrix product.
+    Each family is one Gram-matrix product, summed over the grid pieces.
     """
     if two_l_max > 3:
         raise ValueError("orthogonality check is desk-scale: need 2l <= 3")
@@ -462,38 +467,42 @@ def conformal_check(r: float = 1.0, nodes: int = 20, tol: float = 1e-4,
     For h with blocks (a, b, c, d) and inverse blocks (a', b', c', d'),
     the transformed integral must equal
     N(a'-Z1 c') N(c Z2+d) N(c W1+d) N(a'-W2 c') times the original.
+    The maps are drawn first; the original and every moved point set
+    are then integrated in one pass.
     """
     from .hc import norm, random_near_identity
 
     rng = _rng(seed)
-    Z1, Z2, W1, W2 = _covariance_points(rng, r)
-    base = one_loop_eval(Z1, Z2, W1, W2, r, nodes)
-    worst = 0.0
-    details = []
+    Z1, Z2, W1, W2 = points = _covariance_points(rng, r)
+    _require_one_loop_sides(points, r)
+    maps = []
     draws = 0
-    while len(details) < samples:
+    while len(maps) < samples:
         if draws == 20 * samples:
             raise DomainError(
                 f"conformal check at radius {r}: {draws} draws of h gave only "
-                f"{len(details)} of {samples} maps that keep every point on its side of the cycle"
+                f"{len(maps)} of {samples} maps that keep every point on its side of the cycle"
             )
         draws += 1
         h = random_near_identity(rng, scale)
-        pts = [conformal_act(h, P) for P in (Z1, Z2, W1, W2)]
+        moved = tuple(conformal_act(h, P) for P in points)
         try:
-            moved = one_loop_eval(pts[0], pts[1], pts[2], pts[3], r, nodes)
+            _require_one_loop_sides(moved, r)
         except DomainError:
             continue  # the map pushed a point across the cycle; resample
+        maps.append((h, moved))
+    one = BasisExpansion.one()
+    base, *moved_vals = _kernel_pass("u2", r, nodes, [(one, points)] + [(one, moved) for _, moved in maps])
+    details = []
+    for (h, _), moved in zip(maps, moved_vals):
         fac = (
             norm(h.ap - Z1 * h.cp)
             * norm(h.c * Z2 + h.d)
             * norm(h.c * W1 + h.d)
             * norm(h.ap - W2 * h.cp)
         )
-        rel = abs(moved - fac * base) / abs(moved)
-        details.append(rel)
-        worst = max(worst, rel)
-    return CheckResult("conformal", worst, tol, nodes, {"samples": details, "scale": scale})
+        details.append(float(abs(moved - fac * base) / abs(moved)))
+    return CheckResult("conformal", max(details, default=0.0), tol, nodes, {"samples": details, "scale": scale})
 
 
 # Each suite's check, the argument that --radius sets ("radii" takes a

@@ -39,7 +39,7 @@ __all__ = [
     "MultiPoly",
     "BasisExpansion",
     "t_poly",
-    "t_value",
+    "EntryPowers",
     "eval_basis",
     "classify",
     "term_of_inverse_argument",
@@ -198,26 +198,11 @@ def t_poly(two_l: int, two_n: int, two_m: int) -> MultiPoly:
     return MultiPoly(out)
 
 
-def t_value(two_l: int, two_n: int, two_m: int, z11, z12, z21, z22):
-    """Evaluate t^l_{n,m} at matrix entries (scalars or numpy arrays)."""
-    lm = (two_l - two_m) // 2
-    lpm = (two_l + two_m) // 2
-    ln = (two_l - two_n) // 2
-    val = 0
-    for i in range(max(0, ln - lpm), min(lm, ln) + 1):
-        j = ln - i
-        coeff = math.comb(lm, i) * math.comb(lpm, j)
-        val = val + coeff * z11**i * z21**(lm - i) * z12**j * z22**(lpm - j)
-    return val
-
-
 def eval_basis(idx: TIndex, Z: ComplexQuaternion) -> complex:
     """Value t^l_{n,m}(Z) * N(Z)^k; requires N(Z) != 0 when k < 0."""
-    n = Z.z11 * Z.z22 - Z.z12 * Z.z21
-    if idx.k < 0 and n == 0:
+    if idx.k < 0 and Z.z11 * Z.z22 - Z.z12 * Z.z21 == 0:
         raise ZeroDivisionError("negative norm power at a norm-zero point")
-    t = t_value(idx.two_l, idx.two_n, idx.two_m, Z.z11, Z.z12, Z.z21, Z.z22)
-    return complex(t) * complex(n) ** idx.k
+    return complex(BasisExpansion({idx: 1})(Z))
 
 
 def classify(idx: TIndex) -> frozenset[str]:
@@ -358,11 +343,53 @@ class BasisExpansion:
 
     def eval_entries(self, z11, z12, z21, z22):
         """Evaluate at entries (scalars or numpy arrays)."""
+        return EntryPowers(z11, z12, z21, z22).value(self)
+
+
+class EntryPowers:
+    """Powers of the entries and of N(Z)^(+-1) at fixed points, each built once.
+
+    Each power is the one below it times its base, and each t^l_{n,m}
+    is summed once from them, so evaluating many basis elements t * N^k
+    at the same points (scalars or numpy arrays) repeats no product.
+    """
+
+    __slots__ = ("_cache",)
+
+    def __init__(self, z11, z12, z21, z22):
         n = z11 * z22 - z12 * z21
+        self._cache = {(b, 1): v for b, v in zip((0, 1, 2, 3, "N"), (z11, z12, z21, z22, n))}
+
+    def power(self, base, e: int):
+        """base^e for e >= 1; base is an entry position 0..3 (z11, z12, z21, z22), "N" or "1/N"."""
+        if (base, e) not in self._cache:  # at e = 1 only "1/N" is missing
+            self._cache[base, e] = (self.power(base, e - 1) * self.power(base, 1) if e > 1
+                                    else 1.0 / self._cache["N", 1])
+        return self._cache[base, e]
+
+    def t(self, two_l: int, two_n: int, two_m: int):
+        """t^l_{n,m} = sum_{i+j = l-n} C(l-m, i) C(l+m, j) z11^i z21^(l-m-i) z12^j z22^(l+m-j)."""
+        key = ("t", two_l, two_n, two_m)
+        if key not in self._cache:
+            lm, lpm, ln = (two_l - two_m) // 2, (two_l + two_m) // 2, (two_l - two_n) // 2
+            val = 0
+            for i in range(max(0, ln - lpm), min(lm, ln) + 1):
+                term = math.comb(lm, i) * math.comb(lpm, ln - i)
+                for base, e in ((0, i), (2, lm - i), (1, ln - i), (3, lpm - ln + i)):
+                    if e:
+                        term = term * self.power(base, e)
+                val = val + term
+            self._cache[key] = val
+        return self._cache[key]
+
+    def value(self, f: BasisExpansion):
+        """f at the points: the sum of c * t^l_{n,m} * N^k over its terms."""
         val = 0
-        for idx, c in self.coeffs.items():
-            t = t_value(idx.two_l, idx.two_n, idx.two_m, z11, z12, z21, z22)
-            val = val + complex(c) * t * n**idx.k
+        for idx, c in f.coeffs.items():
+            term = complex(c) * self.t(idx.two_l, idx.two_n, idx.two_m)
+            if idx.k:
+                term = term * (self.power("N", idx.k) if idx.k > 0 else self.power("1/N", -idx.k))
+            val = val + term
         return val
 
 
@@ -474,14 +501,12 @@ def expand_1_over_N(W: ComplexQuaternion, two_l_max: int) -> BasisExpansion:
     nw = W.z11 * W.z22 - W.z12 * W.z21
     if nw == 0:
         raise ZeroDivisionError("expansion point has zero norm")
-    winv11, winv12 = W.z22 / nw, -W.z12 / nw
-    winv21, winv22 = -W.z21 / nw, W.z11 / nw
+    winv = EntryPowers(W.z22 / nw, -W.z12 / nw, -W.z21 / nw, W.z11 / nw)
     terms: dict[TIndex, complex] = {}
     for two_l in range(two_l_max + 1):
         for two_m in range(-two_l, two_l + 1, 2):
             for two_n in range(-two_l, two_l + 1, 2):
-                c = t_value(two_l, two_n, two_m, winv11, winv12, winv21, winv22)
-                c = complex(c) / complex(nw)
+                c = complex(winv.t(two_l, two_n, two_m)) / complex(nw)
                 if c != 0:
                     terms[TIndex(two_l, two_m, two_n, 0)] = c
     return BasisExpansion(terms)

@@ -21,8 +21,10 @@ rule after the substitution t = s^6, which tames the logarithmic
 end-point singularities.
 
 The quadrature grids have a reference build that evaluates exp, cos
-and sin over full meshgrids, and the orthogonality Gram matrices a
-reference that sums each pair of value rows separately.
+and sin over full meshgrids, the basis values a reference that sums the
+terms of each t^l_{n,m} with fresh powers, the orthogonality Gram
+matrices a reference that sums each pair of value rows separately, and
+each batched check a reference that integrates one integrand per call.
 """
 
 from __future__ import annotations
@@ -33,7 +35,9 @@ from itertools import permutations
 
 import numpy as np
 
+from boxmagic import quadrature
 from boxmagic.diagrams import BoxDiagram
+from boxmagic.hc import ComplexQuaternion, conformal_act, domain_side, random_near_identity
 from boxmagic.magic import GeneratorImage
 from boxmagic.tbasis import BasisExpansion, MultiPoly, TIndex, t_poly, term_of_inverse_argument
 
@@ -300,6 +304,54 @@ def phi_oracle(L: int, x, y) -> np.ndarray:
     return -(f @ w) / (math.factorial(L) * math.factorial(L - 1))
 
 
+def t_value(two_l: int, two_n: int, two_m: int, z11, z12, z21, z22):
+    """t^l_{n,m} at matrix entries (scalars or numpy arrays), each term with its own powers."""
+    lm = (two_l - two_m) // 2
+    lpm = (two_l + two_m) // 2
+    ln = (two_l - two_n) // 2
+    val = 0
+    for i in range(max(0, ln - lpm), min(lm, ln) + 1):
+        j = ln - i
+        coeff = math.comb(lm, i) * math.comb(lpm, j)
+        val = val + coeff * z11**i * z21**(lm - i) * z12**j * z22**(lpm - j)
+    return val
+
+
+def basis_value(f: BasisExpansion, z11, z12, z21, z22):
+    """f at entries, each term t^l_{n,m} N^k from `t_value` and its own power of N."""
+    n = z11 * z22 - z12 * z21
+    return sum(complex(c) * t_value(i.two_l, i.two_n, i.two_m, z11, z12, z21, z22) * n**i.k
+               for i, c in f.coeffs.items())
+
+
+def kernel_integral(grid, f: BasisExpansion, poles) -> complex:
+    """Weighted sum of f(Z) / prod_P N(Z - P) over a whole grid (pole None: N(Z)), one np.sum."""
+    z11, z12, z21, z22, w = grid
+    vals = basis_value(f, z11, z12, z21, z22)
+    for P in poles:
+        P = P or ComplexQuaternion.zero()
+        vals = vals / ((z11 - P.z11) * (z22 - P.z22) - (z12 - P.z12) * (z21 - P.z21))
+    return complex(np.sum(vals * w))
+
+
+def conformal_draws(r: float, samples: int, scale: float, seed: int):
+    """Accepted moved point sets of the conformal check, drawing h one at a time.
+
+    A draw is kept when Z1, Z2 stay outside and W1, W2 inside the cycle;
+    returns the kept sets and the number of draws made.
+    """
+    rng = quadrature._rng(seed)
+    points = quadrature._covariance_points(rng, r)
+    kept, draws = [], 0
+    while len(kept) < samples and draws < 20 * samples:
+        draws += 1
+        h = random_near_identity(rng, scale)
+        moved = tuple(conformal_act(h, P) for P in points)
+        if [domain_side(P, r) for P in moved] == ["minus", "minus", "plus", "plus"]:
+            kept.append(moved)
+    return kept, draws
+
+
 def meshgrid_grid(chart: str, radius: float, n: int):
     """Flattened chart arrays (z11, z12, z21, z22, weights) built over meshgrids."""
     psi = np.arange(n) * (2.0 * np.pi / n)
@@ -341,9 +393,9 @@ def orthogonality_pairs(two_l_max: int, R: float, nodes_s3: int, nodes_u2: int):
     a, b, c, d, w = meshgrid_grid("s3", R, nodes_s3)
     prim, dual = {}, {}
     for (L, n, m) in idxs:
-        prim[(L, n, m)] = BasisExpansion({TIndex(L, n, m, 0): 1}, "H+").degt().eval_entries(a, b, c, d)
+        prim[(L, n, m)] = basis_value(BasisExpansion({TIndex(L, n, m, 0): 1}).degt(), a, b, c, d)
         di, fac = term_of_inverse_argument(L, m, n, -1)
-        dual[(L, n, m)] = BasisExpansion({di: fac}, "H-").eval_entries(a, b, c, d)
+        dual[(L, n, m)] = basis_value(BasisExpansion({di: fac}), a, b, c, d)
     sphere = np.array([[np.sum(w * prim[i1] * dual[i2]) / (2.0 * np.pi**2 * R) for i2 in idxs]
                        for i1 in idxs])
 
@@ -351,11 +403,11 @@ def orthogonality_pairs(two_l_max: int, R: float, nodes_s3: int, nodes_u2: int):
     nz = a * d - b * c
     prim_u, dual_u = {}, {}
     for (L, n, m) in idxs:
-        base = BasisExpansion({TIndex(L, n, m, 0): 1}).eval_entries(a, b, c, d)
+        base = basis_value(BasisExpansion({TIndex(L, n, m, 0): 1}), a, b, c, d)
         for kk in (0, 1):
             prim_u[(L, n, m, kk)] = base * nz**kk
             di, fac = term_of_inverse_argument(L, m, n, -kk - 2)
-            dual_u[(L, n, m, kk)] = BasisExpansion({di: fac}).eval_entries(a, b, c, d)
+            dual_u[(L, n, m, kk)] = basis_value(BasisExpansion({di: fac}), a, b, c, d)
     cycle = np.array([[1j / (2.0 * np.pi**3) * np.sum(w * v1 * v2) for v2 in dual_u.values()]
                       for v1 in prim_u.values()])
     return sphere, cycle

@@ -244,3 +244,28 @@ class TestDependencies:
         project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
         names = [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]]
         assert names == ["numpy"]
+
+
+# Runs `verify all --json` and prints the exit code and the process's own peak RSS (kB).
+_VERIFY_ALL_RSS = """
+import contextlib, io, resource
+from boxmagic.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["verify", "all", "--json"])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+class TestMemory:
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB and inherited on Linux")
+    def test_verify_all_peak_rss(self):
+        # A Linux child starts with its parent's peak RSS as its own, so the
+        # command runs in a grandchild started by a small interpreter.
+        wrapper = ("import subprocess, sys; "
+                   f"p = subprocess.run([sys.executable, '-c', {_VERIFY_ALL_RSS!r}], capture_output=True, text=True); "
+                   "sys.stdout.write(p.stdout); sys.stderr.write(p.stderr); sys.exit(p.returncode)")
+        proc = run_process(code=wrapper)
+        assert proc.returncode == 0, proc.stderr
+        code, kb = proc.stdout.split()
+        assert code == "0"
+        assert int(kb) / 1024 <= 120, f"verify all peaked at {int(kb) / 1024:.1f} MB"

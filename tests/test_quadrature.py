@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from boxmagic.quadrature import (
     zp_closed_form,
 )
 from boxmagic.tbasis import BasisExpansion, TIndex
-from oracles import meshgrid_grid, orthogonality_pairs
+from oracles import conformal_draws, kernel_integral, meshgrid_grid, orthogonality_pairs
 
 W_IN = ComplexQuaternion(0.31 + 0.12j, -0.08 + 0.05j, 0.04 - 0.11j, 0.27 - 0.06j)
 WP_IN = ComplexQuaternion(-0.22 + 0.03j, 0.10 + 0.02j, -0.03 + 0.07j, -0.18 - 0.04j)
@@ -43,6 +44,11 @@ ONE_LOOP_PTS = (
     ComplexQuaternion(0.30, 0.10j, -0.05, 0.25),
     ComplexQuaternion(-0.20 + 0.05j, 0.00, 0.10j, -0.30),
 )
+
+
+def whole_grid(chart: str, R: float, n: int):
+    """The grid pieces of `_grid`, concatenated."""
+    return tuple(np.concatenate(parts) for parts in zip(*_grid(chart, R, n)))
 
 
 class TestSpecAndGrids:
@@ -69,7 +75,7 @@ class TestSpecAndGrids:
              lambda R, a: chart_s3(R, periodic[a[0]], thetas[a[1]], periodic[a[2]])),
         )
         for chart, cell, at in cases:
-            grid = _grid(chart, 0.8, n)
+            grid = whole_grid(chart, 0.8, n)
             for i, a in enumerate(np.ndindex(*(n,) * (4 if chart == "u2" else 3))):
                 *z, density = at(0.8, a)
                 weight = density * wgl[a[-2]] * 0.25 * math.pi * cell
@@ -97,7 +103,10 @@ class TestSpecAndGrids:
     @pytest.mark.parametrize("n", [4, 12, 20, 24, 32])
     @pytest.mark.parametrize("R", [0.8, 1.0, 1.25])
     def test_grid_bitwise_matches_meshgrid_build(self, chart, n, R):
-        got = _grid(chart, R, n)
+        # u2 comes in n phi slices of n^3 nodes, s3 in one piece.
+        pieces = list(_grid(chart, R, n))
+        assert [p[0].size for p in pieces] == ([n**3] * n if chart == "u2" else [n**3])
+        got = whole_grid(chart, R, n)
         want = meshgrid_grid(chart, R, n)
         for g, w in zip(got, want):
             assert g.shape == w.shape
@@ -108,12 +117,34 @@ class TestSpecAndGrids:
         with pytest.raises(FloatingPointError, match="non-finite"):
             integrate(spec, lambda a, b, c, d: np.full_like(a, np.nan))
 
+    def test_nonfinite_value_names_row_and_node(self):
+        def f(a, b, c, d):
+            rows = np.ones((3, a.size), dtype=complex)
+            rows[2, 5] = np.inf
+            return rows
+
+        z11 = whole_grid("u2", 1.0, 4)[0][5]
+        with pytest.raises(FloatingPointError, match=rf"integrand 2 at node Z = \[\[{re.escape(str(z11))},"):
+            integrate(QuadratureSpec("u2", 1.0, 4), f)
+
+    def test_row_stack_sums_each_row(self):
+        spec = QuadratureSpec("u2", 1.0, 8)
+        got = integrate(spec, lambda a, b, c, d: np.stack([1.0 / (a * d - b * c) ** 2, a * d - b * c]))
+        assert got.shape == (2,)
+        assert got[0] == integrate(spec, lambda a, b, c, d: 1.0 / (a * d - b * c) ** 2)
+        assert abs(got[0] - (-2j * math.pi**3)) <= 1e-10
+        assert abs(got[1]) <= 1e-12
+
 
 class TestNormalization:
     def test_both_radii(self):
         res = normalization_check(nodes=16)
         assert res.passed
         assert res.residual <= 1e-10
+
+    def test_empty_radii_refused(self):
+        with pytest.raises(ValueError, match="at least one radius"):
+            normalization_check(radii=())
 
     def test_single_radius_value(self):
         spec = QuadratureSpec("u2", 1.1, 12)
@@ -142,6 +173,10 @@ class TestPoisson:
     def test_check_passes(self):
         res = poisson_check(nodes=16)
         assert res.passed
+
+    def test_no_samples_refused(self):
+        with pytest.raises(ValueError, match="at least one integrand"):
+            poisson_check(nodes=8, samples=0)
 
     def test_grid_refinement_improves(self):
         phi = BasisExpansion({TIndex(2, 0, 0, 0): 1}, "H+")
@@ -255,7 +290,6 @@ class TestOrthogonality:
 
     def test_pair_Zh_matches_cycle_quadrature_at_two_radii(self):
         # The exact pairing equals the cycle integral at any radius.
-        from boxmagic.quadrature import _grid
         from boxmagic.tbasis import pair_Zh
 
         rng = np.random.default_rng(17)
@@ -267,7 +301,7 @@ class TestOrthogonality:
         pairs = [(idxs[rng.integers(len(idxs))], idxs[rng.integers(len(idxs))])
                  for _ in range(40)]
         for R in (0.8, 1.25):
-            a, b, c, d, w = _grid("u2", R, 12)
+            a, b, c, d, w = whole_grid("u2", R, 12)
             for i1, i2 in pairs:
                 f1 = BasisExpansion({i1: 1})
                 f2 = BasisExpansion({i2: 1})
@@ -277,7 +311,97 @@ class TestOrthogonality:
                 assert abs(num - complex(pair_Zh(f1, f2))) <= 1e-6
 
 
+def record_kernel_passes(monkeypatch):
+    """Spy on quadrature._kernel_pass: a list of (chart, R, nodes, rows, result) per call."""
+    calls = []
+    real = quadrature._kernel_pass
+
+    def spy(chart, R, nodes, rows):
+        out = real(chart, R, nodes, rows)
+        calls.append((chart, R, nodes, rows, out))
+        return out
+
+    monkeypatch.setattr(quadrature, "_kernel_pass", spy)
+    return calls
+
+
+class TestBatchedChecksAgainstOracles:
+    """Each check's one stacked pass against one meshgrid integral per integrand."""
+
+    @pytest.mark.parametrize("check, rows_per_pass", [
+        (poisson_check, [20]),
+        (lemma_zp_check, [8]),
+        (collapse_check, [5, 5]),
+        (conformal_check, [6]),
+    ])
+    def test_rows_match_one_integral_per_call(self, monkeypatch, check, rows_per_pass):
+        calls = record_kernel_passes(monkeypatch)
+        assert check().passed
+        assert [len(rows) for _, _, _, rows, _ in calls] == rows_per_pass
+        for chart, R, nodes, rows, got in calls:
+            grid = meshgrid_grid(chart, R, nodes)
+            scale = 1j / (2 * math.pi**3) if chart == "u2" else 1 / (2 * math.pi**2 * R)
+            for (f, poles), g in zip(rows, got):
+                want = scale * kernel_integral(grid, f, poles)
+                assert abs(g - want) <= 1e-13 * max(1.0, abs(want))
+
+    def test_normalization_matches_one_integral_per_radius(self):
+        res = normalization_check()
+        for R in (0.8, 1.25):
+            want = kernel_integral(meshgrid_grid("u2", R, 32), BasisExpansion.one(), (None, None))
+            re_, im_ = res.details["radii"][str(R)]["value"]
+            assert abs(complex(re_, im_) - want) <= 1e-13 * abs(want)
+
+    def test_one_row_evaluations_match_oracle(self):
+        grid = meshgrid_grid("u2", 1.0, 12)
+        phi = BasisExpansion({TIndex(2, 0, 0, 0): 1})
+        cases = [
+            (collapse_z1(phi, W_IN, 1.0, 12), phi.degt(), (None, W_IN)),
+            (lemma_zp_eval("z12", 3, W_IN, WP_IN, 1.0, 12), BasisExpansion.monomial("z12", 3), (W_IN, WP_IN)),
+            (one_loop_eval(*ONE_LOOP_PTS, 1.0, 12), BasisExpansion.one(), ONE_LOOP_PTS),
+        ]
+        for got, f, poles in cases:
+            want = 1j / (2 * math.pi**3) * kernel_integral(grid, f, poles)
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+        want = kernel_integral(meshgrid_grid("s3", 1.0, 12), phi.degt(), (W_IN,)) / (2 * math.pi**2)
+        assert abs(poisson_eval(phi, W_IN, 1.0, 12) - want) <= 1e-13 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("r, draws", [(1.0, 5), (20.0, 14)])
+    def test_conformal_accepts_the_same_draws(self, monkeypatch, r, draws):
+        # At r = 20 nine of the first fourteen maps move a point across the cycle.
+        kept, made = conformal_draws(r, 5, 0.05, 20240)
+        assert (len(kept), made) == (5, draws)
+        calls = record_kernel_passes(monkeypatch)
+        res = conformal_check(r=r, nodes=8)
+        ((_, _, _, rows, _),) = calls
+        assert [poles for _, poles in rows[1:]] == kept
+        assert len(res.details["samples"]) == 5
+
+
 class TestSuiteRunner:
+    def test_payload_is_plain_json(self, monkeypatch):
+        # Every value `verify all --json` writes is a plain Python value, never a numpy scalar.
+        from boxmagic import cli
+
+        dumped = []
+        monkeypatch.setattr(cli.json, "dumps", lambda obj, **kw: dumped.append(obj) or "")
+        assert cli.main(["verify", "all", "--json"]) == 0
+
+        def leaves(obj):
+            if isinstance(obj, dict):
+                assert all(type(k) is str for k in obj)
+                for v in obj.values():
+                    yield from leaves(v)
+            elif isinstance(obj, list):
+                for v in obj:
+                    yield from leaves(v)
+            else:
+                yield obj
+
+        (payload,) = dumped
+        assert payload["suite"] == "all" and len(payload["checks"]) == len(quadrature.SUITES)
+        assert {type(v) for v in leaves(payload)} <= {float, int, str, bool, type(None)}
+
     def test_all_suites_pass_at_reduced_nodes(self):
         rep = run_suite("normalization", nodes=12)
         assert rep.passed

@@ -10,6 +10,7 @@ import pytest
 from boxmagic.hc import ComplexQuaternion, inverse, norm
 from boxmagic.tbasis import (
     BasisExpansion,
+    EntryPowers,
     MultiPoly,
     TIndex,
     classify,
@@ -21,10 +22,9 @@ from boxmagic.tbasis import (
     pair_H2,
     pair_Zh,
     t_poly,
-    t_value,
     term_of_inverse_argument,
 )
-from oracles import GC, exact_H_pairing, exact_inner_product
+from oracles import GC, exact_H_pairing, exact_inner_product, t_value
 
 RNG = np.random.default_rng(5)
 
@@ -69,6 +69,39 @@ class TestTPoly:
             TIndex(2, 3, 0, 0)
         with pytest.raises(ValueError):
             TIndex(2, 1, 0, 0)  # parity mismatch
+
+
+class TestEntryPowers:
+    @staticmethod
+    def points():
+        z = RNG.uniform(-1, 1, (4, 2, 500))
+        return tuple(z[:, 0] + 1j * z[:, 1])
+
+    def test_matches_term_by_term_oracle(self):
+        z11, z12, z21, z22 = pts = self.points()
+        n = z11 * z22 - z12 * z21
+        powers = EntryPowers(*pts)
+        for L, a, b in all_indices(3):
+            t = t_value(L, a, b, *pts)
+            assert np.abs(powers.t(L, a, b) - t).max() <= 1e-13 * np.abs(t).max()
+            for k in range(-6, 2):
+                got = powers.value(BasisExpansion({TIndex(L, a, b, k): 1}))
+                want = t * n**k
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (L, a, b, k)
+
+    def test_each_power_built_once(self):
+        powers = EntryPowers(*self.points())
+        for key in ((0, 3), ("N", 2), ("1/N", 4)):
+            assert powers.power(*key) is powers.power(*key)
+        assert powers.t(3, 1, -1) is powers.t(3, 1, -1)
+        assert np.array_equal(powers.power("1/N", 2), powers.power("1/N", 1) * powers.power("1/N", 1))
+
+    def test_scalars(self):
+        Z = random_cq()
+        f = BasisExpansion({TIndex(2, 0, 0, -1): 3, TIndex(1, 1, -1, 1): 1j})
+        want = (3 * complex(t_value(2, 0, 0, Z.z11, Z.z12, Z.z21, Z.z22)) / norm(Z)
+                + 1j * complex(t_value(1, 1, -1, Z.z11, Z.z12, Z.z21, Z.z22)) * norm(Z))
+        assert f(Z) == pytest.approx(want, rel=1e-13)
 
 
 class TestEvalBasis:
