@@ -7,7 +7,7 @@ Commands:
 * ``diagrams`` enumerate n-loop diagrams and export DOT files;
 * ``magic``    verify the operator magic identities at one loop order;
 * ``verify``   run the numerical-quadrature verification suites;
-* ``phi``      evaluate the ladder functions Phi^(1), Phi^(2).
+* ``phi``      evaluate the ladder functions Phi^(L), L = 1..6.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage
 errors.  JSON outputs carry a versioned ``schema`` field; exact
@@ -153,7 +153,7 @@ def _cmd_phi(args: argparse.Namespace) -> int:
         if args.level == 1:
             val = polylog.phi1(args.x, args.y, constant=args.constant)
         else:
-            val = polylog.phi2(args.x, args.y)
+            val = polylog.phi(args.level, args.x, args.y)
     except ValueError as exc:
         print(f"phi: {exc}", file=sys.stderr)
         return 2
@@ -202,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     ve.set_defaults(func=_cmd_verify)
 
     ph = sub.add_parser("phi", help="evaluate the ladder functions")
-    ph.add_argument("--level", type=int, choices=(1, 2), required=True)
+    ph.add_argument("--level", type=int, choices=range(1, 7), required=True, metavar="{1..6}",
+                    help="loop order L of Phi^(L)")
     ph.add_argument("--x", type=float, required=True)
     ph.add_argument("--y", type=float, required=True)
     ph.add_argument("--constant", choices=tuple(polylog.PHI1_CONSTANTS), default="printed",

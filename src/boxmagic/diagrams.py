@@ -9,7 +9,10 @@ with one new solid edge (the handle), two new solid edges run to the
 two site-adjacent externals (the arms) and one new dashed edge joins
 those adjacent externals (the string).  Each attachment also adds order
 relations, so the strict partial order prescribes how the integration
-cycles must be nested.
+cycles must be nested.  The order is kept transitively closed, one
+vertex at a time: the parent's order is closed and every new relation
+touches the new internal vertex, so the attachment adds only the pairs
+that pass through it (see `_close_at`).
 
 Solid edges contribute 1/N(Yi - Yj) factors to the diagram's rational
 integrand, dashed edges contribute N(Yi - Yj); both edge sets are
@@ -62,17 +65,17 @@ _NEW_RELATIONS = {
 }
 
 
-def _transitive_closure(pairs: frozenset[tuple[str, str]]) -> frozenset[tuple[str, str]]:
-    rel = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(rel):
-            for (c, d) in list(rel):
-                if b == c and (a, d) not in rel:
-                    rel.add((a, d))
-                    changed = True
-    return frozenset(rel)
+def _close_at(order, t: str, new) -> frozenset[tuple[str, str]]:
+    """Closure of the closed `order` plus `new`, whose relations all touch t.
+
+    It adds Down x {t}, {t} x Up and Down x Up: Down is the old and new
+    predecessors of t and everything below the new ones, Up likewise above.
+    """
+    down = {a for (a, b) in new if b == t}
+    up = {b for (a, b) in new if a == t}
+    down |= {a for (a, b) in order if b == t or b in down}
+    up |= {b for (a, b) in order if a == t or a in up}
+    return frozenset(chain(order, ((a, t) for a in down), ((t, b) for b in up), product(down, up)))
 
 
 @dataclass(frozen=True)
@@ -122,8 +125,10 @@ class BoxDiagram:
                 raise ValueError(f"order is not irreflexive at {a}")
             if (b, a) in self.order:
                 raise ValueError(f"order contains a 2-cycle {a} <-> {b}")
-        if _transitive_closure(self.order) != self.order:
-            raise ValueError("order is not transitively closed")
+        for (a, b) in self.order:
+            for (c, e) in self.order:
+                if b == c and (a, e) not in self.order:
+                    raise ValueError(f"order is not transitively closed: {a} < {b} < {e}")
 
 
 def _edge(a: str, b: str) -> tuple[str, str]:
@@ -133,9 +138,7 @@ def _edge(a: str, b: str) -> tuple[str, str]:
 def one_loop() -> BoxDiagram:
     """The one-loop diagram: T1 joined to all four externals, W1, W2 < T1 < Z1, Z2."""
     solid = tuple(sorted(_edge("T1", v) for v in EXTERNALS))
-    order = _transitive_closure(frozenset({
-        ("W1", "T1"), ("W2", "T1"), ("T1", "Z1"), ("T1", "Z2"),
-    }))
+    order = _close_at(frozenset(), "T1", (("W1", "T1"), ("W2", "T1"), ("T1", "Z1"), ("T1", "Z2")))
     return BoxDiagram(n=1, solid=solid, dashed=(), order=order, history=())
 
 
@@ -156,6 +159,7 @@ def attach_slingshot(d: BoxDiagram, site: str) -> BoxDiagram:
     solid = [_edge(rename(a), rename(b)) for (a, b) in d.solid]
     dashed = [_edge(rename(a), rename(b)) for (a, b) in d.dashed]
     order = {(rename(a), rename(b)) for (a, b) in d.order}
+    new = [(t_new if a == "T" else a, t_new if b == "T" else b) for (a, b) in _NEW_RELATIONS[site]]
 
     adj1, adj2 = ADJACENT[site]
     solid.append(_edge(site, t_new))          # handle to the fresh external
@@ -163,14 +167,11 @@ def attach_slingshot(d: BoxDiagram, site: str) -> BoxDiagram:
     solid.append(_edge(t_new, adj2))
     dashed.append(_edge(adj1, adj2))          # string
 
-    for (a, b) in _NEW_RELATIONS[site]:
-        order.add((t_new if a == "T" else a, t_new if b == "T" else b))
-
     return BoxDiagram(
         n=d.n + 1,
         solid=tuple(sorted(solid)),
         dashed=tuple(sorted(dashed)),
-        order=_transitive_closure(frozenset(order)),
+        order=_close_at(order, t_new, new),
         history=d.history + (site,),
     )
 

@@ -267,9 +267,12 @@ def chart_s3(R: float, psi, theta, chi):
     return z11, z12, z21, z22, density
 
 
-def random_near_identity(rng: np.random.Generator, scale: float) -> GroupElement:
-    """Random conformal transformation with ||h - 1|| about `scale` (max-entry)."""
+def random_near_identity(rng: np.random.Generator, scale: float, radius: float = 1.0) -> GroupElement:
+    """Random h with ||h - 1|| about `scale` (max-entry), conjugated by Z -> radius Z
+    (b times radius, c over radius): it moves points near U(2)_radius by a relative `scale`."""
     m = np.eye(4, dtype=complex) + scale * (
         rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))
     ) / 2.0
+    m[:2, 2:] *= radius
+    m[2:, :2] /= radius
     return GroupElement.from_matrix(m)

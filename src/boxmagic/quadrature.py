@@ -467,11 +467,15 @@ def conformal_check(r: float = 1.0, nodes: int = 20, tol: float = 1e-4,
     For h with blocks (a, b, c, d) and inverse blocks (a', b', c', d'),
     the transformed integral must equal
     N(a'-Z1 c') N(c Z2+d) N(c W1+d) N(a'-W2 c') times the original.
-    The maps are drawn first; the original and every moved point set
-    are then integrated in one pass.
+    The maps are conjugated by the dilation Z -> rZ, so they move the
+    points by the same relative amount at every radius.  They are drawn
+    first; the original and every moved point set are then integrated
+    in one pass.
     """
     from .hc import norm, random_near_identity
 
+    if samples < 1:
+        raise ValueError("conformal check needs at least one sample")
     rng = _rng(seed)
     Z1, Z2, W1, W2 = points = _covariance_points(rng, r)
     _require_one_loop_sides(points, r)
@@ -484,7 +488,7 @@ def conformal_check(r: float = 1.0, nodes: int = 20, tol: float = 1e-4,
                 f"{len(maps)} of {samples} maps that keep every point on its side of the cycle"
             )
         draws += 1
-        h = random_near_identity(rng, scale)
+        h = random_near_identity(rng, scale, r)
         moved = tuple(conformal_act(h, P) for P in points)
         try:
             _require_one_loop_sides(moved, r)
@@ -502,7 +506,7 @@ def conformal_check(r: float = 1.0, nodes: int = 20, tol: float = 1e-4,
             * norm(h.ap - W2 * h.cp)
         )
         details.append(float(abs(moved - fac * base) / abs(moved)))
-    return CheckResult("conformal", max(details, default=0.0), tol, nodes, {"samples": details, "scale": scale})
+    return CheckResult("conformal", max(details), tol, nodes, {"samples": details, "scale": scale})
 
 
 # Each suite's check, the argument that --radius sets ("radii" takes a

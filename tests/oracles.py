@@ -11,9 +11,11 @@ Gaussian rationals keeps every sphere integral exact, so the pairing
 and inner-product tables can be checked with no numerical tolerance.
 
 The exact combinatorial layers have brute-force oracles here too: the
-all-permutations canonical key of a box diagram, the a-table row by
-Fraction suffix sums, the ladder image by the one-step ladder
-recursion, and diagram images by peeling the history in Fractions.
+fixpoint transitive closure of an order, the all-permutations canonical
+key of a box diagram, the a-table row by Fraction suffix sums, the
+ladder image by the one-step ladder recursion, diagram images by
+peeling the history in Fractions, and the magic check comparing
+Fraction images.
 
 The polylogarithms and ladder functions are checked against
 one-dimensional integral representations, summed by a Gauss-Legendre
@@ -36,9 +38,9 @@ from itertools import permutations
 import numpy as np
 
 from boxmagic import quadrature
-from boxmagic.diagrams import BoxDiagram
+from boxmagic.diagrams import BoxDiagram, enumerate_diagrams
 from boxmagic.hc import ComplexQuaternion, conformal_act, domain_side, random_near_identity
-from boxmagic.magic import GeneratorImage
+from boxmagic.magic import GeneratorImage, diagram_image, ladder_image
 from boxmagic.tbasis import BasisExpansion, MultiPoly, TIndex, t_poly, term_of_inverse_argument
 
 
@@ -174,6 +176,20 @@ def exact_inner_product(f1: BasisExpansion, f2: BasisExpansion) -> GC:
     return sphere_integral_over_2pi2(p1 * p2)
 
 
+def transitive_closure(pairs) -> frozenset[tuple[str, str]]:
+    """Transitive closure of a relation by composing pairs until nothing new appears."""
+    rel = set(pairs)
+    changed = True
+    while changed:
+        changed = False
+        for (a, b) in list(rel):
+            for (c, d) in list(rel):
+                if b == c and (a, d) not in rel:
+                    rel.add((a, d))
+                    changed = True
+    return frozenset(rel)
+
+
 def brute_force_key(d: BoxDiagram) -> tuple:
     """Least (n, solid, dashed, order) encoding over all n! internal relabellings."""
     internals = d.internals
@@ -271,6 +287,25 @@ def image_by_history_fraction(history: tuple[str, ...], side: str, k: int) -> tu
     return tuple(out)
 
 
+def magic_failures_fraction(n: int, k_max: int) -> list[str]:
+    """The magic check comparing Fraction images of diagram_image and ladder_image.
+
+    Every enumerated diagram is rebuilt from its history by diagram_image;
+    failures are worded as in verify_magic.
+    """
+    diagrams = enumerate_diagrams(n)
+    failures = []
+    for side in ("left", "right"):
+        for k in range(k_max + 1):
+            expected = ladder_image(n, k, side)
+            for i, d in enumerate(diagrams):
+                got = diagram_image(d, side, k)
+                if got.coeffs != expected.coeffs:
+                    failures.append(f"n={n} side={side} k={k} diagram#{i} history={d.history}: "
+                                    f"{got.coeffs} != {expected.coeffs}")
+    return failures
+
+
 _GL_NODES = 400
 _GL_POWER = 6
 
@@ -345,7 +380,7 @@ def conformal_draws(r: float, samples: int, scale: float, seed: int):
     kept, draws = [], 0
     while len(kept) < samples and draws < 20 * samples:
         draws += 1
-        h = random_near_identity(rng, scale)
+        h = random_near_identity(rng, scale, r)
         moved = tuple(conformal_act(h, P) for P in points)
         if [domain_side(P, r) for P in moved] == ["minus", "minus", "plus", "plus"]:
             kept.append(moved)

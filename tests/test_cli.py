@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from boxmagic.cli import MAX_K, main
+from boxmagic.polylog import phi
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -165,6 +166,18 @@ class TestPhi:
         assert code == 0
         assert out.strip().startswith("34.328001574515")
 
+    def test_levels_one_and_two_bytes(self, capsys):
+        # Output recorded when --level accepted only 1 and 2.
+        for level, text in (("1", "18.545541216647653\n"), ("2", "34.328001574515021\n")):
+            code, out, _ = run(capsys, "phi", "--level", level, "--x", "0.1", "--y", "0.2")
+            assert (code, out) == (0, text)
+
+    @pytest.mark.parametrize("level", range(3, 7))
+    def test_higher_levels_are_phi(self, capsys, level):
+        code, out, _ = run(capsys, "phi", "--level", str(level), "--x", "0.1", "--y", "0.2")
+        assert code == 0
+        assert out == f"{phi(level, 0.1, 0.2):.17g}\n"
+
     def test_constant_variant_flag(self, capsys):
         code, out, _ = run(capsys, "phi", "--level", "1", "--x", "0.1", "--y", "0.1",
                            "--constant", "pi-squared")
@@ -201,14 +214,15 @@ CONTRACT_GRID = [
     (("verify", "normalization", "--radius", "-1"), 2),
     (("verify", "poisson", "--radius", "nan"), 2),
     (("verify", "collapse", "--tol", "0"), 2),
-    (("verify", "conformal", "--radius", "1e-3"), 2),
-    (("verify", "conformal", "--radius", "100"), 2),
+    (("verify", "conformal", "--radius", "1e-3"), 0),
+    (("verify", "conformal", "--radius", "100"), 0),
     (("verify", "normalization", "--nodes", "8", "--out", "{missing}"), 2),
     (("phi", "--level", "2", "--x", "0.1", "--y", "0.2"), 0),
     (("phi", "--level", "2", "--x", "0.1", "--y", "nan"), 2),
     (("phi", "--level", "1", "--x", "inf", "--y", "0.1"), 2),
     (("phi", "--level", "1", "--x", "0.6", "--y", "0.6"), 2),
-    (("phi", "--level", "3", "--x", "0.1", "--y", "0.2"), 2),
+    (("phi", "--level", "3", "--x", "0.1", "--y", "0.2"), 0),
+    (("phi", "--level", "7", "--x", "0.1", "--y", "0.2"), 2),
     (("mu", "--loops", "2", "--k-max", "4", "--out", "{missing}"), 2),
     (("mu", "--loops", "0"), 2),
     (("acoeff", "--loops", "2", "--k", "x"), 2),

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
 from boxmagic.diagrams import (
+    _NEW_RELATIONS,
+    _close_at,
     EXTERNALS,
     assign_radii,
     attach_slingshot,
@@ -18,7 +22,7 @@ from boxmagic.diagrams import (
     one_loop,
     to_dot,
 )
-from oracles import brute_force_key
+from oracles import brute_force_key, transitive_closure
 
 
 class TestOneLoop:
@@ -99,6 +103,56 @@ class TestSlingshot:
     def test_bad_site_rejected(self):
         with pytest.raises(ValueError):
             attach_slingshot(one_loop(), "T1")
+
+
+class TestOrderClosure:
+    def test_one_loop_matches_fixpoint_oracle(self):
+        relations = {("W1", "T1"), ("W2", "T1"), ("T1", "Z1"), ("T1", "Z2")}
+        assert one_loop().order == transitive_closure(relations)
+
+    def test_attachments_match_fixpoint_oracle(self):
+        # Every attachment to every history of at most five sites, so every
+        # diagram up to seven loops: the order is the fixpoint closure of the
+        # renamed parent order plus the attachment's new relations.
+        frontier = [one_loop()]
+        attached = 0
+        for _ in range(6):
+            children = []
+            for d in frontier:
+                for site in EXTERNALS:
+                    child = attach_slingshot(d, site)
+                    t = f"T{child.n}"
+                    relations = {(t if a == site else a, t if b == site else b) for (a, b) in d.order}
+                    relations |= {(t if a == "T" else a, t if b == "T" else b) for (a, b) in _NEW_RELATIONS[site]}
+                    assert child.order == transitive_closure(relations), child.history
+                    children.append(child)
+            attached += len(children)
+            frontier = children
+        assert attached == 5460
+
+    def test_close_at_matches_fixpoint_oracle_on_random_orders(self):
+        # In box diagrams nothing lies below a W or above a Z, so random
+        # orders are needed to reach the pairs below new predecessors and
+        # above new successors.
+        rng = random.Random(7)
+        for _ in range(300):
+            vertices = [f"v{i}" for i in range(rng.randint(2, 9))]
+            pos = rng.randrange(len(vertices))
+            t = vertices[pos]
+            # Pairs that follow one linear order stay acyclic.
+            order = transitive_closure({(a, b) for i, a in enumerate(vertices) for b in vertices[i + 1:]
+                                        if rng.random() < 0.3})
+            new = [(a, t) for a in vertices[:pos] if rng.random() < 0.3]
+            new += [(t, b) for b in vertices[pos + 1:] if rng.random() < 0.3]
+            assert _close_at(order, t, new) == transitive_closure(order | set(new))
+
+    def test_validate_rejects_open_order(self):
+        d = attach_slingshot(one_loop(), "W2")
+        d.validate()
+        assert ("W1", "T2") in d.order and ("T2", "T1") in d.order
+        broken = dataclasses.replace(d, order=d.order - {("W1", "T1")})
+        with pytest.raises(ValueError, match="not transitively closed"):
+            broken.validate()
 
 
 class TestRadii:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxmagic.diagrams import EXTERNALS, attach_slingshot, enumerate_diagrams, from_history, one_loop
+from boxmagic import magic
 from boxmagic.magic import (
     CoeffTable,
     GeneratorImage,
@@ -27,7 +28,13 @@ from boxmagic.magic import (
     payload_to_csv,
     verify_magic,
 )
-from oracles import a_row_fraction, image_by_history_fraction, ladder_image_recursive, mu_fraction
+from oracles import (
+    a_row_fraction,
+    image_by_history_fraction,
+    ladder_image_recursive,
+    magic_failures_fraction,
+    mu_fraction,
+)
 
 
 class TestATable:
@@ -204,6 +211,44 @@ class TestVerifyMagic:
         for n in (2, 3):
             rep = verify_magic(n, 8)
             assert rep.passed, rep.failures
+
+    def test_agrees_with_fraction_comparison(self):
+        for n in range(1, 6):
+            rep = verify_magic(n, 6)
+            assert rep.failures == tuple(magic_failures_fraction(n, 6)) == ()
+            assert rep.diagram_count == len(enumerate_diagrams(n))
+
+    def test_mutated_rule_fails(self, monkeypatch):
+        # Add 1 to the first numerator of the W1 prefix sum: every history
+        # ending in W1 then has a wrong image on both sides.
+        original = magic._image_numerators
+
+        def mutated(history, side, k):
+            out = original(history, side, k)
+            if history and history[-1] == "W1" and side == "left":
+                out = (out[0] + 1,) + out[1:]
+            return out
+
+        original.cache_clear()
+        monkeypatch.setattr(magic, "_image_numerators", mutated)
+        try:
+            rep = verify_magic(3, 4)
+            expected = magic_failures_fraction(3, 4)
+        finally:
+            original.cache_clear()
+        assert not rep.passed
+        assert rep.failures == tuple(expected)
+        # Text recorded from the Fraction comparison before it became an integer one.
+        assert len(rep.failures) == 10
+        assert rep.failures[0] == (
+            "n=3 side=left k=0 diagram#5 history=('Z2', 'W1'): (Fraction(2, 1),) != (Fraction(1, 1),)"
+        )
+        assert rep.failures[-1] == (
+            "n=3 side=right k=4 diagram#5 history=('Z2', 'W1'): "
+            "(Fraction(12019, 18000), Fraction(3799, 18000), Fraction(1489, 18000), Fraction(61, 2000), "
+            "Fraction(1729, 216000)) != (Fraction(12019, 18000), Fraction(3799, 18000), "
+            "Fraction(1489, 18000), Fraction(61, 2000), Fraction(1, 125))"
+        )
 
 
 class TestSerialization:

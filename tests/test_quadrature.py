@@ -262,10 +262,22 @@ class TestOneLoop:
 
     @pytest.mark.parametrize("r", [1e-3, 100.0])
     def test_conformal_resampling_is_bounded(self, r):
-        # Far from the default radius nearly every map moves a point
-        # across the cycle; the check gives up after 20 draws per sample.
+        # At a large scale every map moves a point across the cycle, at
+        # any radius; the check gives up after 20 draws per sample.
         with pytest.raises(DomainError, match=f"radius {r}: 40 draws"):
-            conformal_check(r=r, nodes=8, samples=2)
+            conformal_check(r=r, nodes=8, samples=2, scale=2.0)
+
+    @pytest.mark.parametrize("r", [1e-3, 0.1, 10.0, 100.0])
+    def test_conformal_residual_is_radius_independent(self, r):
+        # The maps are conjugated by the dilation Z -> rZ, so the check
+        # sees the same configuration at every radius, up to rounding.
+        res = conformal_check(r=r, nodes=8)
+        assert res.passed
+        assert res.residual == pytest.approx(conformal_check(r=1.0, nodes=8).residual, rel=1e-8)
+
+    def test_conformal_no_samples_refused(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            conformal_check(nodes=8, samples=0)
 
 
 class TestOrthogonality:
@@ -366,16 +378,25 @@ class TestBatchedChecksAgainstOracles:
         want = kernel_integral(meshgrid_grid("s3", 1.0, 12), phi.degt(), (W_IN,)) / (2 * math.pi**2)
         assert abs(poisson_eval(phi, W_IN, 1.0, 12) - want) <= 1e-13 * max(1.0, abs(want))
 
-    @pytest.mark.parametrize("r, draws", [(1.0, 5), (20.0, 14)])
-    def test_conformal_accepts_the_same_draws(self, monkeypatch, r, draws):
-        # At r = 20 nine of the first fourteen maps move a point across the cycle.
-        kept, made = conformal_draws(r, 5, 0.05, 20240)
+    @staticmethod
+    def _same_draws(monkeypatch, r, scale, draws):
+        kept, made = conformal_draws(r, 5, scale, 20240)
         assert (len(kept), made) == (5, draws)
         calls = record_kernel_passes(monkeypatch)
-        res = conformal_check(r=r, nodes=8)
+        res = conformal_check(r=r, nodes=8, scale=scale)
         ((_, _, _, rows, _),) = calls
         assert [poles for _, poles in rows[1:]] == kept
         assert len(res.details["samples"]) == 5
+
+    @pytest.mark.parametrize("r, draws", [(1.0, 5), (20.0, 5)])
+    def test_conformal_accepts_the_same_draws(self, monkeypatch, r, draws):
+        # The maps scale with the radius: at r = 20 no draw is rejected either.
+        self._same_draws(monkeypatch, r, 0.05, draws)
+
+    @pytest.mark.parametrize("r", [1.0, 20.0])
+    def test_conformal_resampled_draws(self, monkeypatch, r):
+        # At scale 1, fifty of the first fifty-five maps move a point across the cycle.
+        self._same_draws(monkeypatch, r, 1.0, 55)
 
 
 class TestSuiteRunner:
