@@ -9,6 +9,9 @@ Commands:
 * ``verify``   run the numerical-quadrature verification suites;
 * ``phi``      evaluate the ladder functions Phi^(L), L = 1..6.
 
+Only ``verify`` needs numpy.  It imports the quadrature layer (and with
+it numpy) when it runs, so the other commands start without it.
+
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage
 errors.  JSON outputs carry a versioned ``schema`` field; exact
 rationals are serialized as "num/den" strings and decimals carry 30
@@ -25,12 +28,15 @@ from pathlib import Path
 
 from . import diagrams as dg
 from . import magic, polylog
-from .quadrature import SUITES, run_suite
 
 MAX_LOOPS_MU = 16
 MAX_K = 64
 MAX_LOOPS_DIAGRAMS = 5
 MAX_LOOPS_MAGIC = 4
+
+# The checks of `quadrature.run_suite`, in its order (a test holds the two
+# equal); listed here so that building the parser does not import numpy.
+SUITES = ("normalization", "poisson", "lemma-zp", "collapse", "orthogonality", "conformal")
 
 
 def _positive(text: str) -> float:
@@ -131,6 +137,8 @@ def _cmd_magic(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .quadrature import run_suite
+
     try:
         report = run_suite(args.suite, radius=args.radius, nodes=args.nodes, tol=args.tol)
     except ValueError as exc:  # node count or budget, or a verification point on the wrong side of the cycle

@@ -125,6 +125,7 @@ class EigenvalueTable:
             raise ValueError("mu^(n)_1 must equal 1")
 
 
+@lru_cache(maxsize=None)  # m = k + 1 <= 65 from the commands (k <= cli.MAX_K)
 def _lcm_upto(m: int) -> int:
     """lcm(1, 2, ..., m)."""
     return math.lcm(*range(1, m + 1))

@@ -20,7 +20,8 @@ Fraction images.
 The polylogarithms and ladder functions are checked against
 one-dimensional integral representations, summed by a Gauss-Legendre
 rule after the substitution t = s^6, which tames the logarithmic
-end-point singularities.
+end-point singularities; the power series of Li_N has a reference that
+runs in complex arithmetic with integer powers at every argument.
 
 The quadrature grids have a reference build that evaluates exp, cos
 and sin over full meshgrids, the basis values a reference that sums the
@@ -304,6 +305,27 @@ def magic_failures_fraction(n: int, k_max: int) -> list[str]:
                     failures.append(f"n={n} side={side} k={k} diagram#{i} history={d.history}: "
                                     f"{got.coeffs} != {expected.coeffs}")
     return failures
+
+
+def li_series_complex(N: int, z: complex, tol: float = 1e-17, max_terms: int = 10_000) -> complex:
+    """sum_{j>=1} z^j / j^N in complex arithmetic with integer powers j**N at every z.
+
+    The reference for `polylog.li_series`, which runs real z in float
+    arithmetic and divides by a table of float(j**N); the two must give
+    the same bits.
+    """
+    if abs(z) >= 1.0:
+        raise ValueError("series representation requires |z| < 1")
+    total = 0.0 + 0.0j
+    term = 1.0 + 0.0j
+    for j in range(1, max_terms + 1):
+        term = term * z
+        inc = term / j**N
+        total += inc
+        scale = abs(total)
+        if abs(inc) <= tol * (scale if scale > 1e-300 else 1e-300):
+            return total
+    raise RuntimeError("polylogarithm series did not converge")
 
 
 _GL_NODES = 400

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from boxmagic.cli import MAX_K, main
+from boxmagic import quadrature
+from boxmagic.cli import MAX_K, SUITES, main
 from boxmagic.polylog import phi
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -223,6 +224,7 @@ CONTRACT_GRID = [
     (("phi", "--level", "1", "--x", "0.6", "--y", "0.6"), 2),
     (("phi", "--level", "3", "--x", "0.1", "--y", "0.2"), 0),
     (("phi", "--level", "7", "--x", "0.1", "--y", "0.2"), 2),
+    (("phi", "--level", "2", "--x", "1e-320", "--y", "0.2"), 2),
     (("mu", "--loops", "2", "--k-max", "4", "--out", "{missing}"), 2),
     (("mu", "--loops", "0"), 2),
     (("acoeff", "--loops", "2", "--k", "x"), 2),
@@ -246,7 +248,46 @@ class TestContract:
             assert proc.stderr.strip()
 
 
+# Modules that only `verify` may load.
+QUADRATURE_STACK = ("numpy", "boxmagic.quadrature", "boxmagic.hc", "boxmagic.tbasis")
+
+# Prints the exit code of main(ARGV) and the QUADRATURE_STACK modules it left loaded.
+_LOADED_BY_MAIN = """
+import contextlib, io, sys
+from boxmagic.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main({argv!r})
+print(code, [m for m in {modules!r} if m in sys.modules])
+"""
+
+
 class TestDependencies:
+    def test_cli_import_leaves_quadrature_stack_out(self):
+        proc = run_process(code=f"import sys, boxmagic.cli; print([m for m in {QUADRATURE_STACK!r} if m in sys.modules])")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ["mu", "--loops", "2", "--k-max", "4"],
+        ["acoeff", "--loops", "2", "--k", "3"],
+        ["diagrams", "--loops", "3"],
+        ["magic", "--loops", "2", "--k-max", "4"],
+        ["phi", "--level", "2", "--x", "0.1", "--y", "0.2"],
+    ], ids=lambda argv: argv[0])
+    def test_commands_leave_quadrature_stack_out(self, argv):
+        proc = run_process(code=_LOADED_BY_MAIN.format(argv=argv, modules=QUADRATURE_STACK))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0 []"
+
+    def test_verify_loads_quadrature_when_it_runs(self):
+        argv = ["verify", "normalization", "--nodes", "8"]
+        proc = run_process(code=_LOADED_BY_MAIN.format(argv=argv, modules=QUADRATURE_STACK))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == f"0 {list(QUADRATURE_STACK)}"
+
+    def test_suite_names_match_quadrature(self):
+        assert SUITES == quadrature.SUITES
+
     def test_cli_import_leaves_scipy_out(self):
         proc = run_process(code="import sys, boxmagic.cli; "
                                 "print([m for m in ('scipy', 'concurrent.futures') if m in sys.modules])")

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 
 from boxmagic.polylog import PHI1_CONSTANTS, lambda_rho, li, li_integral, li_series, phi, phi1, phi2
-from oracles import li_oracle, phi_oracle
+from oracles import li_oracle, li_series_complex, phi_oracle
 
 # 50-digit reference values from an independent multiprecision evaluation
 # of the same formulas.
@@ -106,6 +107,50 @@ class TestLiOracle:
             for z in LI_GRID[::3]:
                 want = complex(mpmath.polylog(N, z))
                 assert abs(li(N, z) - want) <= 1e-13 * abs(want), (N, z)
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    """Both parts of z exactly, the sign of a zero included."""
+    return z.real.hex(), z.imag.hex()
+
+
+# li_series arguments: the real axis (float, complex with +-0 imaginary
+# part), signed zeros, subnormals, and complex points; |z| up to 0.99,
+# beyond the 64 powers a call from `li` reaches.
+SERIES_GRID = (
+    [s * r for r in (0.0, 5e-324, 1e-310, 1e-200, 1e-8, 0.1, 0.3, 0.5, 0.9, 0.99) for s in (1.0, -1.0)]
+    + [complex(x, s * 0.0) for x in (0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 0.95) for s in (1.0, -1.0)]
+    + [complex(s * 0.0, y) for y in (0.3, -0.3, 1e-300) for s in (1.0, -1.0)]
+    + [cmath.rect(r, a) for r in (0.05, 0.3, 0.5, 0.9) for a in (0.4, 1.7, 3.0, -0.9, -2.8)]
+)
+
+
+class TestLiSeries:
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 7, 12, 40])
+    def test_bits_match_complex_loop(self, N):
+        for z in SERIES_GRID:
+            got, want = li_series(N, z), li_series_complex(N, z)
+            assert isinstance(got, complex)
+            assert _bits(got) == _bits(want), (N, z)
+
+    def test_ladder_arguments_bits(self):
+        # The arguments phi hands to li: -1/(rho x) and -rho y on the negative axis.
+        for x, y in PHI_POINTS:
+            _, rho = lambda_rho(x, y)
+            for z in (-1.0 / (rho * x), -rho * y):
+                for N in range(2, 13):
+                    if abs(z) <= 0.5:
+                        assert _bits(li(N, z)) == _bits(li_series_complex(N, complex(z))), (N, z)
+
+    def test_huge_orders(self):
+        # The table reaches 3**700, which overflows a float; the series ends at j = 2.
+        assert _bits(li_series(700, 0.5)) == _bits(li_series_complex(700, 0.5))
+        # 2**2000 overflows too (the complex loop raises OverflowError): its term is below every tolerance.
+        assert li_series(2000, 0.3) == 0.3 + 0.0j
+
+    def test_not_converging_raises(self):
+        with pytest.raises(RuntimeError):
+            li_series(2, 0.999)
 
 
 class TestLambdaRho:
@@ -221,3 +266,17 @@ class TestPhi:
     def test_bad_order(self):
         with pytest.raises(ValueError):
             phi(0, 0.1, 0.2)
+
+    @pytest.mark.parametrize("x", [1e-320, 5e-324, 4e-309])
+    def test_subnormal_x_refused(self, x):
+        # -1/(rho x) overflows: the closed form would give nan.
+        for L in (1, 2, 6):
+            with pytest.raises(ValueError, match=re.escape(f"(x, y) = ({x}, 0.2)")):
+                phi(L, x, 0.2)
+        with pytest.raises(ValueError, match="not finite"):
+            phi1(x, 0.2)
+
+    def test_smallest_finite_argument_is_finite(self):
+        for L in (1, 2, 6):
+            assert math.isfinite(phi(L, 5e-309, 0.2))
+            assert math.isfinite(phi(L, 0.2, 1e-320))
