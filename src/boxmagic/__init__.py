@@ -3,7 +3,7 @@
 Subpackages:
 
 * `hc`         complexified quaternion arithmetic and cycle charts;
-* `tbasis`     matrix-coefficient polynomial bases and exact pairings;
+* `tbasis`     matrix-coefficient polynomial bases and their evaluation;
 * `diagrams`   box-diagram construction, ordering and enumeration;
 * `magic`      exact-rational operator engine and magic identities;
 * `polylog`    polylogarithms and the ladder functions Phi^(L);

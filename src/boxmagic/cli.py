@@ -31,7 +31,6 @@ from . import magic, polylog
 
 MAX_LOOPS_MU = 16
 MAX_K = 64
-MAX_LOOPS_DIAGRAMS = 5
 MAX_LOOPS_MAGIC = 4
 
 # The checks of `quadrature.run_suite`, in its order (a test holds the two
@@ -93,8 +92,8 @@ def _cmd_acoeff(args: argparse.Namespace) -> int:
 
 
 def _cmd_diagrams(args: argparse.Namespace) -> int:
-    if not (1 <= args.loops <= MAX_LOOPS_DIAGRAMS):
-        print(f"diagrams: need 1 <= loops <= {MAX_LOOPS_DIAGRAMS}", file=sys.stderr)
+    if not (1 <= args.loops <= dg.MAX_LOOPS):
+        print(f"diagrams: need 1 <= loops <= {dg.MAX_LOOPS}", file=sys.stderr)
         return 2
     ds = dg.enumerate_diagrams(args.loops)
     print(f"{len(ds)} distinct {args.loops}-loop box diagram(s)")
@@ -141,8 +140,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     try:
         report = run_suite(args.suite, radius=args.radius, nodes=args.nodes, tol=args.tol)
-    except ValueError as exc:  # node count or budget, or a verification point on the wrong side of the cycle
-        print(f"verify: {exc}", file=sys.stderr)
+    except (ValueError, ArithmeticError) as exc:  # node count or budget, a point on the wrong side
+        # of the cycle, or a radius so extreme that a chart or an integrand leaves the float range
+        where = "" if args.radius is None else f" at radius {args.radius:g}"
+        print(f"verify: {args.suite}{where}: {exc}", file=sys.stderr)
         return 2
     payload = report.payload()
     payload["suite"] = args.suite

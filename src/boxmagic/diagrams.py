@@ -1,4 +1,4 @@
-"""Box diagrams: construction, partial order, radii, integrands, enumeration.
+"""Box diagrams: construction, partial order, radii, enumeration.
 
 A box diagram has four external vertices Z1, Z2, W1, W2 and n internal
 vertices T1..Tn.  The one-loop diagram joins a single internal vertex to
@@ -14,10 +14,11 @@ vertex at a time: the parent's order is closed and every new relation
 touches the new internal vertex, so the attachment adds only the pairs
 that pass through it (see `_close_at`).
 
-Solid edges contribute 1/N(Yi - Yj) factors to the diagram's rational
-integrand, dashed edges contribute N(Yi - Yj); both edge sets are
-multisets.  Internal labels are interchangeable: diagrams differing by a
-permutation of T1..Tn are identified, externals stay fixed.
+Solid edges stand for 1/N(Yi - Yj) factors of the diagram's rational
+integrand, dashed edges for N(Yi - Yj); both edge sets are multisets.
+Internal labels are interchangeable: diagrams differing by a
+permutation of T1..Tn are identified, externals stay fixed.  Diagrams
+are canonicalized and enumerated up to MAX_LOOPS loops.
 """
 
 from __future__ import annotations
@@ -29,20 +30,23 @@ from itertools import chain, permutations, product
 __all__ = [
     "EXTERNALS",
     "ADJACENT",
+    "MAX_LOOPS",
     "BoxDiagram",
     "RadiiAssignment",
-    "IntegrandExpr",
     "one_loop",
     "attach_slingshot",
     "from_history",
     "assign_radii",
-    "integrand",
     "canonical_key",
     "enumerate_diagrams",
     "to_dot",
 ]
 
 EXTERNALS = ("Z1", "Z2", "W1", "W2")
+
+# Most loops canonicalized and enumerated: canonical_key tries up to n!
+# relabellings, and enumerate_diagrams(8) takes a few seconds (2704 classes).
+MAX_LOOPS = 8
 
 # The two externals receiving the slingshot arms (and the dashed string)
 # when attaching at a given site; fixed so that attaching at W2 or Z2
@@ -101,34 +105,6 @@ class BoxDiagram:
     @property
     def vertices(self) -> tuple[str, ...]:
         return EXTERNALS + self.internals
-
-    def degree(self, v: str) -> int:
-        """Solid degree minus dashed degree at vertex v."""
-        s = sum(1 for e in self.solid for x in e if x == v)
-        d = sum(1 for e in self.dashed for x in e if x == v)
-        return s - d
-
-    def validate(self) -> None:
-        """Check the structural invariants; raises ValueError on failure."""
-        if len(self.solid) != 3 * self.n + 1:
-            raise ValueError(f"expected {3*self.n+1} solid edges, got {len(self.solid)}")
-        if len(self.dashed) != self.n - 1:
-            raise ValueError(f"expected {self.n-1} dashed edges, got {len(self.dashed)}")
-        for v in self.internals:
-            if self.degree(v) != 4:
-                raise ValueError(f"internal vertex {v} has net degree {self.degree(v)} != 4")
-        for v in EXTERNALS:
-            if self.degree(v) != 1:
-                raise ValueError(f"external vertex {v} has net degree {self.degree(v)} != 1")
-        for (a, b) in self.order:
-            if a == b:
-                raise ValueError(f"order is not irreflexive at {a}")
-            if (b, a) in self.order:
-                raise ValueError(f"order contains a 2-cycle {a} <-> {b}")
-        for (a, b) in self.order:
-            for (c, e) in self.order:
-                if b == c and (a, e) not in self.order:
-                    raise ValueError(f"order is not transitively closed: {a} < {b} < {e}")
 
 
 def _edge(a: str, b: str) -> tuple[str, str]:
@@ -248,22 +224,6 @@ def assign_radii(d: BoxDiagram) -> RadiiAssignment:
     )
 
 
-@dataclass(frozen=True)
-class IntegrandExpr:
-    """Factor lists of the diagram's rational integrand.
-
-    Each entry (a, b) denotes the factor N(Ya - Yb); denominator factors
-    come from solid edges, numerator factors from dashed edges.
-    """
-
-    numerator: tuple[tuple[str, str], ...]
-    denominator: tuple[tuple[str, str], ...]
-
-
-def integrand(d: BoxDiagram) -> IntegrandExpr:
-    return IntegrandExpr(numerator=d.dashed, denominator=d.solid)
-
-
 def _colour_cells(d: BoxDiagram) -> list[list[str]]:
     """Equitable partition of the internal vertices by colour refinement.
 
@@ -305,10 +265,10 @@ def canonical_key(d: BoxDiagram):
     least (n, solid, dashed, order) encoding over the relabellings that
     number the cells in colour order and permute vertices only within a
     cell.  The permutations tried are the product of the cell sizes'
-    factorials, at most n!, so n <= 8.
+    factorials, at most n!, so n <= MAX_LOOPS.
     """
-    if d.n > 8:
-        raise ValueError("canonical_key supports at most 8 internal vertices")
+    if d.n > MAX_LOOPS:
+        raise ValueError(f"canonical_key supports at most {MAX_LOOPS} internal vertices")
     best = None
     for perms in product(*(permutations(cell) for cell in _colour_cells(d))):
         mapping = {v: f"T{i}" for i, v in enumerate(chain.from_iterable(perms), start=1)}
@@ -337,8 +297,8 @@ def enumerate_diagrams(n: int) -> list[BoxDiagram]:
     """
     if n < 1:
         raise ValueError("loop count must be >= 1")
-    if n > 6:
-        raise ValueError("enumeration supports at most 6 loops")
+    if n > MAX_LOOPS:
+        raise ValueError(f"enumeration supports at most {MAX_LOOPS} loops")
     current = {canonical_key(one_loop()): one_loop()}
     for _ in range(n - 1):
         nxt: dict[object, BoxDiagram] = {}

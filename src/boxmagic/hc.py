@@ -7,7 +7,9 @@ N(Z) = det Z = z11*z22 - z12*z21.  Under the coordinate identification
          [-i*z1 + z2, z0 + i*z3]]
 
 the norm equals (z0)^2 + (z1)^2 + (z2)^2 + (z3)^2.  The conformal group
-acts by fractional linear transformations Z -> (aZ+b)(cZ+d)^-1.
+acts by fractional linear transformations Z -> (aZ+b)(cZ+d)^-1.  Here
+is the arithmetic that the verification checks use: +, - and * of
+points, norm, inverse, that action, and which side of U(2)_R a point is on.
 
 This module also holds the one chart definition of each integration
 cycle used by the verification suite, vectorised over numpy arrays of
@@ -34,7 +36,6 @@ __all__ = [
     "inverse",
     "conformal_act",
     "domain_side",
-    "in_domain",
     "chart_u2",
     "chart_s3",
     "random_near_identity",
@@ -56,29 +57,6 @@ class ComplexQuaternion:
     z22: complex
 
     @staticmethod
-    def identity() -> "ComplexQuaternion":
-        return ComplexQuaternion(1.0, 0.0, 0.0, 1.0)
-
-    @staticmethod
-    def zero() -> "ComplexQuaternion":
-        return ComplexQuaternion(0.0, 0.0, 0.0, 0.0)
-
-    @staticmethod
-    def from_coords(z0: complex, z1: complex, z2: complex, z3: complex) -> "ComplexQuaternion":
-        """Build Z from quaternion coordinates (z0, z1, z2, z3)."""
-        return ComplexQuaternion(
-            z0 - 1j * z3, -1j * z1 - z2, -1j * z1 + z2, z0 + 1j * z3
-        )
-
-    def to_coords(self) -> tuple[complex, complex, complex, complex]:
-        """Quaternion coordinates (z0, z1, z2, z3) of Z."""
-        z0 = (self.z11 + self.z22) / 2
-        z3 = (self.z22 - self.z11) / (2j)
-        z1 = (self.z12 + self.z21) / (-2j)
-        z2 = (self.z21 - self.z12) / 2
-        return z0, z1, z2, z3
-
-    @staticmethod
     def from_matrix(m) -> "ComplexQuaternion":
         return ComplexQuaternion(complex(m[0][0]), complex(m[0][1]), complex(m[1][0]), complex(m[1][1]))
 
@@ -97,24 +75,13 @@ class ComplexQuaternion:
             self.z21 - other.z21, self.z22 - other.z22,
         )
 
-    def __mul__(self, other) -> "ComplexQuaternion":
-        if isinstance(other, ComplexQuaternion):
-            return ComplexQuaternion(
-                self.z11 * other.z11 + self.z12 * other.z21,
-                self.z11 * other.z12 + self.z12 * other.z22,
-                self.z21 * other.z11 + self.z22 * other.z21,
-                self.z21 * other.z12 + self.z22 * other.z22,
-            )
-        return self.scale(other)
-
-    def __rmul__(self, other) -> "ComplexQuaternion":
-        return self.scale(other)
-
-    def __neg__(self) -> "ComplexQuaternion":
-        return self.scale(-1.0)
-
-    def scale(self, s: complex) -> "ComplexQuaternion":
-        return ComplexQuaternion(s * self.z11, s * self.z12, s * self.z21, s * self.z22)
+    def __mul__(self, other: "ComplexQuaternion") -> "ComplexQuaternion":
+        return ComplexQuaternion(
+            self.z11 * other.z11 + self.z12 * other.z21,
+            self.z11 * other.z12 + self.z12 * other.z22,
+            self.z21 * other.z11 + self.z22 * other.z21,
+            self.z21 * other.z12 + self.z22 * other.z22,
+        )
 
 
 def norm(Z: ComplexQuaternion) -> complex:
@@ -131,65 +98,27 @@ def inverse(Z: ComplexQuaternion, tol: float = 1e-14) -> ComplexQuaternion:
 
 
 class GroupElement:
-    """A conformal transformation, a 2x2 block matrix h = [[a, b], [c, d]] over H (x) C.
+    """A conformal transformation h = [[a, b], [c, d]]: a 4x4 complex matrix in 2x2 blocks.
 
-    The blocks of h^-1 are cached as a', b', c', d'; they enter the second
-    form of the fractional linear action and the covariance factors of the
-    four-point integrals.
+    The blocks of h^-1 are cached as a', b', c', d'; they enter the
+    covariance factors of the four-point integrals.
     """
 
     __slots__ = ("a", "b", "c", "d", "ap", "bp", "cp", "dp")
 
-    def __init__(self, a: ComplexQuaternion, b: ComplexQuaternion,
-                 c: ComplexQuaternion, d: ComplexQuaternion):
-        self.a, self.b, self.c, self.d = a, b, c, d
-        m = np.zeros((4, 4), dtype=complex)
-        m[:2, :2] = a.as_matrix()
-        m[:2, 2:] = b.as_matrix()
-        m[2:, :2] = c.as_matrix()
-        m[2:, 2:] = d.as_matrix()
-        mi = np.linalg.inv(m)
-        self.ap = ComplexQuaternion.from_matrix(mi[:2, :2])
-        self.bp = ComplexQuaternion.from_matrix(mi[:2, 2:])
-        self.cp = ComplexQuaternion.from_matrix(mi[2:, :2])
-        self.dp = ComplexQuaternion.from_matrix(mi[2:, 2:])
+    def __init__(self, m: np.ndarray):
+        self.a, self.b, self.c, self.d = _blocks(m)
+        self.ap, self.bp, self.cp, self.dp = _blocks(np.linalg.inv(m))
 
-    @staticmethod
-    def identity() -> "GroupElement":
-        one = ComplexQuaternion.identity()
-        zero = ComplexQuaternion.zero()
-        return GroupElement(one, zero, zero, one)
 
-    @staticmethod
-    def from_matrix(m: np.ndarray) -> "GroupElement":
-        return GroupElement(
-            ComplexQuaternion.from_matrix(m[:2, :2]),
-            ComplexQuaternion.from_matrix(m[:2, 2:]),
-            ComplexQuaternion.from_matrix(m[2:, :2]),
-            ComplexQuaternion.from_matrix(m[2:, 2:]),
-        )
-
-    def as_matrix(self) -> np.ndarray:
-        m = np.zeros((4, 4), dtype=complex)
-        m[:2, :2] = self.a.as_matrix()
-        m[:2, 2:] = self.b.as_matrix()
-        m[2:, :2] = self.c.as_matrix()
-        m[2:, 2:] = self.d.as_matrix()
-        return m
-
-    def compose(self, other: "GroupElement") -> "GroupElement":
-        """Group product self * other (acts as: first other, then self)."""
-        return GroupElement.from_matrix(self.as_matrix() @ other.as_matrix())
+def _blocks(m: np.ndarray) -> tuple[ComplexQuaternion, ...]:
+    """The 2x2 blocks of a 4x4 matrix, row by row."""
+    return tuple(ComplexQuaternion.from_matrix(m[r:r + 2, c:c + 2]) for r in (0, 2) for c in (0, 2))
 
 
 def conformal_act(h: GroupElement, Z: ComplexQuaternion) -> ComplexQuaternion:
     """Fractional linear action Z -> (aZ + b)(cZ + d)^-1."""
     return (h.a * Z + h.b) * inverse(h.c * Z + h.d)
-
-
-def conformal_act_alt(h: GroupElement, Z: ComplexQuaternion) -> ComplexQuaternion:
-    """Equivalent left-quotient form (a' - Z c')^-1 (-b' + Z d')."""
-    return inverse(h.ap - Z * h.cp) * (Z * h.dp - h.bp)
 
 
 def domain_side(Z: ComplexQuaternion, R: float) -> str:
@@ -211,13 +140,6 @@ def domain_side(Z: ComplexQuaternion, R: float) -> str:
     if np.all(eigs > 0):
         return "minus"
     return "indefinite"
-
-
-def in_domain(Z: ComplexQuaternion, R: float, sign: str) -> bool:
-    """True iff Z lies strictly inside (sign="plus") or outside (sign="minus") U(2)_R."""
-    if sign not in ("plus", "minus"):
-        raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
-    return domain_side(Z, R) == sign
 
 
 def chart_u2(R: float, phi, psi, theta, chi):
@@ -275,4 +197,4 @@ def random_near_identity(rng: np.random.Generator, scale: float, radius: float =
     ) / 2.0
     m[:2, 2:] *= radius
     m[2:, :2] /= radius
-    return GroupElement.from_matrix(m)
+    return GroupElement(m)

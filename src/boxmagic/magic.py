@@ -58,14 +58,16 @@ __all__ = [
     "MagicReport",
     "a_table",
     "mu",
-    "mu2_closed",
     "mu_table",
     "ladder_image",
     "diagram_image",
-    "eigenvalue_extract",
     "verify_magic",
     "fraction_str",
     "fraction_decimal",
+    "mu_table_payload",
+    "a_table_payload",
+    "payload_to_csv",
+    "payload_to_json",
 ]
 
 SIDES = ("left", "right")
@@ -78,15 +80,6 @@ class CoeffTable:
     n: int
     k: int
     a: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.a) != self.k + 1:
-            raise ValueError("coefficient row must have length k+1")
-        if sum(self.a) != 1:
-            raise ValueError("coefficient row must sum to 1")
-        for p in range(self.k):
-            if not self.a[p] >= self.a[p + 1] > 0:
-                raise ValueError("coefficients must be positive and non-increasing")
 
 
 @dataclass(frozen=True)
@@ -107,11 +100,6 @@ class GeneratorImage:
         if len(self.coeffs) != self.k + 1:
             raise ValueError("image must have k+1 coefficients")
 
-    def swapped(self) -> "GeneratorImage":
-        """The same polynomial with w11 and w'11 exchanged, on the other side."""
-        other = "left" if self.side == "right" else "right"
-        return GeneratorImage(self.k, other, tuple(reversed(self.coeffs)))
-
 
 @dataclass(frozen=True)
 class EigenvalueTable:
@@ -119,10 +107,6 @@ class EigenvalueTable:
 
     n: int
     values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if self.values and self.values[0] != 1:
-            raise ValueError("mu^(n)_1 must equal 1")
 
 
 @lru_cache(maxsize=None)  # m = k + 1 <= 65 from the commands (k <= cli.MAX_K)
@@ -169,15 +153,6 @@ def mu(n: int, k: int) -> Fraction:
         total += sign * a * math.comb(k - 1, p)
         sign = -sign
     return Fraction(total, den)
-
-
-def mu2_closed(k: int) -> Fraction:
-    """Closed form of the two-loop eigenvalues: 1, then (-1)^(k+1)/(k(k-1))."""
-    if k < 1:
-        raise ValueError("component index k must be >= 1")
-    if k == 1:
-        return Fraction(1)
-    return Fraction((-1) ** (k + 1), k * (k - 1))
 
 
 def mu_table(n: int, k_max: int) -> EigenvalueTable:
@@ -258,25 +233,6 @@ def diagram_image(d: BoxDiagram, side: str, k: int) -> GeneratorImage:
         raise ValueError("diagram history does not reproduce the diagram")
     den = _lcm_upto(k + 1) ** d.n
     return GeneratorImage(k, side, tuple(Fraction(c, den) for c in _image_numerators(d.history, side, k)))
-
-
-def eigenvalue_extract(img: GeneratorImage, k: int) -> Fraction:
-    """Scalar action on the k-th irreducible component, from a degree-(k-1) image.
-
-    The ratio-of-inner-products formula: with orthonormal extreme
-    monomials, the right-family image gives
-    sum_p (-1)^(k+p+1) C(k-1, p) c_p (and the mirrored sum on the left).
-    """
-    if img.k != k - 1:
-        raise ValueError(f"image has degree {img.k}, expected {k - 1}")
-    total = Fraction(0)
-    for p, c in enumerate(img.coeffs):
-        if img.side == "right":
-            sign = -1 if (k + p + 1) % 2 else 1
-        else:
-            sign = -1 if p % 2 else 1
-        total += sign * math.comb(k - 1, p) * c
-    return total
 
 
 @dataclass(frozen=True)

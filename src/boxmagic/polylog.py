@@ -249,8 +249,10 @@ def phi(L: int, x: float, y: float) -> float:
     lam, rho = _check_region(x, y)
     lyx = math.log(y / x)
     a, b = -1.0 / (rho * x), -rho * y
-    if not math.isfinite(a):  # a subnormal x overflows 1/(rho x)
-        raise ValueError(f"-1/(rho x) = {a} is not finite at (x, y) = ({x}, {y})")
+    if not math.isfinite(a):  # a subnormal x overflows 1/(rho x); Phi^(L) is symmetric in (x, y)
+        if not math.isfinite(-1.0 / (rho * y)):
+            raise ValueError(f"-1/(rho x) = {a} and -1/(rho y) are not finite at (x, y) = ({x}, {y})")
+        return phi(L, y, x)
     total = 0.0
     for j in range(L, 2 * L + 1):
         weight = (-1) ** j * math.factorial(j) / (math.factorial(j - L) * math.factorial(2 * L - j))

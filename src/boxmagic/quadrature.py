@@ -123,15 +123,20 @@ def integrate(spec: QuadratureSpec, f) -> np.ndarray:
     for z11, z12, z21, z22, w in _grid(spec.chart, spec.radius, spec.nodes_per_dim):
         vals = np.asarray(f(z11, z12, z21, z22), dtype=complex)
         vals = np.broadcast_to(vals, vals.shape[:-1] + w.shape)
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            *row, i = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            raise FloatingPointError(
-                f"non-finite value of integrand {int(row[0]) if row else 0} at node Z = "
-                f"[[{z11[i]}, {z12[i]}], [{z21[i]}, {z22[i]}]]"
-            )
+        _require_finite(vals, z11, z12, z21, z22)
         total = total + np.sum(vals * w, axis=-1)
     return total
+
+
+def _require_finite(vals: np.ndarray, z11, z12, z21, z22) -> None:
+    """Raise FloatingPointError naming the row and node of the first non-finite value."""
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        *row, i = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        raise FloatingPointError(
+            f"non-finite value of integrand {int(row[0]) if row else 0} at node Z = "
+            f"[[{z11[i]}, {z12[i]}], [{z21[i]}, {z22[i]}]]"
+        )
 
 
 def _norm_shift(z11, z12, z21, z22, P: ComplexQuaternion):
@@ -316,7 +321,7 @@ def poisson_check(R: float = 1.0, nodes: int = 24, tol: float = 1e-6,
         "1": BasisExpansion.one(),
         "z11": BasisExpansion.monomial("z11", 1),
         "z11^2": BasisExpansion.monomial("z11", 2),
-        "t1_00": BasisExpansion({TIndex(2, 0, 0, 0): 1}, "H+"),
+        "t1_00": BasisExpansion({TIndex(2, 0, 0, 0): 1}),
     }
     rows = [(name, phi, _random_inside(rng, R)) for name, phi in cases.items() for _ in range(samples)]
     got = _kernel_pass("s3", R, nodes, [(phi.degt(), (W,)) for _, phi, W in rows])
@@ -353,7 +358,7 @@ def collapse_check(radii=(0.8, 1.25), nodes: int = 24, tol: float = 1e-6,
     radii = [float(R) for R in radii]
     W = _random_inside(rng, min(radii))
     cases = {f"z11^{k}": BasisExpansion.monomial("z11", k) for k in range(k_max + 1)}
-    cases["t1_00"] = BasisExpansion({TIndex(2, 0, 0, 0): 1}, "H+")
+    cases["t1_00"] = BasisExpansion({TIndex(2, 0, 0, 0): 1})
     rows = [(phi.degt(), (None, W)) for phi in cases.values()]
     by_radius = [_kernel_pass("u2", R, nodes, rows) for R in radii]
     worst = 0.0
@@ -391,14 +396,23 @@ def _dual(L: int, n: int, m: int, k: int) -> BasisExpansion:
 
 
 def _gram(chart: str, R: float, nodes: int, prims, duals) -> np.ndarray:
-    """Every pairing sum_nodes w * prim_i * dual_j: (P * w) @ D^T, added up piece by piece."""
+    """Every pairing sum_nodes w * prim_i * dual_j: (P * w) @ D^T, added up piece by piece.
+
+    A non-finite piece aborts, naming a node where P * w or D is not finite if there is one.
+    """
     gram = 0
     for a, b, c, d, w in _grid(chart, R, nodes):
         powers = EntryPowers(a, b, c, d)
         # A row may be a constant (t^0 N^0); broadcasting against w gives it every node.
         prim, dual = (np.array(np.broadcast_arrays(w, *(powers.value(f) for f in fs))[1:])
                       for fs in (prims, duals))
-        gram = gram + (prim * w) @ dual.T
+        prim = prim * w
+        piece = prim @ dual.T
+        if not np.isfinite(piece).all():
+            for vals in (prim, dual):
+                _require_finite(vals, a, b, c, d)
+            raise FloatingPointError(f"a pairing sum over the {chart} grid of radius {R} overflows")
+        gram = gram + piece
     return gram
 
 

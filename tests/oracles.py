@@ -1,5 +1,11 @@
 """Independent exact oracles used by the tests.
 
+Harmonic polynomials have an exact symbolic form: `MultiPoly`, a sparse
+polynomial in the four entries with derivatives, and `t_poly`, the
+matrix coefficient t^l_{n,m} by binomial convolution.  The invariant
+pairing on polynomials in the entries and 1/N is an index lookup
+(`pair_Zh`) with exact rational values.
+
 The main tool is closed-form integration of polynomials over the unit
 3-sphere: a monomial x0^a0 x1^a1 x2^a2 x3^a3 integrates to zero unless
 every exponent is even, and otherwise to
@@ -11,11 +17,12 @@ Gaussian rationals keeps every sphere integral exact, so the pairing
 and inner-product tables can be checked with no numerical tolerance.
 
 The exact combinatorial layers have brute-force oracles here too: the
-fixpoint transitive closure of an order, the all-permutations canonical
-key of a box diagram, the a-table row by Fraction suffix sums, the
-ladder image by the one-step ladder recursion, diagram images by
-peeling the history in Fractions, and the magic check comparing
-Fraction images.
+fixpoint transitive closure of an order, the structural invariants of
+a box diagram, the all-permutations canonical key, the a-table row by
+Fraction suffix sums, the two-loop eigenvalues in closed form and every
+eigenvalue extracted from a ladder image, the ladder image by the
+one-step ladder recursion, diagram images by peeling the history in
+Fractions, and the magic check comparing Fraction images.
 
 The polylogarithms and ladder functions are checked against
 one-dimensional integral representations, summed by a Gauss-Legendre
@@ -25,9 +32,10 @@ runs in complex arithmetic with integer powers at every argument.
 
 The quadrature grids have a reference build that evaluates exp, cos
 and sin over full meshgrids, the basis values a reference that sums the
-terms of each t^l_{n,m} with fresh powers, the orthogonality Gram
+terms of each t^l_{n,m} with fresh powers (`t_poly` evaluated), the orthogonality Gram
 matrices a reference that sums each pair of value rows separately, and
 each batched check a reference that integrates one integrand per call.
+The conformal action has a second, left-quotient form.
 """
 
 from __future__ import annotations
@@ -39,10 +47,112 @@ from itertools import permutations
 import numpy as np
 
 from boxmagic import quadrature
-from boxmagic.diagrams import BoxDiagram, enumerate_diagrams
-from boxmagic.hc import ComplexQuaternion, conformal_act, domain_side, random_near_identity
+from boxmagic.diagrams import EXTERNALS, BoxDiagram, enumerate_diagrams
+from boxmagic.hc import ComplexQuaternion, GroupElement, conformal_act, domain_side, inverse, random_near_identity
 from boxmagic.magic import GeneratorImage, diagram_image, ladder_image
-from boxmagic.tbasis import BasisExpansion, MultiPoly, TIndex, t_poly, term_of_inverse_argument
+from boxmagic.tbasis import BasisExpansion, TIndex, _nu, term_of_inverse_argument
+
+
+class MultiPoly:
+    """Sparse polynomial in the entries z11, z12, z21, z22.
+
+    Monomials are keyed by exponent 4-tuples (e11, e12, e21, e22);
+    coefficients may be int, Fraction or complex.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict[tuple[int, int, int, int], object] | None = None):
+        self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
+
+    @staticmethod
+    def norm_poly() -> "MultiPoly":
+        """N(Z) = z11 z22 - z12 z21."""
+        return MultiPoly({(1, 0, 0, 1): 1, (0, 1, 1, 0): -1})
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, MultiPoly) and self.terms == other.terms
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other: "MultiPoly") -> "MultiPoly":
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, 0) + c
+        return MultiPoly(out)
+
+    def scale(self, s) -> "MultiPoly":
+        return MultiPoly({e: s * c for e, c in self.terms.items()})
+
+    def __mul__(self, other: "MultiPoly") -> "MultiPoly":
+        out: dict[tuple[int, int, int, int], object] = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
+                out[e] = out.get(e, 0) + c1 * c2
+        return MultiPoly(out)
+
+    def pow(self, n: int) -> "MultiPoly":
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
+        out = MultiPoly({(0, 0, 0, 0): 1})
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def diff(self, var: int) -> "MultiPoly":
+        """Partial derivative with respect to entry index var in 0..3."""
+        out = {}
+        for e, c in self.terms.items():
+            if e[var] > 0:
+                ne = list(e)
+                ne[var] -= 1
+                out[tuple(ne)] = out.get(tuple(ne), 0) + c * e[var]
+        return MultiPoly(out)
+
+    def laplacian(self) -> "MultiPoly":
+        """4 (d^2/dz11 dz22 - d^2/dz12 dz21), zero exactly on harmonics."""
+        return (self.diff(0).diff(3) + self.diff(1).diff(2).scale(-1)).scale(4)
+
+    def euler(self) -> "MultiPoly":
+        """Degree operator sum_ij z_ij d/dz_ij (multiplies degree-d terms by d)."""
+        out = {}
+        for e, c in self.terms.items():
+            d = sum(e)
+            if d:
+                out[e] = out.get(e, 0) + c * d
+        return MultiPoly(out)
+
+    def __call__(self, z11, z12, z21, z22):
+        val = 0
+        for (e11, e12, e21, e22), c in self.terms.items():
+            val = val + complex(c) * z11**e11 * z12**e12 * z21**e21 * z22**e22
+        return val
+
+
+def t_poly(two_l: int, two_n: int, two_m: int) -> MultiPoly:
+    """Exact polynomial form of t^l_{n,m}, by binomial convolution.
+
+    The loop-integral definition extracts the s^(l-n) coefficient of
+    (s z11 + z21)^(l-m) (s z12 + z22)^(l+m); equivalently
+
+        sum_{i+j = l-n} C(l-m, i) C(l+m, j)
+                        z11^i z21^(l-m-i) z12^j z22^(l+m-j).
+
+    Homogeneous of degree 2l and harmonic.
+    """
+    idx = TIndex(two_l, two_n, two_m, 0)
+    lm = (idx.two_l - idx.two_m) // 2   # l - m
+    lpm = (idx.two_l + idx.two_m) // 2  # l + m
+    ln = (idx.two_l - idx.two_n) // 2   # l - n
+    out = {}
+    for i in range(max(0, ln - lpm), min(lm, ln) + 1):
+        j = ln - i
+        coeff = math.comb(lm, i) * math.comb(lpm, j)
+        expo = (i, j, lm - i, lpm - j)
+        out[expo] = coeff
+    return MultiPoly(out)
 
 
 class GC:
@@ -75,9 +185,6 @@ class GC:
     def __eq__(self, o):
         o = GC.of(o)
         return self.re == o.re and self.im == o.im
-
-    def conj(self) -> "GC":
-        return GC(self.re, -self.im)
 
     def __repr__(self):
         return f"GC({self.re}, {self.im})"
@@ -177,6 +284,32 @@ def exact_inner_product(f1: BasisExpansion, f2: BasisExpansion) -> GC:
     return sphere_integral_over_2pi2(p1 * p2)
 
 
+def unitary_norm(idx: TIndex) -> Fraction:
+    """Squared unitary norm (l-m)! (l+m)! / ((l-n)! (l+n)!) of t^l_{n,m}, the value of `exact_inner_product`."""
+    lm, lpm = (idx.two_l - idx.two_m) // 2, (idx.two_l + idx.two_m) // 2
+    ln, lpn = (idx.two_l - idx.two_n) // 2, (idx.two_l + idx.two_n) // 2
+    return Fraction(math.factorial(lm) * math.factorial(lpm), math.factorial(ln) * math.factorial(lpn))
+
+
+def pair_Zh(f1: BasisExpansion, f2: BasisExpansion):
+    """Invariant symmetric pairing on polynomials in the entries and 1/N.
+
+    On basis elements: <t^l'_{n',m'} N^k', t^l_{m,n}(Z^-1) N^(-k-2)> =
+    delta_kk' delta_ll' delta_mm' delta_nn' / (2l+1), extended
+    bilinearly.  Exact; equals the cycle integral (i/2 pi^3) Int f1 f2 dV
+    for any R.  In plain indices a pair (t^l'_{n',m'} N^k', t^l_{a,b} N^c)
+    pairs exactly when the second factor is the normalized dual, i.e.
+    l = l', a = -n', b = -m' and k' + c = -(2l + 2); normalizing the dual
+    divides the unit value by nu(l, -b, -a).
+    """
+    total = 0
+    for i1, c1 in f1.coeffs.items():
+        for i2, c2 in f2.coeffs.items():
+            if (i1.two_l, -i1.two_n, -i1.two_m, -(i1.two_l + 2)) == (i2.two_l, i2.two_n, i2.two_m, i1.k + i2.k):
+                total = total + c1 * c2 / (_nu(i2.two_l, -i2.two_m, -i2.two_n) * (i1.two_l + 1))
+    return total
+
+
 def transitive_closure(pairs) -> frozenset[tuple[str, str]]:
     """Transitive closure of a relation by composing pairs until nothing new appears."""
     rel = set(pairs)
@@ -189,6 +322,32 @@ def transitive_closure(pairs) -> frozenset[tuple[str, str]]:
                     rel.add((a, d))
                     changed = True
     return frozenset(rel)
+
+
+def net_degree(d: BoxDiagram, v: str) -> int:
+    """Solid degree minus dashed degree at vertex v."""
+    return sum(e.count(v) for e in d.solid) - sum(e.count(v) for e in d.dashed)
+
+
+def validate_diagram(d: BoxDiagram) -> None:
+    """Check the structural invariants of a box diagram; raises ValueError on failure."""
+    if len(d.solid) != 3 * d.n + 1:
+        raise ValueError(f"expected {3*d.n+1} solid edges, got {len(d.solid)}")
+    if len(d.dashed) != d.n - 1:
+        raise ValueError(f"expected {d.n-1} dashed edges, got {len(d.dashed)}")
+    for v in d.internals:
+        if net_degree(d, v) != 4:
+            raise ValueError(f"internal vertex {v} has net degree {net_degree(d, v)} != 4")
+    for v in EXTERNALS:
+        if net_degree(d, v) != 1:
+            raise ValueError(f"external vertex {v} has net degree {net_degree(d, v)} != 1")
+    for (a, b) in d.order:
+        if a == b:
+            raise ValueError(f"order is not irreflexive at {a}")
+        if (b, a) in d.order:
+            raise ValueError(f"order contains a 2-cycle {a} <-> {b}")
+    if transitive_closure(d.order) != d.order:
+        raise ValueError(f"order is not transitively closed: {sorted(transitive_closure(d.order) - d.order)} missing")
 
 
 def brute_force_key(d: BoxDiagram) -> tuple:
@@ -227,6 +386,34 @@ def mu_fraction(n: int, k: int) -> Fraction:
     """mu^(n)_k = sum_p (-1)^(k+p+1) a^(k-1)(n, p) C(k-1, p) in Fractions."""
     return sum(((-1) ** (k + p + 1) * a * math.comb(k - 1, p)
                 for p, a in enumerate(a_row_fraction(n, k - 1))), Fraction(0))
+
+
+def mu2_closed(k: int) -> Fraction:
+    """Closed form of the two-loop eigenvalues: 1, then (-1)^(k+1)/(k(k-1))."""
+    if k < 1:
+        raise ValueError("component index k must be >= 1")
+    if k == 1:
+        return Fraction(1)
+    return Fraction((-1) ** (k + 1), k * (k - 1))
+
+
+def eigenvalue_extract(img: GeneratorImage, k: int) -> Fraction:
+    """Scalar action on the k-th irreducible component, from a degree-(k-1) image.
+
+    The ratio-of-inner-products formula: with orthonormal extreme
+    monomials, the right-family image gives
+    sum_p (-1)^(k+p+1) C(k-1, p) c_p (and the mirrored sum on the left).
+    """
+    if img.k != k - 1:
+        raise ValueError(f"image has degree {img.k}, expected {k - 1}")
+    total = Fraction(0)
+    for p, c in enumerate(img.coeffs):
+        if img.side == "right":
+            sign = -1 if (k + p + 1) % 2 else 1
+        else:
+            sign = -1 if p % 2 else 1
+        total += sign * math.comb(k - 1, p) * c
+    return total
 
 
 def ladder_image_recursive(n: int, k: int, side: str) -> GeneratorImage:
@@ -361,23 +548,10 @@ def phi_oracle(L: int, x, y) -> np.ndarray:
     return -(f @ w) / (math.factorial(L) * math.factorial(L - 1))
 
 
-def t_value(two_l: int, two_n: int, two_m: int, z11, z12, z21, z22):
-    """t^l_{n,m} at matrix entries (scalars or numpy arrays), each term with its own powers."""
-    lm = (two_l - two_m) // 2
-    lpm = (two_l + two_m) // 2
-    ln = (two_l - two_n) // 2
-    val = 0
-    for i in range(max(0, ln - lpm), min(lm, ln) + 1):
-        j = ln - i
-        coeff = math.comb(lm, i) * math.comb(lpm, j)
-        val = val + coeff * z11**i * z21**(lm - i) * z12**j * z22**(lpm - j)
-    return val
-
-
 def basis_value(f: BasisExpansion, z11, z12, z21, z22):
-    """f at entries, each term t^l_{n,m} N^k from `t_value` and its own power of N."""
+    """f at entries, each term t^l_{n,m} N^k with its own powers, from `t_poly` and a power of N."""
     n = z11 * z22 - z12 * z21
-    return sum(complex(c) * t_value(i.two_l, i.two_n, i.two_m, z11, z12, z21, z22) * n**i.k
+    return sum(complex(c) * t_poly(i.two_l, i.two_n, i.two_m)(z11, z12, z21, z22) * n**i.k
                for i, c in f.coeffs.items())
 
 
@@ -386,7 +560,7 @@ def kernel_integral(grid, f: BasisExpansion, poles) -> complex:
     z11, z12, z21, z22, w = grid
     vals = basis_value(f, z11, z12, z21, z22)
     for P in poles:
-        P = P or ComplexQuaternion.zero()
+        P = P or ComplexQuaternion(0, 0, 0, 0)
         vals = vals / ((z11 - P.z11) * (z22 - P.z22) - (z12 - P.z12) * (z21 - P.z21))
     return complex(np.sum(vals * w))
 
@@ -407,6 +581,11 @@ def conformal_draws(r: float, samples: int, scale: float, seed: int):
         if [domain_side(P, r) for P in moved] == ["minus", "minus", "plus", "plus"]:
             kept.append(moved)
     return kept, draws
+
+
+def conformal_act_alt(h: GroupElement, Z: ComplexQuaternion) -> ComplexQuaternion:
+    """Equivalent left-quotient form (a' - Z c')^-1 (-b' + Z d')."""
+    return inverse(h.ap - Z * h.cp) * (Z * h.dp - h.bp)
 
 
 def meshgrid_grid(chart: str, radius: float, n: int):

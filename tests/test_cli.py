@@ -13,6 +13,7 @@ import pytest
 
 from boxmagic import quadrature
 from boxmagic.cli import MAX_K, SUITES, main
+from boxmagic.diagrams import MAX_LOOPS
 from boxmagic.polylog import phi
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -86,8 +87,9 @@ class TestDiagrams:
             assert p.read_bytes() == (b / p.name).read_bytes()
 
     def test_range_violation(self, capsys):
-        code, _, _ = run(capsys, "diagrams", "--loops", "6")
+        code, _, err = run(capsys, "diagrams", "--loops", "9")
         assert code == 2
+        assert err == f"diagrams: need 1 <= loops <= {MAX_LOOPS}\n"
 
 
 class TestMagic:
@@ -147,6 +149,11 @@ class TestVerify:
         payload = json.loads(out)
         assert {"name", "residual", "tolerance", "nodes", "passed", "details"} <= \
             set(payload["checks"][0])
+
+    def test_overflow_names_suite_and_radius(self, capsys):
+        code, out, err = run(capsys, "verify", "orthogonality", "--radius", "1e60", "--nodes", "8")
+        assert (code, out) == (2, "")
+        assert err.startswith("verify: orthogonality at radius 1e+60: non-finite value of integrand")
 
     def test_unknown_suite_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -217,6 +224,14 @@ CONTRACT_GRID = [
     (("verify", "collapse", "--tol", "0"), 2),
     (("verify", "conformal", "--radius", "1e-3"), 0),
     (("verify", "conformal", "--radius", "100"), 0),
+    # Radii whose charts or integrands leave the float range.
+    *((("verify", suite, "--radius", "1e-200", "--nodes", "8"), 2)
+      for suite in ("normalization", "poisson", "lemma-zp", "collapse")),
+    *((("verify", suite, "--radius", "1e200", "--nodes", "8"), 2)
+      for suite in ("normalization", "poisson", "lemma-zp", "collapse", "orthogonality")),
+    (("verify", "orthogonality", "--radius", "1e60", "--nodes", "8"), 2),
+    (("verify", "orthogonality", "--radius", "1e-60", "--nodes", "8"), 2),
+    (("verify", "conformal", "--radius", "1e60", "--nodes", "8"), 2),
     (("verify", "normalization", "--nodes", "8", "--out", "{missing}"), 2),
     (("phi", "--level", "2", "--x", "0.1", "--y", "0.2"), 0),
     (("phi", "--level", "2", "--x", "0.1", "--y", "nan"), 2),
@@ -224,7 +239,8 @@ CONTRACT_GRID = [
     (("phi", "--level", "1", "--x", "0.6", "--y", "0.6"), 2),
     (("phi", "--level", "3", "--x", "0.1", "--y", "0.2"), 0),
     (("phi", "--level", "7", "--x", "0.1", "--y", "0.2"), 2),
-    (("phi", "--level", "2", "--x", "1e-320", "--y", "0.2"), 2),
+    (("phi", "--level", "2", "--x", "1e-320", "--y", "0.2"), 0),
+    (("phi", "--level", "2", "--x", "1e-320", "--y", "1e-320"), 2),
     (("mu", "--loops", "2", "--k-max", "4", "--out", "{missing}"), 2),
     (("mu", "--loops", "0"), 2),
     (("acoeff", "--loops", "2", "--k", "x"), 2),

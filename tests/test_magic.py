@@ -13,16 +13,13 @@ from hypothesis import strategies as st
 from boxmagic.diagrams import EXTERNALS, attach_slingshot, enumerate_diagrams, from_history, one_loop
 from boxmagic import magic
 from boxmagic.magic import (
-    CoeffTable,
     GeneratorImage,
     a_table,
     diagram_image,
-    eigenvalue_extract,
     fraction_decimal,
     fraction_str,
     ladder_image,
     mu,
-    mu2_closed,
     mu_table,
     mu_table_payload,
     payload_to_csv,
@@ -30,9 +27,11 @@ from boxmagic.magic import (
 )
 from oracles import (
     a_row_fraction,
+    eigenvalue_extract,
     image_by_history_fraction,
     ladder_image_recursive,
     magic_failures_fraction,
+    mu2_closed,
     mu_fraction,
 )
 
@@ -69,8 +68,13 @@ class TestATable:
                 assert a_table(n, k).a == a_row_fraction(n, k)
 
     def test_invariant_validation(self):
-        with pytest.raises(ValueError):
-            CoeffTable(n=1, k=1, a=(Fraction(1, 2), Fraction(1, 3)))
+        # Every row the commands reach has k + 1 positive, non-increasing entries summing to 1.
+        for n in range(1, 17):
+            for k in range(0, 65):
+                row = a_table(n, k).a
+                assert len(row) == k + 1
+                assert sum(row) == 1
+                assert all(row[p] >= row[p + 1] > 0 for p in range(k))
 
 
 class TestMu:
@@ -101,6 +105,9 @@ class TestMu:
     def test_table_invariant(self):
         t = mu_table(3, 8)
         assert t.values[0] == 1
+        for n in range(1, 17):
+            t = mu_table(n, 64)
+            assert len(t.values) == 64 and t.values[0] == 1
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
@@ -128,7 +135,7 @@ class TestLadderImage:
 
     def test_left_is_swap_of_right(self):
         img = ladder_image(3, 4)
-        assert img.swapped().coeffs == ladder_image(3, 4, "left").coeffs
+        assert tuple(reversed(img.coeffs)) == ladder_image(3, 4, "left").coeffs
 
     def test_image_validation(self):
         with pytest.raises(ValueError):
@@ -150,7 +157,7 @@ class TestDiagramImage:
         for k in range(0, 6):
             left = diagram_image(d, "left", k)
             right = diagram_image(d, "right", k)
-            assert left.coeffs == right.swapped().coeffs
+            assert left.coeffs == tuple(reversed(right.coeffs))
 
     def test_three_loop_common_image(self):
         ds = enumerate_diagrams(3)

@@ -269,12 +269,22 @@ class TestPhi:
 
     @pytest.mark.parametrize("x", [1e-320, 5e-324, 4e-309])
     def test_subnormal_x_refused(self, x):
-        # -1/(rho x) overflows: the closed form would give nan.
+        # With y subnormal too, -1/(rho x) and -1/(rho y) both overflow: the
+        # closed form would give nan at (x, y) and at (y, x).
         for L in (1, 2, 6):
-            with pytest.raises(ValueError, match=re.escape(f"(x, y) = ({x}, 0.2)")):
-                phi(L, x, 0.2)
+            with pytest.raises(ValueError, match=re.escape(f"(x, y) = ({x}, {x})")):
+                phi(L, x, x)
         with pytest.raises(ValueError, match="not finite"):
-            phi1(x, 0.2)
+            phi1(x, x)
+
+    @pytest.mark.parametrize("x", [1e-320, 5e-324, 4e-309])
+    def test_subnormal_x_takes_swapped_value(self, x):
+        # -1/(rho x) overflows, so phi evaluates the symmetric function at (y, x).
+        for L in (1, 2, 6):
+            assert phi(L, x, 0.2) == phi(L, 0.2, x)
+            assert math.isfinite(phi(L, x, 0.2))
+        assert phi1(x, 0.2) == phi1(0.2, x)
+        assert phi(1, 1e-320, 0.2) == 1485.034107005204
 
     def test_smallest_finite_argument_is_finite(self):
         for L in (1, 2, 6):

@@ -30,7 +30,8 @@ from boxmagic.quadrature import (
     zp_closed_form,
 )
 from boxmagic.tbasis import BasisExpansion, TIndex
-from oracles import conformal_draws, kernel_integral, meshgrid_grid, orthogonality_pairs
+from oracles import (conformal_draws, exact_H_pairing, kernel_integral, meshgrid_grid, orthogonality_pairs,
+                     pair_Zh)
 
 W_IN = ComplexQuaternion(0.31 + 0.12j, -0.08 + 0.05j, 0.04 - 0.11j, 0.27 - 0.06j)
 WP_IN = ComplexQuaternion(-0.22 + 0.03j, 0.10 + 0.02j, -0.03 + 0.07j, -0.18 - 0.04j)
@@ -162,9 +163,9 @@ class TestPoisson:
         assert got == pytest.approx(phi(W_IN), rel=1e-8)
 
     def test_t1_at_origin(self):
-        phi = BasisExpansion({TIndex(2, 0, 0, 0): 1}, "H+")
-        got = poisson_eval(phi, ComplexQuaternion.zero(), 1.0, 16)
-        assert got == pytest.approx(phi(ComplexQuaternion.zero()), abs=1e-10)
+        phi = BasisExpansion({TIndex(2, 0, 0, 0): 1})
+        got = poisson_eval(phi, ComplexQuaternion(0, 0, 0, 0), 1.0, 16)
+        assert got == pytest.approx(phi(ComplexQuaternion(0, 0, 0, 0)), abs=1e-10)
 
     def test_outside_point_refused(self):
         with pytest.raises(DomainError):
@@ -179,7 +180,7 @@ class TestPoisson:
             poisson_check(nodes=8, samples=0)
 
     def test_grid_refinement_improves(self):
-        phi = BasisExpansion({TIndex(2, 0, 0, 0): 1}, "H+")
+        phi = BasisExpansion({TIndex(2, 0, 0, 0): 1})
         errs = []
         for n in (6, 12):
             got = poisson_eval(phi, W_IN, 1.0, n)
@@ -300,10 +301,23 @@ class TestOrthogonality:
         with pytest.raises(ValueError):
             orthogonality_check(two_l_max=4)
 
+    def test_targets_are_the_exact_pairings(self):
+        # Over the check's own index lists and duals, the exact sphere pairing
+        # and the exact 4-cycle pairing give its targets: the diagonals it
+        # compares against, and zeros everywhere else.
+        idxs = list(quadrature._basis_indices(3))
+        (_, want_s), (_, want_u) = _orthogonality_grams(3, 0.9, 4, 4)
+        sphere = [[exact_H_pairing(BasisExpansion({TIndex(*i, 0): 1}), quadrature._dual(*j, -1)) for j in idxs]
+                  for i in idxs]
+        assert all(v.im == 0 for row in sphere for v in row)
+        assert np.array_equal(np.array([[float(v.re) for v in row] for row in sphere]), np.diag(want_s))
+        rows = [(i, k) for i in idxs for k in (0, 1)]
+        cycle = [[float(pair_Zh(BasisExpansion({TIndex(*i, k): 1}), quadrature._dual(*j, -kj - 2))) for j, kj in rows]
+                 for i, k in rows]
+        assert np.array_equal(np.array(cycle), np.diag(want_u))
+
     def test_pair_Zh_matches_cycle_quadrature_at_two_radii(self):
         # The exact pairing equals the cycle integral at any radius.
-        from boxmagic.tbasis import pair_Zh
-
         rng = np.random.default_rng(17)
         idxs = [TIndex(L, n, m, k)
                 for L in (0, 1, 2, 3)

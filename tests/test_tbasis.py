@@ -1,4 +1,4 @@
-"""Tests for the matrix-coefficient bases, pairings and inner product."""
+"""Tests for the matrix-coefficient bases and the exact pairings and inner product they satisfy."""
 
 from __future__ import annotations
 
@@ -8,23 +8,8 @@ import numpy as np
 import pytest
 
 from boxmagic.hc import ComplexQuaternion, inverse, norm
-from boxmagic.tbasis import (
-    BasisExpansion,
-    EntryPowers,
-    MultiPoly,
-    TIndex,
-    classify,
-    eval_basis,
-    expand_1_over_N,
-    inner_product,
-    monomial_index,
-    pair_H,
-    pair_H2,
-    pair_Zh,
-    t_poly,
-    term_of_inverse_argument,
-)
-from oracles import GC, exact_H_pairing, exact_inner_product, t_value
+from boxmagic.tbasis import BasisExpansion, EntryPowers, TIndex, term_of_inverse_argument
+from oracles import GC, MultiPoly, exact_H_pairing, exact_inner_product, pair_Zh, t_poly, unitary_norm
 
 RNG = np.random.default_rng(5)
 
@@ -41,6 +26,17 @@ def all_indices(two_l_max: int):
         for n in range(-L, L + 1, 2):
             for m in range(-L, L + 1, 2):
                 yield L, n, m
+
+
+def eval_basis(idx: TIndex, Z: ComplexQuaternion) -> complex:
+    """Value t^l_{n,m}(Z) * N(Z)^k of one basis element."""
+    return complex(BasisExpansion({idx: 1})(Z))
+
+
+def pair_H2(f1: BasisExpansion, f2: BasisExpansion):
+    """The harmonic pairing in its second form, <degt(f1)/N, f2> of `pair_Zh`."""
+    return pair_Zh(BasisExpansion({TIndex(i.two_l, i.two_n, i.two_m, i.k - 1): c
+                                   for i, c in f1.degt().coeffs.items()}), f2)
 
 
 class TestTPoly:
@@ -82,7 +78,7 @@ class TestEntryPowers:
         n = z11 * z22 - z12 * z21
         powers = EntryPowers(*pts)
         for L, a, b in all_indices(3):
-            t = t_value(L, a, b, *pts)
+            t = t_poly(L, a, b)(*pts)
             assert np.abs(powers.t(L, a, b) - t).max() <= 1e-13 * np.abs(t).max()
             for k in range(-6, 2):
                 got = powers.value(BasisExpansion({TIndex(L, a, b, k): 1}))
@@ -99,17 +95,19 @@ class TestEntryPowers:
     def test_scalars(self):
         Z = random_cq()
         f = BasisExpansion({TIndex(2, 0, 0, -1): 3, TIndex(1, 1, -1, 1): 1j})
-        want = (3 * complex(t_value(2, 0, 0, Z.z11, Z.z12, Z.z21, Z.z22)) / norm(Z)
-                + 1j * complex(t_value(1, 1, -1, Z.z11, Z.z12, Z.z21, Z.z22)) * norm(Z))
+        want = (3 * t_poly(2, 0, 0)(Z.z11, Z.z12, Z.z21, Z.z22) / norm(Z)
+                + 1j * t_poly(1, 1, -1)(Z.z11, Z.z12, Z.z21, Z.z22) * norm(Z))
         assert f(Z) == pytest.approx(want, rel=1e-13)
 
 
 class TestEvalBasis:
+    """Scalar evaluation of one basis element through `BasisExpansion.__call__`."""
+
     def test_constant(self):
         assert eval_basis(TIndex(0, 0, 0, 0), random_cq()) == 1
 
     def test_entry_at_identity(self):
-        assert eval_basis(TIndex(1, -1, -1, 0), ComplexQuaternion.identity()) == 1
+        assert eval_basis(TIndex(1, -1, -1, 0), ComplexQuaternion(1, 0, 0, 1)) == 1
 
     def test_two_paths_agree(self):
         Z = random_cq()
@@ -137,7 +135,7 @@ class TestDegt:
         # At k = -(2l+1) the element is homogeneous of degree -2l-2, so
         # the degree-plus-one factor is 2l + 2k + 1 = -(2l+1).
         for L in (0, 1, 2, 3):
-            f = BasisExpansion({TIndex(L, L, L, -(L + 1)): 1}, "H-")
+            f = BasisExpansion({TIndex(L, L, L, -(L + 1)): 1})
             (idx, c), = f.degt().coeffs.items()
             assert c == -(L + 1)
 
@@ -149,31 +147,6 @@ class TestDegt:
             for k in (0, 1, 2):
                 p = t_poly(L, n, m) * npoly.pow(k)
                 assert p.euler() == p.scale(L + 2 * k)
-
-
-class TestClassify:
-    def test_polynomial_corner(self):
-        assert classify(TIndex(0, 0, 0, 0)) == frozenset({"Zh+", "I2+"})
-
-    def test_middle_strip(self):
-        got = classify(TIndex(0, 0, 0, -1))
-        assert got == frozenset({"Zh0", "I2+"})
-        assert "J2" not in got
-
-    def test_deep_negative(self):
-        assert classify(TIndex(1, 1, 1, -4)) == frozenset({"Zh-", "Zh2-", "I2-"})
-
-    def test_space_tag_consistency(self):
-        for L, n, m in all_indices(3):
-            assert "Zh+" in classify(TIndex(L, n, m, 0))
-            assert "Zh0" in classify(TIndex(L, n, m, -(L + 1)))
-
-    def test_basis_expansion_space_validation(self):
-        with pytest.raises(ValueError):
-            BasisExpansion({TIndex(2, 0, 0, -1): 1}, "H+")
-        with pytest.raises(ValueError):
-            BasisExpansion({TIndex(2, 0, 0, -1): 1}, "H-")
-        BasisExpansion({TIndex(2, 0, 0, -3): 1}, "H-")  # k = -(2l+1)
 
 
 class TestInverseArgument:
@@ -194,51 +167,49 @@ class TestInverseArgument:
         Z = random_cq()
         Zi = inverse(Z)
         for L, a, b in all_indices(3):
-            lhs = t_value(L, a, b, Zi.z11, Zi.z12, Zi.z21, Zi.z22)
+            lhs = t_poly(L, a, b)(Zi.z11, Zi.z12, Zi.z21, Zi.z22)
             idx, fac = term_of_inverse_argument(L, a, b, 0)
             rhs = complex(fac) * eval_basis(idx, Z)
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
 class TestPairH:
+    """The harmonic pairing (1/2 pi^2) Int degt(f1) f2 dS of H+ x H-, exactly."""
+
     def test_unit_pair(self):
         one = BasisExpansion.one()
-        ninv = BasisExpansion({TIndex(0, 0, 0, -1): 1}, "H-")
-        assert pair_H(one, ninv) == 1
-        assert pair_H(ninv, one) == -1
+        ninv = BasisExpansion({TIndex(0, 0, 0, -1): 1})
+        assert exact_H_pairing(one, ninv) == GC(1)
+        assert exact_H_pairing(ninv, one) == GC(-1)
 
     def test_mismatched_partner_vanishes(self):
-        f1 = BasisExpansion({TIndex(2, 0, 2, 0): 1}, "H+")
-        f2 = BasisExpansion({TIndex(2, 0, 2, -3): 1}, "H-")  # not the dual index
-        assert pair_H(f1, f2) == 0
+        f1 = BasisExpansion({TIndex(2, 0, 2, 0): 1})
+        f2 = BasisExpansion({TIndex(2, 0, 2, -3): 1})  # not the dual index
+        assert exact_H_pairing(f1, f2) == GC(0)
 
     def test_exact_oracle_all_pairs(self):
-        # Every H+ x H- basis pair with 2l <= 2 against exact sphere
-        # integration of the defining pairing integral.
+        # Every H+ x H- basis pair with 2l <= 2: exact sphere integration
+        # of the defining pairing integral against the index lookup.
         for L1, n1, m1 in all_indices(2):
-            f1 = BasisExpansion({TIndex(L1, n1, m1, 0): 1}, "H+")
+            f1 = BasisExpansion({TIndex(L1, n1, m1, 0): 1})
             for L2, n2, m2 in all_indices(2):
-                f2 = BasisExpansion({TIndex(L2, n2, m2, -(L2 + 1)): 1}, "H-")
-                assert exact_H_pairing(f1, f2) == GC(Fraction(pair_H(f1, f2)))
+                f2 = BasisExpansion({TIndex(L2, n2, m2, -(L2 + 1)): 1})
+                assert exact_H_pairing(f1, f2) == GC(Fraction(pair_H2(f1, f2)))
 
     def test_z11_squared_dual(self):
         f1 = BasisExpansion.monomial("z11", 2)
         idx, fac = term_of_inverse_argument(2, -2, -2, -1)
-        f2 = BasisExpansion({idx: fac}, "H-")
-        assert pair_H(f1, f2) == 1
+        f2 = BasisExpansion({idx: fac})
+        assert pair_H2(f1, f2) == 1
         assert exact_H_pairing(f1, f2) == GC(1)
 
     def test_antisymmetry_random(self):
         for _ in range(20):
             L1, n1, m1 = list(all_indices(3))[RNG.integers(0, 30)]
             L2, n2, m2 = list(all_indices(3))[RNG.integers(0, 30)]
-            f1 = BasisExpansion({TIndex(L1, n1, m1, 0): Fraction(3, 7)}, "H+")
-            f2 = BasisExpansion({TIndex(L2, n2, m2, -(L2 + 1)): Fraction(-2, 5)}, "H-")
-            assert pair_H(f1, f2) == -pair_H(f2, f1)
-
-    def test_space_validation(self):
-        with pytest.raises(ValueError):
-            pair_H(BasisExpansion({TIndex(0, 0, 0, 1): 1}), BasisExpansion.one())
+            f1 = BasisExpansion({TIndex(L1, n1, m1, 0): Fraction(3, 7)})
+            f2 = BasisExpansion({TIndex(L2, n2, m2, -(L2 + 1)): Fraction(-2, 5)})
+            assert exact_H_pairing(f1, f2) == GC(-1) * exact_H_pairing(f2, f1)
 
 
 class TestPairZh:
@@ -269,9 +240,11 @@ class TestPairZh:
 
 
 class TestPairH2:
+    """The second form <degt(f1)/N, f2> of the harmonic pairing."""
+
     def test_unit_pair(self):
         one = BasisExpansion.one()
-        ninv = BasisExpansion({TIndex(0, 0, 0, -1): 1}, "H-")
+        ninv = BasisExpansion({TIndex(0, 0, 0, -1): 1})
         assert pair_H2(one, ninv) == 1
 
     def test_plus_plus_vanishes(self):
@@ -281,55 +254,41 @@ class TestPairH2:
 
     def test_coincides_with_pair_H(self):
         for L1, n1, m1 in all_indices(3):
-            f1 = BasisExpansion({TIndex(L1, n1, m1, 0): Fraction(1, 2)}, "H+")
+            f1 = BasisExpansion({TIndex(L1, n1, m1, 0): Fraction(1, 2)})
             for L2, n2, m2 in all_indices(3):
-                f2 = BasisExpansion({TIndex(L2, n2, m2, -(L2 + 1)): 3}, "H-")
-                assert pair_H2(f1, f2) == pair_H(f1, f2)
+                f2 = BasisExpansion({TIndex(L2, n2, m2, -(L2 + 1)): 3})
+                assert exact_H_pairing(f1, f2) == GC(Fraction(pair_H2(f1, f2)))
 
 
 class TestInnerProduct:
+    """The unitary inner product (1/2 pi^2) Int degt(f1) conj(f2) dS on H+, exactly."""
+
     def test_powers_of_entry(self):
         for k in (0, 1, 2, 5):
             f = BasisExpansion.monomial("z11", k)
-            assert inner_product(f, f) == 1
+            assert exact_inner_product(f, f) == GC(1)
 
     def test_factorial_value(self):
-        f = BasisExpansion({TIndex(2, 0, 2, 0): 1}, "H+")
-        assert inner_product(f, f) == 2
+        f = BasisExpansion({TIndex(2, 0, 2, 0): 1})
+        assert exact_inner_product(f, f) == GC(2)
 
     def test_mismatch_vanishes(self):
-        f1 = BasisExpansion({TIndex(2, 0, 2, 0): 1}, "H+")
-        f2 = BasisExpansion({TIndex(2, 2, 0, 0): 1}, "H+")
-        assert inner_product(f1, f2) == 0
+        f1 = BasisExpansion({TIndex(2, 0, 2, 0): 1})
+        f2 = BasisExpansion({TIndex(2, 2, 0, 0): 1})
+        assert exact_inner_product(f1, f2) == GC(0)
 
     def test_conjugates_second_argument(self):
-        f = BasisExpansion({TIndex(1, -1, -1, 0): 1j}, "H+")
-        assert inner_product(f, f) == 1
+        f = BasisExpansion({TIndex(1, -1, -1, 0): 1j})
+        assert exact_inner_product(f, f) == GC(1)
 
     def test_exact_oracle_diagonal(self):
         for L, n, m in all_indices(4):
-            f = BasisExpansion({TIndex(L, n, m, 0): 1}, "H+")
-            assert exact_inner_product(f, f) == GC(Fraction(inner_product(f, f)))
-
-    def test_requires_harmonic_polynomials(self):
-        with pytest.raises(ValueError):
-            inner_product(BasisExpansion({TIndex(0, 0, 0, -1): 1}), BasisExpansion.one())
+            idx = TIndex(L, n, m, 0)
+            f = BasisExpansion({idx: 1})
+            assert exact_inner_product(f, f) == GC(unitary_norm(idx))
 
 
 class TestExpansion:
-    def test_l0_term_only(self):
-        W = ComplexQuaternion(2, 0, 0, 2)
-        e = expand_1_over_N(W, 0)
-        assert e(ComplexQuaternion.zero()) == pytest.approx(0.25)
-
-    def test_truncation_error_decreases(self):
-        W = ComplexQuaternion(2.0 + 0.1j, 0.2, -0.1, 1.9 - 0.2j)
-        Z = ComplexQuaternion(0.3, 0.1j, 0.05, 0.25)
-        direct = 1.0 / complex(norm(Z - W))
-        errs = [abs(expand_1_over_N(W, L)(Z) - direct) for L in (0, 2, 4, 8, 12)]
-        assert all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
-        assert errs[-1] < 1e-9
-
     def test_monomial_index(self):
-        assert monomial_index("z22", 3) == TIndex(3, 3, 3, 0)
-        assert monomial_index("z21", 2) == TIndex(2, 2, -2, 0)
+        assert BasisExpansion.monomial("z22", 3).coeffs == {TIndex(3, 3, 3, 0): 1}
+        assert BasisExpansion.monomial("z21", 2).coeffs == {TIndex(2, 2, -2, 0): 1}
