@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, permutations, product
+from operator import itemgetter
 
 __all__ = [
     "EXTERNALS",
@@ -45,8 +46,11 @@ __all__ = [
 EXTERNALS = ("Z1", "Z2", "W1", "W2")
 
 # Most loops canonicalized and enumerated: canonical_key tries up to n!
-# relabellings, and enumerate_diagrams(8) takes a few seconds (2704 classes).
+# relabellings, and enumerate_diagrams(8) takes about 1 s (2704 classes).
 MAX_LOOPS = 8
+
+# Vertex indices of canonical_key: the externals, then T1..T_MAX_LOOPS.
+_INDEX = {v: i for i, v in enumerate(EXTERNALS + tuple(f"T{k}" for k in range(1, MAX_LOOPS + 1)))}
 
 # The two externals receiving the slingshot arms (and the dashed string)
 # when attaching at a given site; fixed so that attaching at W2 or Z2
@@ -101,10 +105,6 @@ class BoxDiagram:
     @property
     def internals(self) -> tuple[str, ...]:
         return tuple(f"T{i}" for i in range(1, self.n + 1))
-
-    @property
-    def vertices(self) -> tuple[str, ...]:
-        return EXTERNALS + self.internals
 
 
 def _edge(a: str, b: str) -> tuple[str, str]:
@@ -224,64 +224,53 @@ def assign_radii(d: BoxDiagram) -> RadiiAssignment:
     )
 
 
-def _colour_cells(d: BoxDiagram) -> list[list[str]]:
-    """Equitable partition of the internal vertices by colour refinement.
-
-    A vertex starts with the colour given by its relations to the four
-    fixed externals; each round recolours it by its old colour and the
-    multiset of (colour, relation) over the other internal vertices,
-    until the number of cells stops growing.  Colours are ranks of
-    sorted signatures, so they never depend on the internal labels.
-    Returns the cells ordered by colour.
-    """
-    solid: dict[tuple[str, str], int] = {}
-    dashed: dict[tuple[str, str], int] = {}
-    for edges, count in ((d.solid, solid), (d.dashed, dashed)):
-        for (a, b) in edges:
-            count[(a, b)] = count[(b, a)] = count.get((a, b), 0) + 1
-    internals = d.internals
-    # rel[v][u]: solid multiplicity, dashed multiplicity, v < u, u < v.
-    rel = {v: {u: (solid.get((v, u), 0), dashed.get((v, u), 0), (v, u) in d.order, (u, v) in d.order)
-               for u in d.vertices if u != v}
-           for v in internals}
-    colour = {v: tuple(rel[v][x] for x in EXTERNALS) for v in internals}
-    cells = len(set(colour.values()))
-    while True:
-        sig = {v: (colour[v], tuple(sorted((colour[u], r) for u, r in rel[v].items() if u in colour)))
-               for v in internals}
-        rank = {s: i for i, s in enumerate(sorted(set(sig.values())))}
-        colour = {v: rank[sig[v]] for v in internals}
-        if len(rank) == cells:
-            break
-        cells = len(rank)
-    return [[v for v in internals if colour[v] == c] for c in range(cells)]
-
-
 def canonical_key(d: BoxDiagram):
     """Label-permutation-invariant key; equal keys iff isomorphic diagrams.
 
-    Internal vertices are split into colour cells by refinement
-    (`_colour_cells`), which any isomorphism preserves; the key is the
-    least (n, solid, dashed, order) encoding over the relabellings that
-    number the cells in colour order and permute vertices only within a
-    cell.  The permutations tried are the product of the cell sizes'
-    factorials, at most n!, so n <= MAX_LOOPS.
+    On vertex indices (externals 0..3, fixed; T1..Tn 4..n+3), one integer
+    matrix codes each pair's relation as 4n * solid + 4 * dashed
+    multiplicity + 2 (a < b) + (b < a), injective as a pair has fewer than
+    n dashed edges.  Colour refinement splits the internals into cells that
+    any isomorphism preserves: a vertex starts with its row against the
+    externals, then takes the rank of its colour and sorted (colour,
+    relation) codes, until the cells stop growing or are single vertices.
+    The key, (n, the matrix read in vertex order), is the least over the
+    orders that take the cells in colour order and permute within each:
+    at most n! orders, so n <= MAX_LOOPS.
     """
-    if d.n > MAX_LOOPS:
+    n = d.n
+    if n > MAX_LOOPS:
         raise ValueError(f"canonical_key supports at most {MAX_LOOPS} internal vertices")
+    rel = [[0] * (n + 4) for _ in range(n + 4)]
+    for edges, weight in ((d.solid, 4 * n), (d.dashed, 4)):
+        for (a, b) in edges:
+            i, j = _INDEX[a], _INDEX[b]
+            rel[i][j] += weight
+            rel[j][i] += weight
+    for (a, b) in d.order:
+        i, j = _INDEX[a], _INDEX[b]
+        rel[i][j] += 2
+        rel[j][i] += 1
+    rows = rel[4:]
+    scale = 4 * n * (len(d.solid) + 1)  # above every relation code
+    sigs = [tuple(row[:4]) for row in rows]
+    cells = 0
+    while True:
+        ranked = sorted(set(sigs))
+        if len(ranked) == cells:
+            break
+        cells = len(ranked)
+        rank = {s: c for c, s in enumerate(ranked)}
+        colour = [rank[s] for s in sigs]
+        if cells == n:
+            break
+        sigs = [(c, tuple(sorted([cu * scale + r for cu, r in zip(colour, row[4:])])))
+                for c, row in zip(colour, rows)]
+    members = [[v for v, c in enumerate(colour, start=4) if c == k] for k in range(cells)]
     best = None
-    for perms in product(*(permutations(cell) for cell in _colour_cells(d))):
-        mapping = {v: f"T{i}" for i, v in enumerate(chain.from_iterable(perms), start=1)}
-
-        def rn(v: str) -> str:
-            return mapping.get(v, v)
-
-        key = (
-            d.n,
-            tuple(sorted(_edge(rn(a), rn(b)) for (a, b) in d.solid)),
-            tuple(sorted(_edge(rn(a), rn(b)) for (a, b) in d.dashed)),
-            tuple(sorted((rn(a), rn(b)) for (a, b) in d.order)),
-        )
+    for perms in product(*(permutations(cell) for cell in members)):
+        read = itemgetter(0, 1, 2, 3, *chain.from_iterable(perms))
+        key = (n, tuple(map(read, read(rel))))
         if best is None or key < best:
             best = key
     return best

@@ -551,5 +551,11 @@ def run_suite(name: str, radius: float | None = None, nodes: int | None = None,
             kwargs.update(dict.fromkeys(node_args, nodes))
         if tol is not None:
             kwargs["tol"] = tol
-        checks.append(check(**kwargs))
+        try:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # non-finite values raise
+                checks.append(check(**kwargs))
+        except (ValueError, ArithmeticError) as exc:
+            if name != "all":
+                raise
+            raise type(exc)(f"{nm}: {exc}") from exc
     return SuiteReport(tuple(checks))

@@ -18,11 +18,12 @@ and inner-product tables can be checked with no numerical tolerance.
 
 The exact combinatorial layers have brute-force oracles here too: the
 fixpoint transitive closure of an order, the structural invariants of
-a box diagram, the all-permutations canonical key, the a-table row by
-Fraction suffix sums, the two-loop eigenvalues in closed form and every
-eigenvalue extracted from a ladder image, the ladder image by the
-one-step ladder recursion, diagram images by peeling the history in
-Fractions, and the magic check comparing Fraction images.
+a box diagram, the all-permutations canonical key and the string-keyed
+colour-refinement key, the a-table row by Fraction suffix sums, the
+two-loop eigenvalues in closed form and every eigenvalue extracted from
+a ladder image, the ladder image by the one-step ladder recursion,
+diagram images by peeling the history in Fractions, and the magic check
+comparing Fraction images.
 
 The polylogarithms and ladder functions are checked against
 one-dimensional integral representations, summed by a Gauss-Legendre
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations, product
 
 import numpy as np
 
@@ -356,6 +357,52 @@ def brute_force_key(d: BoxDiagram) -> tuple:
     best = None
     for perm in permutations(internals):
         mapping = dict(zip(internals, perm))
+
+        def rn(v: str) -> str:
+            return mapping.get(v, v)
+
+        key = (
+            d.n,
+            tuple(sorted(tuple(sorted((rn(a), rn(b)))) for (a, b) in d.solid)),
+            tuple(sorted(tuple(sorted((rn(a), rn(b)))) for (a, b) in d.dashed)),
+            tuple(sorted((rn(a), rn(b)) for (a, b) in d.order)),
+        )
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def refinement_key(d: BoxDiagram) -> tuple:
+    """Least (n, solid, dashed, order) encoding over the relabellings within colour cells.
+
+    The string-keyed form of `canonical_key`: the internal vertices are
+    split by colour refinement on name-keyed relations (solid and dashed
+    multiplicity, v < u, u < v), starting from the relations to the four
+    externals; the relabellings number the cells in colour order and
+    permute vertices only within a cell.
+    """
+    solid: dict[tuple[str, str], int] = {}
+    dashed: dict[tuple[str, str], int] = {}
+    for edges, count in ((d.solid, solid), (d.dashed, dashed)):
+        for (a, b) in edges:
+            count[(a, b)] = count[(b, a)] = count.get((a, b), 0) + 1
+    internals = d.internals
+    rel = {v: {u: (solid.get((v, u), 0), dashed.get((v, u), 0), (v, u) in d.order, (u, v) in d.order)
+               for u in EXTERNALS + internals if u != v}
+           for v in internals}
+    colour = {v: tuple(rel[v][x] for x in EXTERNALS) for v in internals}
+    cells = len(set(colour.values()))
+    while True:
+        sig = {v: (colour[v], tuple(sorted((colour[u], r) for u, r in rel[v].items() if u in colour)))
+               for v in internals}
+        rank = {s: i for i, s in enumerate(sorted(set(sig.values())))}
+        colour = {v: rank[sig[v]] for v in internals}
+        if len(rank) == cells:
+            break
+        cells = len(rank)
+    best = None
+    for perms in product(*(permutations(v for v in internals if colour[v] == c) for c in range(cells))):
+        mapping = {v: f"T{i}" for i, v in enumerate(chain.from_iterable(perms), start=1)}
 
         def rn(v: str) -> str:
             return mapping.get(v, v)

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -154,6 +155,24 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "orthogonality", "--radius", "1e60", "--nodes", "8")
         assert (code, out) == (2, "")
         assert err.startswith("verify: orthogonality at radius 1e+60: non-finite value of integrand")
+
+    def test_overflow_under_all_names_the_check(self, capsys):
+        # The checks before orthogonality get through this radius; the message
+        # names the one that did not, once.
+        code, out, err = run(capsys, "verify", "all", "--radius", "1e60", "--nodes", "8")
+        assert (code, out) == (2, "")
+        assert err.startswith("verify: all at radius 1e+60: orthogonality: non-finite value of integrand")
+        assert err.count("orthogonality") == 1
+
+    def test_extreme_radius_warns_nothing(self, capsys):
+        # numpy's overflow and invalid-value warnings stay quiet; the
+        # finiteness checks still end the run with exit 2 and one message.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "verify", "orthogonality", "--radius", "1e-60", "--nodes", "8")
+        assert (code, out) == (2, "")
+        assert err.startswith("verify: orthogonality at radius 1e-60: non-finite value of integrand")
+        assert [str(w.message) for w in caught] == []
 
     def test_unknown_suite_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -9,10 +9,12 @@ from fractions import Fraction
 
 import pytest
 
+from boxmagic import diagrams
 from boxmagic.diagrams import (
     _NEW_RELATIONS,
     _close_at,
     EXTERNALS,
+    BoxDiagram,
     MAX_LOOPS,
     assign_radii,
     attach_slingshot,
@@ -22,7 +24,7 @@ from boxmagic.diagrams import (
     one_loop,
     to_dot,
 )
-from oracles import brute_force_key, net_degree, transitive_closure, validate_diagram
+from oracles import brute_force_key, net_degree, refinement_key, transitive_closure, validate_diagram
 
 
 class TestOneLoop:
@@ -173,6 +175,38 @@ class TestRadii:
             assert ra.r_min_1 > 0 and ra.r_min_2 > 0
 
 
+def _random_diagram(rng: random.Random, n: int) -> BoxDiagram:
+    """Random solid and dashed multisets (fewer than n dashed edges) and a random acyclic order."""
+    vertices = EXTERNALS + tuple(f"T{i}" for i in range(1, n + 1))
+    pairs = [(a, b) for i, a in enumerate(vertices) for b in vertices[i + 1:]]
+    rank = dict(zip(vertices, rng.sample(range(len(vertices)), len(vertices))))
+    return BoxDiagram(
+        n=n,
+        solid=tuple(sorted(tuple(sorted(rng.choice(pairs))) for _ in range(rng.randint(1, 2 * n)))),
+        dashed=tuple(sorted(tuple(sorted(rng.choice(pairs))) for _ in range(rng.randint(0, n - 1)))),
+        order=frozenset((a, b) for a in vertices for b in vertices if rank[a] < rank[b] and rng.random() < 0.2),
+    )
+
+
+def _variants(rng: random.Random, d: BoxDiagram) -> list[BoxDiagram]:
+    """d under a random relabelling of T1..Tn, with one solid edge made dashed,
+    and with one order pair reversed."""
+    perm = dict(zip(d.internals, rng.sample(d.internals, d.n)))
+
+    def rn(v: str) -> str:
+        return perm.get(v, v)
+
+    out = [BoxDiagram(n=d.n, solid=tuple(sorted(tuple(sorted((rn(a), rn(b)))) for a, b in d.solid)),
+                      dashed=tuple(sorted(tuple(sorted((rn(a), rn(b)))) for a, b in d.dashed)),
+                      order=frozenset((rn(a), rn(b)) for a, b in d.order))]
+    if len(d.dashed) < d.n - 1:
+        out.append(dataclasses.replace(d, solid=d.solid[1:], dashed=tuple(sorted(d.dashed + d.solid[:1]))))
+    if d.order:
+        a, b = min(d.order)
+        out.append(dataclasses.replace(d, order=d.order - {(a, b)} | {(b, a)}))
+    return out
+
+
 class TestCanonicalKey:
     def test_stable_for_one_loop(self):
         assert canonical_key(one_loop()) == canonical_key(one_loop())
@@ -196,6 +230,35 @@ class TestCanonicalKey:
                     assert (keys[i] == keys[j]) == (brute[i] == brute[j]), \
                         (children[i].history, children[j].history)
 
+    def test_matches_refinement_oracle(self):
+        # Every child attempted while enumerating up to six loops, and the
+        # one-loop seed: two keys are equal exactly when their keys from the
+        # string-keyed refinement are equal.
+        diagrams_seen = [one_loop()]
+        diagrams_seen += [attach_slingshot(d, s) for n in range(1, 6) for d in enumerate_diagrams(n)
+                          for s in EXTERNALS]
+        assert len(diagrams_seen) == 389
+        keys = [canonical_key(d) for d in diagrams_seen]
+        oracle = [refinement_key(d) for d in diagrams_seen]
+        assert len(set(keys)) == len(set(oracle)) == len(set(zip(keys, oracle)))
+
+    def test_matches_brute_force_key_on_random_diagrams(self):
+        # Unlike enumerated diagrams, these have colour cells that refinement
+        # cannot split, and variants that differ only in one pair's relation.
+        rng = random.Random(11)
+        found = []
+        for _ in range(200):
+            d = _random_diagram(rng, rng.randint(1, 4))
+            found += [d, *_variants(rng, d)]
+        # Two labellings of one ring through four internal vertices, which
+        # refinement leaves in one cell.
+        for ring in (("T1", "T2", "T3", "T4"), ("T1", "T3", "T2", "T4")):
+            edges = (tuple(sorted(e)) for e in zip(ring, ring[1:] + ring[:1]))
+            found.append(BoxDiagram(n=4, solid=tuple(sorted(edges)), dashed=(), order=frozenset()))
+        keys = [canonical_key(d) for d in found]
+        brute = [brute_force_key(d) for d in found]
+        assert len(set(keys)) == len(set(brute)) == len(set(zip(keys, brute)))
+
     def test_size_limit(self):
         d = one_loop()
         for _ in range(MAX_LOOPS):
@@ -209,8 +272,8 @@ class TestEnumeration:
     def test_counts(self):
         # n = 2 is the stated count; the higher counts are regression
         # values recorded from exhaustive attachment with deduplication.
-        # They follow OEIS A006012, a(n) = 4 a(n-1) - 2 a(n-2), on to
-        # 2704 at n = 8 (about 2.5 s, left out of the suite).
+        # They follow OEIS A006012, a(n) = 4 a(n-1) - 2 a(n-2); n = 8
+        # takes about 1 s.
         assert len(enumerate_diagrams(1)) == 1
         assert len(enumerate_diagrams(2)) == 2
         assert len(enumerate_diagrams(3)) == 6
@@ -218,6 +281,20 @@ class TestEnumeration:
         assert len(enumerate_diagrams(5)) == 68
         assert len(enumerate_diagrams(6)) == 232
         assert len(enumerate_diagrams(7)) == 792
+        assert len(enumerate_diagrams(8)) == 2704
+
+    def test_calls_through_module_names(self, monkeypatch):
+        # The span tracer of the benchmark wraps canonical_key and
+        # attach_slingshot in the module; enumeration must call them there,
+        # once per attempted child and once for the one-loop seed.
+        calls = {"canonical_key": 0, "attach_slingshot": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(diagrams, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(diagrams, name, counted)
+        assert len(enumerate_diagrams(6)) == 232
+        assert calls == {"canonical_key": 1 + 4 * (1 + 2 + 6 + 20 + 68), "attach_slingshot": 388}
 
     def test_invariants_and_external_degree_property(self):
         # At every external vertex the solid count exceeds the dashed
