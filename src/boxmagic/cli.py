@@ -159,10 +159,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_phi(args: argparse.Namespace) -> int:
     try:
-        if args.level == 1:
-            val = polylog.phi1(args.x, args.y, constant=args.constant)
-        else:
-            val = polylog.phi(args.level, args.x, args.y)
+        val = polylog.phi(args.level, args.x, args.y)
     except ValueError as exc:
         print(f"phi: {exc}", file=sys.stderr)
         return 2
@@ -215,10 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="loop order L of Phi^(L)")
     ph.add_argument("--x", type=float, required=True)
     ph.add_argument("--y", type=float, required=True)
-    ph.add_argument("--constant", choices=tuple(polylog.PHI1_CONSTANTS), default="printed",
-                    help="constant term of the level-1 function: printed (pi^3/3, the default) "
-                         "or pi-squared (pi^2/3); only pi-squared agrees with the integral "
-                         "representation of Phi^(1)")
     ph.set_defaults(func=_cmd_phi)
 
     return p

@@ -1,4 +1,4 @@
-"""Box diagrams: construction, partial order, radii, enumeration.
+"""Box diagrams: construction, partial order, enumeration.
 
 A box diagram has four external vertices Z1, Z2, W1, W2 and n internal
 vertices T1..Tn.  The one-loop diagram joins a single internal vertex to
@@ -24,7 +24,6 @@ are canonicalized and enumerated up to MAX_LOOPS loops.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain, permutations, product
 from operator import itemgetter
 
@@ -33,11 +32,9 @@ __all__ = [
     "ADJACENT",
     "MAX_LOOPS",
     "BoxDiagram",
-    "RadiiAssignment",
     "one_loop",
     "attach_slingshot",
     "from_history",
-    "assign_radii",
     "canonical_key",
     "enumerate_diagrams",
     "to_dot",
@@ -158,70 +155,6 @@ def from_history(history: tuple[str, ...]) -> BoxDiagram:
     for site in history:
         d = attach_slingshot(d, site)
     return d
-
-
-@dataclass(frozen=True)
-class RadiiAssignment:
-    """Cycle radii for the internal vertices plus the external bounds.
-
-    Externals Z_i live outside radius r_max_i = max{r_k : T_k < Z_i};
-    externals W_i live inside r_min_i = min{r_k : W_i < T_k}.
-    """
-
-    r: dict[str, Fraction]
-    r_max_1: Fraction
-    r_max_2: Fraction
-    r_min_1: Fraction
-    r_min_2: Fraction
-
-
-def assign_radii(d: BoxDiagram) -> RadiiAssignment:
-    """Strictly order-compatible radii by longest-chain leveling.
-
-    Internal vertex T gets level = longest internal chain strictly below
-    it, and radius (level+1)/(depth+2), an exact rational in (0, 1); the
-    strict inequalities r_i < r_j for T_i < T_j then hold by
-    construction and are re-validated.
-    """
-    internals = d.internals
-    below = {t: {s for s in internals if (s, t) in d.order} for t in internals}
-
-    levels: dict[str, int] = {}
-
-    def level(t: str) -> int:
-        if t not in levels:
-            levels[t] = 1 + max((level(s) for s in below[t]), default=-1)
-        return levels[t]
-
-    for t in internals:
-        if t in below[t]:
-            raise ValueError(f"order has a cycle through {t}")
-        level(t)
-    depth = max(levels.values())
-    r = {t: Fraction(levels[t] + 1, depth + 2) for t in internals}
-
-    for i in internals:
-        for j in internals:
-            if (i, j) in d.order and not r[i] < r[j]:
-                raise ValueError(f"radii violate {i} < {j}")
-
-    def r_max(z: str) -> Fraction:
-        cand = [r[t] for t in internals if (t, z) in d.order]
-        if not cand:
-            raise ValueError(f"no internal vertex below {z}")
-        return max(cand)
-
-    def r_min(w: str) -> Fraction:
-        cand = [r[t] for t in internals if (w, t) in d.order]
-        if not cand:
-            raise ValueError(f"no internal vertex above {w}")
-        return min(cand)
-
-    return RadiiAssignment(
-        r=r,
-        r_max_1=r_max("Z1"), r_max_2=r_max("Z2"),
-        r_min_1=r_min("W1"), r_min_2=r_min("W2"),
-    )
 
 
 def canonical_key(d: BoxDiagram):

@@ -31,9 +31,8 @@ serves every loop order L (Usyukina and Davydychev, Phys. Lett. B 305
     Phi^(L) = -1/(L! lambda) sum_{j=L}^{2L} (-1)^j j! ln^(2L-j)(y/x)
               / ((j-L)! (2L-j)!) * [Li_j(-1/(rho x)) - Li_j(-rho y)].
 
-Its constant term at L = 1 is pi^2/3; `phi1` can replace it by the
-pi^3/3 of the "printed" variant, its default.  Only "pi-squared" agrees
-with the one-dimensional integral representation of Phi^(1).
+At L = 1 it has the constant term pi^2/3 and agrees with the
+one-dimensional integral representation of Phi^(1).
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ __all__ = [
     "phi",
     "phi1",
     "phi2",
-    "PHI1_CONSTANTS",
 ]
 
 _SERIES_RADIUS = 0.5
@@ -63,14 +61,6 @@ _SERIES_TOL = 1e-17
 # |ln z| = 4 and below 1e-20 at 3.22.
 _LOG_RADIUS = 4.0
 _LOG_TERMS = 72
-
-# Selectable constant term of Phi^(1): "printed" is pi^3/3, "pi-squared"
-# the pi^2/3 of the closed form, the only one the integral confirms.
-PHI1_CONSTANTS = {
-    "printed": math.pi**3 / 3.0,
-    "pi-squared": math.pi**2 / 3.0,
-}
-
 
 def _check_branch(z: complex) -> None:
     if z.imag == 0 and z.real >= 1.0:
@@ -260,9 +250,11 @@ def phi(L: int, x: float, y: float) -> float:
     return -total / (math.factorial(L) * lam)
 
 
-def phi1(x: float, y: float, constant: str = "printed") -> float:
-    """One-loop ladder function Phi^(1) with the selected constant term (see PHI1_CONSTANTS)."""
-    return phi(1, x, y) + (PHI1_CONSTANTS[constant] - PHI1_CONSTANTS["pi-squared"]) / lambda_rho(x, y)[0]
+def phi1(x: float, y: float, constant: str = "pi-squared") -> float:
+    """One-loop ladder function Phi^(1) = phi(1, x, y); "pi-squared" names its constant term pi^2/3."""
+    if constant != "pi-squared":
+        raise ValueError(f"Phi^(1) has the constant term pi^2/3 ('pi-squared'), got {constant!r}")
+    return phi(1, x, y)
 
 
 def phi2(x: float, y: float) -> float:

@@ -37,9 +37,6 @@ __all__ = [
     "SuiteReport",
     "DomainError",
     "integrate",
-    "poisson_eval",
-    "lemma_zp_eval",
-    "collapse_z1",
     "one_loop_eval",
     "normalization_check",
     "poisson_check",
@@ -96,13 +93,16 @@ def _grid(chart: str, radius: float, n: int):
     x, wgl = np.polynomial.legendre.leggauss(n)
     theta = 0.25 * np.pi * (x + 1.0)
     wth = wgl * 0.25 * np.pi
-    if chart == "u2":
-        for phi in np.arange(n) * (np.pi / n):
-            *z, density = chart_u2(radius, phi, periodic[:, None, None], theta[:, None], periodic)
-            yield _flat(*z, density * wth[:, None] * ((np.pi / n) * (2.0 * np.pi / n) ** 2))
-    else:
-        *z, density = chart_s3(radius, periodic[:, None, None], theta[:, None], periodic)
-        yield _flat(*z, (density * wth[:, None] * (2.0 * np.pi / n) ** 2).astype(complex))
+    try:
+        if chart == "u2":
+            for phi in np.arange(n) * (np.pi / n):
+                *z, density = chart_u2(radius, phi, periodic[:, None, None], theta[:, None], periodic)
+                yield _flat(*z, density * wth[:, None] * ((np.pi / n) * (2.0 * np.pi / n) ** 2))
+        else:
+            *z, density = chart_s3(radius, periodic[:, None, None], theta[:, None], periodic)
+            yield _flat(*z, (density * wth[:, None] * (2.0 * np.pi / n) ** 2).astype(complex))
+    except OverflowError:  # a power of the radius in the chart density (numpy overflows give inf)
+        raise OverflowError(f"a value of the {chart} chart leaves the float range") from None
 
 
 def _flat(*arrays):
@@ -174,51 +174,17 @@ def _kernel_pass(chart: str, R: float, nodes: int, rows) -> list[complex]:
 
 
 # ---------------------------------------------------------------------------
-# Collapse-identity evaluations, each the one-row case of a kernel pass
-
-
-def poisson_eval(phi: BasisExpansion, W: ComplexQuaternion, R: float,
-                 nodes: int = 24) -> complex:
-    """Reproducing integral (1/2 pi^2) Int_{S^3_R} (degt phi)(Z)/N(Z-W) dS/R.
-
-    Equals phi(W) for harmonic phi with W strictly inside radius R.
-    """
-    _require_side(W, R, "plus", "evaluation point")
-    return _kernel_pass("s3", R, nodes, [(phi.degt(), (W,))])[0]
-
-
-def collapse_z1(phi: BasisExpansion, W: ComplexQuaternion, R: float,
-                nodes: int = 24) -> complex:
-    """Single-point collapse (i/2 pi^3) Int (degt phi)(Z) / (N(Z) N(Z-W)) dV.
-
-    The inverse of the quotient isomorphism: reproduces phi(W) for
-    harmonic polynomial phi and W strictly inside radius R, for any R.
-    """
-    _require_side(W, R, "plus", "evaluation point")
-    return _kernel_pass("u2", R, nodes, [(phi.degt(), (None, W))])[0]
-
-
-def lemma_zp_eval(ij: str, k: int, W: ComplexQuaternion, Wp: ComplexQuaternion,
-                  R: float, nodes: int = 20) -> complex:
-    """Two-point collapse (i/2 pi^3) Int (z_ij)^k dV / (N(Z-W) N(Z-W')).
-
-    Equals 1/(k+1) sum_p (w_ij)^p (w'_ij)^(k-p) for W, W' strictly
-    inside radius R.
-    """
-    _check_entry(ij)
-    _require_side(W, R, "plus", "first evaluation point")
-    _require_side(Wp, R, "plus", "second evaluation point")
-    return _kernel_pass("u2", R, nodes, [(BasisExpansion.monomial(ij, k), (W, Wp))])[0]
-
-
-def _check_entry(ij: str) -> None:
-    if ij not in ("z11", "z12", "z21", "z22"):
-        raise ValueError("ij must name one of the four entries")
+# Closed forms and the one-loop integral
 
 
 def zp_closed_form(ij: str, k: int, W: ComplexQuaternion, Wp: ComplexQuaternion) -> complex:
-    """Closed form 1/(k+1) sum_p (w_ij)^p (w'_ij)^(k-p) of `lemma_zp_eval`."""
-    _check_entry(ij)
+    """Closed form 1/(k+1) sum_p (w_ij)^p (w'_ij)^(k-p) of the two-point collapse.
+
+    The collapse is (i/2 pi^3) Int (z_ij)^k dV / (N(Z-W) N(Z-W')) with W,
+    W' strictly inside the cycle.
+    """
+    if ij not in ("z11", "z12", "z21", "z22"):
+        raise ValueError("ij must name one of the four entries")
     w = getattr(W, ij)
     wp = getattr(Wp, ij)
     return sum(w**p * wp ** (k - p) for p in range(k + 1)) / (k + 1)

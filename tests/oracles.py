@@ -19,11 +19,11 @@ and inner-product tables can be checked with no numerical tolerance.
 The exact combinatorial layers have brute-force oracles here too: the
 fixpoint transitive closure of an order, the structural invariants of
 a box diagram, the all-permutations canonical key and the string-keyed
-colour-refinement key, the a-table row by Fraction suffix sums, the
-two-loop eigenvalues in closed form and every eigenvalue extracted from
-a ladder image, the ladder image by the one-step ladder recursion,
-diagram images by peeling the history in Fractions, and the magic check
-comparing Fraction images.
+colour-refinement key, the a-table rows and the eigenvalues as closed
+binomial sums over 1/m^n (no recursion in the loop order), every
+eigenvalue extracted from a ladder image, the ladder image by the
+one-step ladder recursion, diagram images by peeling the history in
+Fractions, and the magic check comparing Fraction images.
 
 The polylogarithms and ladder functions are checked against
 one-dimensional integral representations, summed by a Gauss-Legendre
@@ -349,6 +349,11 @@ def validate_diagram(d: BoxDiagram) -> None:
             raise ValueError(f"order contains a 2-cycle {a} <-> {b}")
     if transitive_closure(d.order) != d.order:
         raise ValueError(f"order is not transitively closed: {sorted(transitive_closure(d.order) - d.order)} missing")
+    # Each Z lies outside some cycle and each W inside one: an internal vertex below each Z, above each W.
+    for v in EXTERNALS:
+        below = v.startswith("Z")
+        if not any((t, v) in d.order if below else (v, t) in d.order for t in d.internals):
+            raise ValueError(f"no internal vertex {'below' if below else 'above'} {v}")
 
 
 def brute_force_key(d: BoxDiagram) -> tuple:
@@ -418,30 +423,26 @@ def refinement_key(d: BoxDiagram) -> tuple:
     return best
 
 
-def a_row_fraction(n: int, k: int) -> tuple[Fraction, ...]:
-    """a^k(n, .) by a^k(n, p) = sum_{q >= p} a^k(n-1, q)/(q+1) in Fractions."""
-    row = [Fraction(1, k + 1)] * (k + 1)
-    for _ in range(n - 1):
-        acc = Fraction(0)
-        for q in range(k, -1, -1):
-            acc += row[q] / (q + 1)
-            row[q] = acc
-    return tuple(row)
+def a_row_closed(n: int, k: int) -> tuple[Fraction, ...]:
+    """a^k(n, p) = sum_{m=p+1..k+1} (-1)^(m-1-p) C(k, m-1) C(m-1, p) / m^n, p = 0..k, in Fractions.
+
+    The coefficients of u^k a^p b^(k-p) in Li_n(xi) / (xi (1 - u b)),
+    xi = u (a - b) / (1 - u b): a sum, not the recursion in n.
+    """
+    return tuple(sum((Fraction((-1) ** (m - 1 - p) * math.comb(k, m - 1) * math.comb(m - 1, p), m**n)
+                      for m in range(p + 1, k + 2)), Fraction(0))
+                 for p in range(k + 1))
 
 
-def mu_fraction(n: int, k: int) -> Fraction:
-    """mu^(n)_k = sum_p (-1)^(k+p+1) a^(k-1)(n, p) C(k-1, p) in Fractions."""
-    return sum(((-1) ** (k + p + 1) * a * math.comb(k - 1, p)
-                for p, a in enumerate(a_row_fraction(n, k - 1))), Fraction(0))
+def mu_closed(n: int, k: int) -> Fraction:
+    """mu^(n)_k = sum_{m=1..k} (-1)^(k+m) C(k-1, m-1) C(k+m-2, k-1) / m^n in Fractions.
 
-
-def mu2_closed(k: int) -> Fraction:
-    """Closed form of the two-loop eigenvalues: 1, then (-1)^(k+1)/(k(k-1))."""
+    At n = 2 this is 1, then (-1)^(k+1) / (k (k-1)).
+    """
     if k < 1:
         raise ValueError("component index k must be >= 1")
-    if k == 1:
-        return Fraction(1)
-    return Fraction((-1) ** (k + 1), k * (k - 1))
+    return sum((Fraction((-1) ** (k + m) * math.comb(k - 1, m - 1) * math.comb(k + m - 2, k - 1), m**n)
+                for m in range(1, k + 1)), Fraction(0))
 
 
 def eigenvalue_extract(img: GeneratorImage, k: int) -> Fraction:

@@ -164,6 +164,13 @@ class TestVerify:
         assert err.startswith("verify: all at radius 1e+60: orthogonality: non-finite value of integrand")
         assert err.count("orthogonality") == 1
 
+    @pytest.mark.parametrize("suite, chart", [("normalization", "u2"), ("poisson", "s3")])
+    def test_chart_overflow_is_named(self, capsys, suite, chart):
+        # The radius power in the chart density (R^4 on u2, R^3 on s3) leaves the float range.
+        code, out, err = run(capsys, "verify", suite, "--radius", "1e200", "--nodes", "8")
+        assert (code, out) == (2, "")
+        assert err == f"verify: {suite} at radius 1e+200: a value of the {chart} chart leaves the float range\n"
+
     def test_extreme_radius_warns_nothing(self, capsys):
         # numpy's overflow and invalid-value warnings stay quiet; the
         # finiteness checks still end the run with exit 2 and one message.
@@ -185,7 +192,7 @@ class TestPhi:
         code, out, _ = run(capsys, "phi", "--level", "1", "--x", "0.1", "--y", "0.2")
         assert code == 0
         text = out.strip()
-        assert float(text) == pytest.approx(18.5455412166476515, rel=1e-15)
+        assert float(text) == pytest.approx(7.54222913781126791, rel=1e-15)
         assert len(text.replace(".", "").lstrip("-")) >= 17
 
     def test_level_two(self, capsys):
@@ -194,8 +201,9 @@ class TestPhi:
         assert out.strip().startswith("34.328001574515")
 
     def test_levels_one_and_two_bytes(self, capsys):
-        # Output recorded when --level accepted only 1 and 2.
-        for level, text in (("1", "18.545541216647653\n"), ("2", "34.328001574515021\n")):
+        # Level 2 as recorded when --level accepted only 1 and 2; level 1 is phi(1, x, y),
+        # the closed form with the constant term pi^2/3.
+        for level, text in (("1", "7.5422291378112707\n"), ("2", "34.328001574515021\n")):
             code, out, _ = run(capsys, "phi", "--level", level, "--x", "0.1", "--y", "0.2")
             assert (code, out) == (0, text)
 
@@ -206,10 +214,12 @@ class TestPhi:
         assert out == f"{phi(level, 0.1, 0.2):.17g}\n"
 
     def test_constant_variant_flag(self, capsys):
-        code, out, _ = run(capsys, "phi", "--level", "1", "--x", "0.1", "--y", "0.1",
-                           "--constant", "pi-squared")
-        assert code == 0
-        assert out.strip().startswith("9.10778089194327")
+        # Level 1 has one constant term, pi^2/3, so there is no flag to choose it.
+        assert run(capsys, "phi", "--level", "1", "--x", "0.1", "--y", "0.1")[:2] == (0, "9.1077808919432748\n")
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "phi", "--level", "1", "--x", "0.1", "--y", "0.1", "--constant", "pi-squared")
+        assert exc.value.code == 2
+        assert "--constant" in capsys.readouterr().err
 
     def test_region_violation_exit_2(self, capsys):
         code, _, err = run(capsys, "phi", "--level", "1", "--x", "0.6", "--y", "0.6")

@@ -1,11 +1,10 @@
-"""Tests for box-diagram construction, ordering, radii and enumeration."""
+"""Tests for box-diagram construction, ordering and enumeration."""
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -16,7 +15,6 @@ from boxmagic.diagrams import (
     EXTERNALS,
     BoxDiagram,
     MAX_LOOPS,
-    assign_radii,
     attach_slingshot,
     canonical_key,
     enumerate_diagrams,
@@ -46,11 +44,6 @@ class TestOneLoop:
         assert ("W1", "T1") in d.order and ("T1", "Z2") in d.order
         assert ("W1", "Z1") in d.order  # transitive closure
 
-    def test_radii(self):
-        ra = assign_radii(one_loop())
-        assert ra.r["T1"] == Fraction(1, 2)
-        assert ra.r_max_1 == ra.r_max_2 == ra.r_min_1 == ra.r_min_2 == Fraction(1, 2)
-
 
 class TestSlingshot:
     def test_two_loop_ladder_integrand(self):
@@ -65,11 +58,9 @@ class TestSlingshot:
 
     def test_carried_order_gives_nested_radii(self):
         # Attaching at Z2: the old relation W2 < T1 < Z2 carries over as
-        # T1 < T2, hence r_T1 < r_T2.
+        # T1 < T2, so the cycle of T1 lies inside that of T2.
         d = attach_slingshot(one_loop(), "Z2")
         assert ("T1", "T2") in d.order
-        ra = assign_radii(d)
-        assert ra.r["T1"] < ra.r["T2"]
 
     def test_attach_w2_order(self):
         d = attach_slingshot(one_loop(), "W2")
@@ -156,23 +147,15 @@ class TestOrderClosure:
         with pytest.raises(ValueError, match="not transitively closed"):
             validate_diagram(broken)
 
-
-class TestRadii:
-    def test_all_enumerated_diagrams_satisfy_order(self):
-        for n in (1, 2, 3, 4):
-            for d in enumerate_diagrams(n):
-                ra = assign_radii(d)
-                for i in d.internals:
-                    for j in d.internals:
-                        if (i, j) in d.order:
-                            assert ra.r[i] < ra.r[j]
-                assert 0 < min(ra.r.values()) and max(ra.r.values()) < 1
-
-    def test_externals_have_bounds(self):
-        for d in enumerate_diagrams(3):
-            ra = assign_radii(d)
-            assert ra.r_max_1 >= ra.r_min_1 or True  # bounds exist; no relation implied
-            assert ra.r_min_1 > 0 and ra.r_min_2 > 0
+    @pytest.mark.parametrize("v", EXTERNALS)
+    def test_validate_rejects_external_outside_every_cycle_order(self, v):
+        # Dropping the one-loop relation between T1 and v leaves a closed, strict order
+        # in which no cycle separates v: no internal vertex lies below a Z or above a W.
+        d = one_loop()
+        broken = dataclasses.replace(d, order=frozenset(r for r in d.order if set(r) != {"T1", v}))
+        validate_diagram(dataclasses.replace(broken, order=d.order))
+        with pytest.raises(ValueError, match=f"no internal vertex (below|above) {v}"):
+            validate_diagram(broken)
 
 
 def _random_diagram(rng: random.Random, n: int) -> BoxDiagram:

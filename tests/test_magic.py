@@ -26,13 +26,12 @@ from boxmagic.magic import (
     verify_magic,
 )
 from oracles import (
-    a_row_fraction,
+    a_row_closed,
     eigenvalue_extract,
     image_by_history_fraction,
     ladder_image_recursive,
     magic_failures_fraction,
-    mu2_closed,
-    mu_fraction,
+    mu_closed,
 )
 
 
@@ -63,9 +62,9 @@ class TestATable:
         assert sum(a_table(n, k).a) == 1
 
     def test_matches_fraction_oracle(self):
-        for n in range(1, 9):
+        for n in range(1, 17):
             for k in range(0, 33):
-                assert a_table(n, k).a == a_row_fraction(n, k)
+                assert a_table(n, k).a == a_row_closed(n, k)
 
     def test_invariant_validation(self):
         # Every row the commands reach has k + 1 positive, non-increasing entries summing to 1.
@@ -89,18 +88,20 @@ class TestMu:
 
     def test_two_loop_matches_closed_form(self):
         for k in range(1, 65):
-            assert mu(2, k) == mu2_closed(k)
+            assert mu(2, k) == mu_closed(2, k)
 
     def test_closed_form_values(self):
-        assert mu2_closed(1) == 1
-        assert mu2_closed(2) == Fraction(-1, 2)
-        assert mu2_closed(3) == Fraction(1, 6)
+        assert mu_closed(2, 1) == 1
+        assert mu_closed(2, 2) == Fraction(-1, 2)
+        assert mu_closed(2, 3) == Fraction(1, 6)
         assert mu(2, 5) == Fraction(1, 20)
+        for k in range(2, 65):
+            assert mu_closed(2, k) == Fraction((-1) ** (k + 1), k * (k - 1))
 
     def test_matches_fraction_oracle(self):
-        for n in range(1, 9):
-            for k in range(1, 33):
-                assert mu(n, k) == mu_fraction(n, k)
+        for n in range(1, 17):
+            for k in range(1, 65):
+                assert mu(n, k) == mu_closed(n, k)
 
     def test_table_invariant(self):
         t = mu_table(3, 8)
@@ -113,7 +114,7 @@ class TestMu:
         with pytest.raises(ValueError):
             mu(2, 0)
         with pytest.raises(ValueError):
-            mu2_closed(0)
+            mu_closed(2, 0)
 
 
 class TestLadderImage:
@@ -192,7 +193,7 @@ class TestEigenvalueExtract:
 
     def test_two_loop_closed_form(self):
         for k in range(1, 21):
-            assert eigenvalue_extract(ladder_image(2, k - 1), k) == mu2_closed(k)
+            assert eigenvalue_extract(ladder_image(2, k - 1), k) == mu_closed(2, k)
 
     def test_matches_direct_sum_formula(self):
         for n in range(1, 7):

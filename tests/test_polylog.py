@@ -9,14 +9,13 @@ import re
 import numpy as np
 import pytest
 
-from boxmagic.polylog import PHI1_CONSTANTS, lambda_rho, li, li_integral, li_series, phi, phi1, phi2
+from boxmagic.polylog import lambda_rho, li, li_integral, li_series, phi, phi1, phi2
 from oracles import li_oracle, li_series_complex, phi_oracle
 
 # 50-digit reference values from an independent multiprecision evaluation
 # of the same formulas.
-PHI1_01_01_PRINTED = 18.2035564176795057062651089875
 PHI1_01_01_PI2 = 9.10778089194327433237002248734
-PHI1_01_02_PRINTED = 18.5455412166476515252318489209
+PHI1_01_02_PI2 = 7.54222913781126791140435441652
 # Phi^(2)(0.1, 0.2) from the Usyukina-Davydychev integral in 40-digit
 # arithmetic; the closed form gives the same digits.
 PHI2_01_02 = 34.3280015745150154062849285561
@@ -181,22 +180,19 @@ class TestLambdaRho:
 
 
 class TestPhi1:
-    def test_regression_printed(self):
-        assert phi1(0.1, 0.1) == pytest.approx(PHI1_01_01_PRINTED, rel=1e-12)
-        assert phi1(0.1, 0.2) == pytest.approx(PHI1_01_02_PRINTED, rel=1e-12)
+    def test_regression(self):
+        assert phi1(0.1, 0.1) == pytest.approx(PHI1_01_01_PI2, rel=1e-12)
+        assert phi1(0.1, 0.2) == pytest.approx(PHI1_01_02_PI2, rel=1e-12)
 
     def test_constant_variant(self):
         assert phi1(0.1, 0.1, constant="pi-squared") == pytest.approx(PHI1_01_01_PI2, rel=1e-12)
+        for constant in ("printed", "pi-cubed", ""):
+            with pytest.raises(ValueError, match="pi\\^2/3"):
+                phi1(0.1, 0.1, constant=constant)
 
     def test_pi_squared_is_the_closed_form(self):
         for x, y in PHI_POINTS:
-            assert phi1(x, y, constant="pi-squared") == phi(1, x, y)
-
-    def test_printed_offset(self):
-        for x, y in PHI_POINTS:
-            lam, _ = lambda_rho(x, y)
-            shift = (PHI1_CONSTANTS["printed"] - PHI1_CONSTANTS["pi-squared"]) / lam
-            assert phi1(x, y) == pytest.approx(phi(1, x, y) + shift, rel=1e-15)
+            assert phi1(x, y) == phi1(x, y, constant="pi-squared") == phi(1, x, y)
 
     def test_symmetry_grid(self):
         xs = np.linspace(0.02, 0.2, 10)

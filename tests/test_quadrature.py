@@ -14,18 +14,16 @@ from boxmagic.quadrature import (
     DomainError,
     QuadratureSpec,
     _grid,
+    _kernel_pass,
     _orthogonality_grams,
-    collapse_z1,
     conformal_check,
     integrate,
     lemma_zp_check,
-    lemma_zp_eval,
     collapse_check,
     normalization_check,
     one_loop_eval,
     orthogonality_check,
     poisson_check,
-    poisson_eval,
     run_suite,
     zp_closed_form,
 )
@@ -154,22 +152,22 @@ class TestNormalization:
 
 
 class TestPoisson:
+    # The reproducing integral (1/2 pi^2) Int_{S^3_R} (degt phi)(Z)/N(Z-W) dS/R is phi(W)
+    # for harmonic phi and W inside radius R.
     def test_constant_reproduces_one(self):
-        assert poisson_eval(BasisExpansion.one(), W_IN, 1.0, 20) == pytest.approx(1.0, abs=1e-10)
+        got = _kernel_pass("s3", 1.0, 20, [(BasisExpansion.one().degt(), (W_IN,))])[0]
+        assert got == pytest.approx(1.0, abs=1e-10)
 
     def test_quadratic_reproduces_value(self):
         phi = BasisExpansion.monomial("z11", 2)
-        got = poisson_eval(phi, W_IN, 1.0, 20)
+        got = _kernel_pass("s3", 1.0, 20, [(phi.degt(), (W_IN,))])[0]
         assert got == pytest.approx(phi(W_IN), rel=1e-8)
 
     def test_t1_at_origin(self):
         phi = BasisExpansion({TIndex(2, 0, 0, 0): 1})
-        got = poisson_eval(phi, ComplexQuaternion(0, 0, 0, 0), 1.0, 16)
-        assert got == pytest.approx(phi(ComplexQuaternion(0, 0, 0, 0)), abs=1e-10)
-
-    def test_outside_point_refused(self):
-        with pytest.raises(DomainError):
-            poisson_eval(BasisExpansion.one(), ComplexQuaternion(2, 0, 0, 2), 1.0, 8)
+        origin = ComplexQuaternion(0, 0, 0, 0)
+        got = _kernel_pass("s3", 1.0, 16, [(phi.degt(), (origin,))])[0]
+        assert got == pytest.approx(phi(origin), abs=1e-10)
 
     def test_check_passes(self):
         res = poisson_check(nodes=16)
@@ -183,22 +181,23 @@ class TestPoisson:
         phi = BasisExpansion({TIndex(2, 0, 0, 0): 1})
         errs = []
         for n in (6, 12):
-            got = poisson_eval(phi, W_IN, 1.0, n)
+            got = _kernel_pass("s3", 1.0, n, [(phi.degt(), (W_IN,))])[0]
             errs.append(abs(got - phi(W_IN)))
         assert errs[1] <= errs[0] / 10 or errs[1] <= 1e-8
 
 
 class TestCollapse:
+    # The single-point collapse (i/2 pi^3) Int (degt phi)(Z) / (N(Z) N(Z-W)) dV is phi(W)
+    # for harmonic polynomial phi and W inside radius R, at every R.
     def test_powers_collapse_to_point_values(self):
         for k in range(4):
             phi = BasisExpansion.monomial("z11", k)
-            got = collapse_z1(phi, W_IN, 1.0, 16)
+            got = _kernel_pass("u2", 1.0, 16, [(phi.degt(), (None, W_IN))])[0]
             assert got == pytest.approx(phi(W_IN), rel=1e-8, abs=1e-10)
 
     def test_radius_independence(self):
         phi = BasisExpansion.monomial("z11", 2)
-        a = collapse_z1(phi, W_IN, 0.8, 20)
-        b = collapse_z1(phi, W_IN, 1.25, 20)
+        a, b = (_kernel_pass("u2", R, 20, [(phi.degt(), (None, W_IN))])[0] for R in (0.8, 1.25))
         assert abs(a - b) <= 1e-10
 
     @pytest.mark.parametrize("radii", [(0.8, 1.25), (0.9,)])
@@ -212,30 +211,27 @@ class TestCollapse:
             assert res.residual == max(c["residual"] for c in res.details["cases"].values())
 
 
+def two_point_collapse(ij: str, k: int, nodes: int) -> complex:
+    """(i/2 pi^3) Int (z_ij)^k dV / (N(Z-W) N(Z-W')) over U(2)_1 at W = W_IN, W' = WP_IN."""
+    return _kernel_pass("u2", 1.0, nodes, [(BasisExpansion.monomial(ij, k), (W_IN, WP_IN))])[0]
+
+
 class TestLemmaZp:
     def test_degree_zero(self):
-        got = lemma_zp_eval("z11", 0, W_IN, WP_IN, 1.0, 12)
-        assert got == pytest.approx(1.0, abs=1e-10)
+        assert two_point_collapse("z11", 0, 12) == pytest.approx(1.0, abs=1e-10)
 
     def test_degree_one(self):
-        got = lemma_zp_eval("z11", 1, W_IN, WP_IN, 1.0, 16)
         want = (W_IN.z11 + WP_IN.z11) / 2
-        assert got == pytest.approx(want, rel=1e-8)
+        assert two_point_collapse("z11", 1, 16) == pytest.approx(want, rel=1e-8)
 
     def test_degree_three_other_entry(self):
-        got = lemma_zp_eval("z12", 3, W_IN, WP_IN, 1.0, 16)
+        got = two_point_collapse("z12", 3, 16)
         assert got == pytest.approx(zp_closed_form("z12", 3, W_IN, WP_IN), rel=1e-7)
 
     def test_check_passes(self):
         assert lemma_zp_check(nodes=14).passed
 
-    def test_domain_refused(self):
-        with pytest.raises(DomainError):
-            lemma_zp_eval("z11", 1, ComplexQuaternion(2, 0, 0, 2), WP_IN, 1.0, 8)
-
     def test_bad_entry_refused(self):
-        with pytest.raises(ValueError, match="four entries"):
-            lemma_zp_eval("z13", 1, W_IN, WP_IN, 1.0, 8)
         with pytest.raises(ValueError, match="four entries"):
             zp_closed_form("z13", 1, W_IN, WP_IN)
 
@@ -379,18 +375,9 @@ class TestBatchedChecksAgainstOracles:
             assert abs(complex(re_, im_) - want) <= 1e-13 * abs(want)
 
     def test_one_row_evaluations_match_oracle(self):
-        grid = meshgrid_grid("u2", 1.0, 12)
-        phi = BasisExpansion({TIndex(2, 0, 0, 0): 1})
-        cases = [
-            (collapse_z1(phi, W_IN, 1.0, 12), phi.degt(), (None, W_IN)),
-            (lemma_zp_eval("z12", 3, W_IN, WP_IN, 1.0, 12), BasisExpansion.monomial("z12", 3), (W_IN, WP_IN)),
-            (one_loop_eval(*ONE_LOOP_PTS, 1.0, 12), BasisExpansion.one(), ONE_LOOP_PTS),
-        ]
-        for got, f, poles in cases:
-            want = 1j / (2 * math.pi**3) * kernel_integral(grid, f, poles)
-            assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
-        want = kernel_integral(meshgrid_grid("s3", 1.0, 12), phi.degt(), (W_IN,)) / (2 * math.pi**2)
-        assert abs(poisson_eval(phi, W_IN, 1.0, 12) - want) <= 1e-13 * max(1.0, abs(want))
+        want = 1j / (2 * math.pi**3) * kernel_integral(meshgrid_grid("u2", 1.0, 12), BasisExpansion.one(),
+                                                       ONE_LOOP_PTS)
+        assert abs(one_loop_eval(*ONE_LOOP_PTS, 1.0, 12) - want) <= 1e-13 * max(1.0, abs(want))
 
     @staticmethod
     def _same_draws(monkeypatch, r, scale, draws):

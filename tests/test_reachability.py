@@ -13,6 +13,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,25 +23,18 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PKG = ROOT / "src" / "boxmagic"
 
-# Names that stay in src/ although no command reaches them, with the reason.
-# A name covers the functions nested in it.
+# Why a name stays in src/ although no command reaches it.  A name covers
+# the functions nested in it.
+BENCHMARK = "perfbench/spans.py wraps it by name for `--trace 1`, or perfbench/worker.py calls it"
 STAYING = {
-    # perfbench/spans.py wraps these by name for `--trace 1`; diagram_image
-    # needs GeneratorImage (with its __post_init__) and _history_solid.
-    "magic.ladder_image",
-    "magic.diagram_image",
-    "magic._history_solid",
-    "magic.GeneratorImage",
-    "diagrams.from_history",
-    # The two-loop cycle check (ROADMAP item 1) builds on these.
-    "diagrams.assign_radii",
-    "diagrams.RadiiAssignment",
-    "quadrature.poisson_eval",
-    "quadrature.collapse_z1",
-    "quadrature.lemma_zp_eval",
-    "quadrature.one_loop_eval",
-    # The `ladder` benchmark workload calls it; the CLI goes through phi.
-    "polylog.phi2",
+    "magic.ladder_image": BENCHMARK,
+    "magic.diagram_image": BENCHMARK,
+    "magic._history_solid": "diagram_image calls it",
+    "magic.GeneratorImage": "ladder_image and diagram_image return it",
+    "diagrams.from_history": BENCHMARK,
+    "polylog.phi1": BENCHMARK,
+    "polylog.phi2": BENCHMARK,
+    "quadrature.one_loop_eval": "ROADMAP item 1 compares it with the closed form in a `nested` check",
 }
 
 # Runs each command through main() under a profiler and prints, as JSON,
@@ -144,3 +138,11 @@ def test_all_lists_only_reached_names(trace):
                 # Data and exception classes (raised, never entered) are not checked.
                 name = f"{path.stem}.{attr}"
                 assert name in used or _under(name, STAYING), f"{name} is in __all__ but no command reaches it"
+
+
+def test_benchmark_names_are_in_the_benchmark():
+    # Once the benchmark stops calling a name, it has no reason left to stay.
+    text = "".join((ROOT / "perfbench" / f).read_text(encoding="utf-8") for f in ("spans.py", "worker.py"))
+    for name, reason in STAYING.items():
+        if reason == BENCHMARK:
+            assert re.search(re.escape(name) + r"\b", text), f"the benchmark no longer names {name}: drop it from STAYING"
