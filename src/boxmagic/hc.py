@@ -42,8 +42,8 @@ __all__ = [
     "BOUNDARY_TOL",
 ]
 
-# Definiteness tolerance: an eigenvalue of ZZ* - R^2 of magnitude below
-# BOUNDARY_TOL * R^2 marks a Shilov-boundary point.
+# Definiteness tolerance: an eigenvalue of (Z/R)(Z/R)* - 1 of magnitude
+# below BOUNDARY_TOL marks a Shilov-boundary point.
 BOUNDARY_TOL = 1e-10
 
 
@@ -126,14 +126,15 @@ def domain_side(Z: ComplexQuaternion, R: float) -> str:
 
     Returns "plus" when ZZ* < R^2 (inside), "minus" when ZZ* > R^2
     (outside), "boundary" when an eigenvalue of ZZ* - R^2 is within
-    tolerance of zero, and "indefinite" otherwise.
+    tolerance of zero, and "indefinite" otherwise.  The eigenvalues are
+    those of (Z/R)(Z/R)* - 1, so the answer does not depend on the scale
+    of Z and R, also where Z Z* or R^2 would leave the float range.
     """
     if R <= 0:
         raise ValueError("radius must be positive")
-    zz = Z.as_matrix() @ Z.as_matrix().conj().T
-    eigs = np.linalg.eigvalsh(zz) - R * R
-    scale = R * R
-    if np.any(np.abs(eigs) < BOUNDARY_TOL * scale):
+    m = Z.as_matrix() / R
+    eigs = np.linalg.eigvalsh(m @ m.conj().T) - 1.0
+    if np.any(np.abs(eigs) < BOUNDARY_TOL):
         return "boundary"
     if np.all(eigs < 0):
         return "plus"

@@ -3,14 +3,20 @@
 Both cycles are parametrized through the unit-quaternion Hopf chart
 (psi, theta, chi); the 4-cycle adds the scaling phase phi.  Periodic
 dimensions (phi, psi, chi) use the trapezoid rule, the aperiodic theta
-uses Gauss-Legendre, so smooth integrands converge spectrally.  The
-4-cycle grid is streamed one phi slice (n^3 nodes) at a time, so memory
-grows as n^3, not n^4.  Each check makes one pass over its grid: its
-integrands are the rows of one (rows, nodes) stack, they share the
-powers of the entries and of N(Z)^(+-1) (`tbasis.EntryPowers`) and any
-common denominator, and each slice is summed by numpy's pairwise
-reduction and added in slice order, so the same flags give the same
-bits on every run.
+uses Gauss-Legendre, so smooth integrands converge spectrally.
+
+The u2 node (phi, q) is e^{i phi} times the s3 node q.  A pole-free row
+is homogeneous, a sum of basis elements t^l_{n,m} N^k of one degree
+d = 2l + 2k, so its 4-cycle sum is one S^3 pass times a phase sum over
+the phi nodes (`_cycle_gram`): the normalization and orthogonality
+checks build n^3 nodes, not n^4.  Kernel rows, whose poles N(Z - P) are
+not homogeneous, stream the 4-cycle grid one phi slice (n^3 nodes) at a
+time, so memory grows as n^3 there too.  Each check makes one pass over
+its grid: its integrands are the rows of one (rows, nodes) stack, they
+share the powers of the entries and of N(Z)^(+-1) (`tbasis.EntryPowers`)
+and any common denominator, and each piece is summed by numpy's
+pairwise reduction (a Gram matrix by one product) and added in slice
+order, so the same flags give the same bits on every run.
 
 The verification checks implement the analytic identities at desk
 scale: the cycle normalization integral, the Poisson-type reproducing
@@ -84,6 +90,8 @@ def _grid(chart: str, radius: float, n: int):
 
     The u2 grid comes one phi slice (n^3 nodes) at a time, the s3 grid
     in one piece; in order, the pieces concatenate to the whole grid.
+    Only kernel rows walk the u2 slices; pole-free rows take the s3
+    piece times a phase sum (`_cycle_gram`).
     The chart is called with each 1-D node array on its own axis, so
     exp, cos and sin run over n values per angle and broadcasting forms
     the products; the weights are the chart density times the
@@ -271,8 +279,9 @@ def normalization_check(radii=(0.8, 1.25), nodes: int = 32, tol: float = 1e-8) -
     worst = 0.0
     values = {}
     for R in radii:
-        spec = QuadratureSpec("u2", float(R), nodes)
-        val = complex(integrate(spec, lambda a, b, c, d: EntryPowers(a, b, c, d).power("1/N", 2)))
+        QuadratureSpec("u2", float(R), nodes)  # raises ValueError on a bad radius or node count
+        val = complex(_cycle_gram(float(R), nodes, [BasisExpansion({TIndex(0, 0, 0, -2): 1})],
+                                  [BasisExpansion.one()])[0, 0])
         rel = abs(val - target) / abs(target)
         values[str(R)] = {"value": [val.real, val.imag], "rel_err": rel}
         worst = max(worst, rel)
@@ -361,25 +370,50 @@ def _dual(L: int, n: int, m: int, k: int) -> BasisExpansion:
     return BasisExpansion({di: fac})
 
 
-def _gram(chart: str, R: float, nodes: int, prims, duals) -> np.ndarray:
-    """Every pairing sum_nodes w * prim_i * dual_j: (P * w) @ D^T, added up piece by piece.
+def _gram(R: float, nodes: int, prims, duals) -> np.ndarray:
+    """Every pairing sum_nodes w * prim_i * dual_j over S^3_R: (P * w) @ D^T in one piece.
 
-    A non-finite piece aborts, naming a node where P * w or D is not finite if there is one.
+    A non-finite sum aborts, naming a node where P * w or D is not finite if there is one.
     """
-    gram = 0
-    for a, b, c, d, w in _grid(chart, R, nodes):
-        powers = EntryPowers(a, b, c, d)
-        # A row may be a constant (t^0 N^0); broadcasting against w gives it every node.
-        prim, dual = (np.array(np.broadcast_arrays(w, *(powers.value(f) for f in fs))[1:])
-                      for fs in (prims, duals))
-        prim = prim * w
-        piece = prim @ dual.T
-        if not np.isfinite(piece).all():
-            for vals in (prim, dual):
-                _require_finite(vals, a, b, c, d)
-            raise FloatingPointError(f"a pairing sum over the {chart} grid of radius {R} overflows")
-        gram = gram + piece
+    ((a, b, c, d, w),) = _grid("s3", R, nodes)
+    powers = EntryPowers(a, b, c, d)
+    # A row may be a constant (t^0 N^0); broadcasting against w gives it every node.
+    prim, dual = (np.array(np.broadcast_arrays(w, *(powers.value(f) for f in fs))[1:])
+                  for fs in (prims, duals))
+    prim = prim * w
+    gram = prim @ dual.T
+    if not np.isfinite(gram).all():
+        for vals in (prim, dual):
+            _require_finite(vals, a, b, c, d)
+        raise FloatingPointError(f"a pairing sum at radius {R} overflows")
     return gram
+
+
+def _cycle_gram(R: float, nodes: int, prims, duals) -> np.ndarray:
+    """Every pairing sum_nodes w * prim_i * dual_j over the u2 grid, as one S^3_R pass.
+
+    Each row must be homogeneous, of degree d = 2l + 2k; a mixed row
+    raises ValueError.  The u2 node (phi, q) is e^{i phi} times the s3
+    node q, and its weight is -i R e^{4 i phi} pi/n times the s3 weight,
+    so the u2 sum of a pair of degrees d_i, d_j is -i R Phi_{d_i+d_j+4}
+    times its s3 sum, with Phi_m = (pi/n) sum_k e^{i m phi_k} over the
+    phi nodes of `_grid`: the same product rule, regrouped.
+    """
+    def degree(f: BasisExpansion) -> int:
+        (d,) = {idx.two_l + 2 * idx.k for idx in f.coeffs}
+        return d
+
+    m = np.add.outer([degree(f) for f in prims], [degree(f) for f in duals]) + 4
+    phi = np.arange(nodes) * (np.pi / nodes)
+    phase = (np.pi / nodes) * np.exp(1j * np.multiply.outer(m, phi)).sum(axis=-1)
+    try:
+        # The u2 density's radius power raises where the u2 chart leaves the float range,
+        # before the s3 pass can underflow N(Z)^-k to a wrong value.
+        u2_scale = -1j * R**4
+    except OverflowError:
+        raise OverflowError("a value of the u2 chart leaves the float range") from None
+    sphere = _gram(R, nodes, prims, duals)  # its weights carry the s3 density's R^3
+    return u2_scale / R**3 * phase * sphere
 
 
 def _orthogonality_grams(two_l_max: int, R: float, nodes_s3: int, nodes_u2: int):
@@ -394,12 +428,12 @@ def _orthogonality_grams(two_l_max: int, R: float, nodes_s3: int, nodes_u2: int)
     # Harmonic pairing on the 3-sphere.
     prims = [BasisExpansion({TIndex(L, n, m, 0): 1}).degt() for (L, n, m) in idxs]
     duals = [_dual(L, n, m, -1) for (L, n, m) in idxs]
-    sphere = (_gram("s3", R, nodes_s3, prims, duals) / (2.0 * np.pi**2 * R), np.ones(len(idxs)))
+    sphere = (_gram(R, nodes_s3, prims, duals) / (2.0 * np.pi**2 * R), np.ones(len(idxs)))
 
     # Polynomial pairing on the 4-cycle.
     prims = [BasisExpansion({TIndex(L, n, m, kk): 1}) for (L, n, m) in idxs for kk in (0, 1)]
     duals = [_dual(L, n, m, -kk - 2) for (L, n, m) in idxs for kk in (0, 1)]
-    cycle = (1j / (2.0 * np.pi**3) * _gram("u2", R, nodes_u2, prims, duals),
+    cycle = (1j / (2.0 * np.pi**3) * _cycle_gram(R, nodes_u2, prims, duals),
              np.repeat([1.0 / (L + 1) for (L, _, _) in idxs], 2))
     return sphere, cycle
 

@@ -20,7 +20,9 @@ The exact combinatorial layers have brute-force oracles here too: the
 fixpoint transitive closure of an order, the structural invariants of
 a box diagram, the all-permutations canonical key and the string-keyed
 colour-refinement key, the a-table rows and the eigenvalues as closed
-binomial sums over 1/m^n (no recursion in the loop order), every
+binomial sums over 1/m^n (no recursion in the loop order) and as the
+coefficients of the nested-cycle kernel Li_n(xi)/(xi (1 - u b)) expanded
+term by term, every
 eigenvalue extracted from a ladder image, the ladder image by the
 one-step ladder recursion, diagram images by peeling the history in
 Fractions, and the magic check comparing Fraction images.
@@ -432,6 +434,34 @@ def a_row_closed(n: int, k: int) -> tuple[Fraction, ...]:
     return tuple(sum((Fraction((-1) ** (m - 1 - p) * math.comb(k, m - 1) * math.comb(m - 1, p), m**n)
                       for m in range(p + 1, k + 2)), Fraction(0))
                  for p in range(k + 1))
+
+
+def li_kernel_series(n: int, k_max: int) -> list[dict[tuple[int, int], Fraction]]:
+    """Li_n(xi) / (xi (1 - u b)), xi = u (a - b) / (1 - u b), expanded in u to u^k_max in Fractions.
+
+    Entry k maps (power of a, power of b) to the coefficient of u^k a^i b^j.
+    The series are multiplied out term by term as polynomials in a and b,
+    from Li_n(xi) / xi = sum_{m >= 1} xi^(m-1) / m^n: no closed form enters.
+    """
+    def mul(f, g):
+        out = [{} for _ in range(k_max + 1)]
+        for i, fi in enumerate(f):
+            for j, gj in enumerate(g[:k_max + 1 - i]):
+                for (a1, b1), c1 in fi.items():
+                    for (a2, b2), c2 in gj.items():
+                        out[i + j][a1 + a2, b1 + b2] = out[i + j].get((a1 + a2, b1 + b2), 0) + c1 * c2
+        return out
+
+    geometric = [{(0, j): 1} for j in range(k_max + 1)]  # 1 / (1 - u b)
+    xi = mul([{}, {(1, 0): 1, (0, 1): -1}], geometric)  # u (a - b) / (1 - u b)
+    power = [{(0, 0): 1}] + [{} for _ in range(k_max)]  # xi^(m-1), integer coefficients
+    total = [{} for _ in range(k_max + 1)]
+    for m in range(1, k_max + 2):
+        for k, terms in enumerate(power):
+            for key, c in terms.items():
+                total[k][key] = total[k].get(key, 0) + Fraction(c, m**n)
+        power = mul(power, xi)
+    return [{key: c for key, c in terms.items() if c} for terms in mul(total, geometric)]
 
 
 def mu_closed(n: int, k: int) -> Fraction:

@@ -164,12 +164,24 @@ class TestVerify:
         assert err.startswith("verify: all at radius 1e+60: orthogonality: non-finite value of integrand")
         assert err.count("orthogonality") == 1
 
-    @pytest.mark.parametrize("suite, chart", [("normalization", "u2"), ("poisson", "s3")])
-    def test_chart_overflow_is_named(self, capsys, suite, chart):
-        # The radius power in the chart density (R^4 on u2, R^3 on s3) leaves the float range.
-        code, out, err = run(capsys, "verify", suite, "--radius", "1e200", "--nodes", "8")
+    @pytest.mark.parametrize("suite, chart, radius", [
+        ("normalization", "u2", "1e200"), ("poisson", "s3", "1e200"), ("conformal", "u2", "1e160"),
+        ("normalization", "u2", "1e100"),
+    ], ids=["normalization-u2", "poisson-s3", "conformal-u2", "normalization-u2-1e100"])
+    def test_chart_overflow_is_named(self, capsys, suite, chart, radius):
+        # The radius power in the chart density (R^4 on u2, R^3 on s3) leaves the float range;
+        # the conformal points pass their side checks first.  At 1e100 only R^4 overflows: the
+        # check refuses the radius rather than fail on an underflowed N(Z)^-2.
+        code, out, err = run(capsys, "verify", suite, "--radius", radius, "--nodes", "8")
         assert (code, out) == (2, "")
-        assert err == f"verify: {suite} at radius 1e+200: a value of the {chart} chart leaves the float range\n"
+        assert err == (f"verify: {suite} at radius {float(radius):g}: "
+                       f"a value of the {chart} chart leaves the float range\n")
+
+    def test_tiny_radius_names_the_integrand(self, capsys):
+        # The s3 pass of the normalization meets N(Z)^-2 = inf before any division by R^3 = 0.
+        code, out, err = run(capsys, "verify", "normalization", "--radius", "1e-200", "--nodes", "8")
+        assert (code, out) == (2, "")
+        assert err.startswith("verify: normalization at radius 1e-200: non-finite value of integrand 0 at node")
 
     def test_extreme_radius_warns_nothing(self, capsys):
         # numpy's overflow and invalid-value warnings stay quiet; the
@@ -180,6 +192,13 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err.startswith("verify: orthogonality at radius 1e-60: non-finite value of integrand")
         assert [str(w.message) for w in caught] == []
+
+    def test_verify_all_json_is_bit_identical_across_runs(self):
+        # Two fresh interpreters: the reductions run in a fixed order, so the bytes repeat.
+        first, second = (run_process("verify", "all", "--json") for _ in range(2))
+        assert first.returncode == 0, first.stderr
+        assert first.stdout == second.stdout
+        assert json.loads(first.stdout)["passed"] is True
 
     def test_unknown_suite_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

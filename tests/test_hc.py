@@ -148,6 +148,13 @@ class TestDomains:
         point = ComplexQuaternion(*chart_u2(1.2, 0.3, 1.1, 0.7, 2.0)[:4])
         assert domain_side(point, 1.2) == "boundary"
 
+    @pytest.mark.parametrize("R", [1e200, 1e-200])
+    @pytest.mark.parametrize("scale, side", [(0.5, "plus"), (2.0, "minus")])
+    def test_side_holds_where_the_squares_leave_the_float_range(self, R, scale, side):
+        # Z Z* and R^2 overflow (or flush to zero) at these radii; Z/R does not.
+        point = ComplexQuaternion(*(scale * R * z for z in chart_u2(1.0, 0.3, 1.1, 0.7, 2.0)[:4]))
+        assert domain_side(point, R) == side
+
 
 class TestCharts:
     def test_u2_point_on_cycle(self):

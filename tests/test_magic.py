@@ -30,6 +30,7 @@ from oracles import (
     eigenvalue_extract,
     image_by_history_fraction,
     ladder_image_recursive,
+    li_kernel_series,
     magic_failures_fraction,
     mu_closed,
 )
@@ -65,6 +66,14 @@ class TestATable:
         for n in range(1, 17):
             for k in range(0, 33):
                 assert a_table(n, k).a == a_row_closed(n, k)
+
+    def test_matches_nested_kernel_series(self):
+        # The coefficient of u^k a^(k-p) b^p in Li_L(xi) / (xi (1 - u b)),
+        # xi = u (a - b) / (1 - u b), is a^k(L, k-p); every other coefficient vanishes.
+        for L in range(1, 9):
+            series = li_kernel_series(L, 16)
+            for k, coeffs in enumerate(series):
+                assert coeffs == {(k - p, p): a_table(L, k).a[k - p] for p in range(k + 1)}
 
     def test_invariant_validation(self):
         # Every row the commands reach has k + 1 positive, non-increasing entries summing to 1.

@@ -283,15 +283,25 @@ class TestOrthogonality:
         assert res.passed
         assert res.details["pairs_sphere"] == 30 * 30
 
-    def test_gram_matches_per_pair_sums(self):
-        (gs, want_s), (gu, want_u) = _orthogonality_grams(3, 0.9, 16, 12)
-        sphere, cycle = orthogonality_pairs(3, 0.9, 16, 12)
+    # Odd and even node counts, and the check's defaults (24, 16): the cycle
+    # Gram is one S^3 pass times a phase sum, the oracle sums the 4-D grid.
+    @pytest.mark.parametrize("nodes_s3, nodes_u2", [(5, 5), (7, 7), (12, 12), (16, 12), (24, 16)])
+    def test_gram_matches_per_pair_sums(self, nodes_s3, nodes_u2):
+        (gs, want_s), (gu, want_u) = _orthogonality_grams(3, 0.9, nodes_s3, nodes_u2)
+        sphere, cycle = orthogonality_pairs(3, 0.9, nodes_s3, nodes_u2)
         assert gs.shape == sphere.shape == (30, 30)
         assert gu.shape == cycle.shape == (60, 60)
         assert np.abs(gs - sphere).max() <= 1e-13
         assert np.abs(gu - cycle).max() <= 1e-13
-        assert np.abs(sphere - np.diag(want_s)).max() <= 1e-6
-        assert np.abs(cycle - np.diag(want_u)).max() <= 1e-6
+        if nodes_s3 >= 12:  # fewer nodes do not resolve the degree-3 rows
+            assert np.abs(sphere - np.diag(want_s)).max() <= 1e-6
+            assert np.abs(cycle - np.diag(want_u)).max() <= 1e-6
+
+    def test_mixed_degree_row_refused(self):
+        # A row with terms of two degrees has no single phase factor.
+        mixed = BasisExpansion({TIndex(0, 0, 0, 0): 1, TIndex(1, 1, 1, 0): 1})
+        with pytest.raises(ValueError):
+            quadrature._cycle_gram(0.9, 8, [mixed], [BasisExpansion.one()])
 
     def test_scale_limit(self):
         with pytest.raises(ValueError):
@@ -347,6 +357,45 @@ def record_kernel_passes(monkeypatch):
     return calls
 
 
+def record_grids(monkeypatch):
+    """Spy on quadrature._grid: a list of (chart, R, n, node counts of the pieces built) per call."""
+    calls = []
+    real = quadrature._grid
+
+    def spy(chart, R, n):
+        sizes = []
+        calls.append((chart, R, n, sizes))
+        for piece in real(chart, R, n):
+            sizes.append(piece[0].size)
+            yield piece
+
+    monkeypatch.setattr(quadrature, "_grid", spy)
+    return calls
+
+
+class TestGridsBuilt:
+    """Pole-free checks take one S^3 pass per radius; kernel checks stream the u2 slices."""
+
+    @pytest.mark.parametrize("check, want", [
+        (normalization_check, [("s3", 0.8, 32, [32**3]), ("s3", 1.25, 32, [32**3])]),
+        (orthogonality_check, [("s3", 0.9, 24, [24**3]), ("s3", 0.9, 16, [16**3])]),
+    ])
+    def test_pole_free_checks_build_only_s3(self, monkeypatch, check, want):
+        calls = record_grids(monkeypatch)
+        assert check().passed
+        assert calls == want
+
+    @pytest.mark.parametrize("check, radii", [
+        (lemma_zp_check, [1.0]),
+        (collapse_check, [0.8, 1.25]),
+        (conformal_check, [1.0]),
+    ])
+    def test_kernel_checks_stream_u2_slices(self, monkeypatch, check, radii):
+        calls = record_grids(monkeypatch)
+        check(nodes=8)
+        assert calls == [("u2", R, 8, [8**3] * 8) for R in radii]
+
+
 class TestBatchedChecksAgainstOracles:
     """Each check's one stacked pass against one meshgrid integral per integrand."""
 
@@ -367,10 +416,11 @@ class TestBatchedChecksAgainstOracles:
                 want = scale * kernel_integral(grid, f, poles)
                 assert abs(g - want) <= 1e-13 * max(1.0, abs(want))
 
-    def test_normalization_matches_one_integral_per_radius(self):
-        res = normalization_check()
+    @pytest.mark.parametrize("nodes", [5, 7, 12, 32])
+    def test_normalization_matches_one_integral_per_radius(self, nodes):
+        res = normalization_check(nodes=nodes)
         for R in (0.8, 1.25):
-            want = kernel_integral(meshgrid_grid("u2", R, 32), BasisExpansion.one(), (None, None))
+            want = kernel_integral(meshgrid_grid("u2", R, nodes), BasisExpansion.one(), (None, None))
             re_, im_ = res.details["radii"][str(R)]["value"]
             assert abs(complex(re_, im_) - want) <= 1e-13 * abs(want)
 
