@@ -11,16 +11,14 @@ acts by fractional linear transformations Z -> (aZ+b)(cZ+d)^-1.  Here
 is the arithmetic that the verification checks use: +, - and * of
 points, norm, inverse, that action, and which side of U(2)_R a point is on.
 
-This module also holds the one chart definition of each integration
-cycle used by the verification suite, vectorised over numpy arrays of
-angles (the quadrature grids are these charts at 1-D node arrays
-placed on separate axes):
-
-* U(2)_R, the set of R-scaled unitary matrices, carrying the holomorphic
-  4-form dV = (1/4) dz11^dz12^dz21^dz22, oriented so that the integral
-  of dV/N(Z)^2 equals -2*pi^3*i;
-* S^3_R, the real quaternions of norm R^2, carrying the Euclidean
-  surface measure dS (total 2*pi^2*R^3).
+This module also holds the one chart definition of the integration
+cycles, `chart_s3`, vectorised over numpy arrays of angles: S^3_R, the
+real quaternions of norm R^2, with the surface measure dS (total
+2*pi^2*R^3).  U(2)_R, the R-scaled unitary matrices, is e^{i phi} S^3_R
+with phi in [0, pi) (the double cover (phi, q) ~ (phi + pi, -q) is
+halved); its holomorphic 4-form dV = (1/4) dz11^dz12^dz21^dz22 is
+-i R e^{4 i phi} dphi dS there, oriented so that the integral of
+dV/N(Z)^2 is -2*pi^3*i.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ __all__ = [
     "inverse",
     "conformal_act",
     "domain_side",
-    "chart_u2",
     "chart_s3",
     "random_near_identity",
     "BOUNDARY_TOL",
@@ -143,43 +140,15 @@ def domain_side(Z: ComplexQuaternion, R: float) -> str:
     return "indefinite"
 
 
-def chart_u2(R: float, phi, psi, theta, chi):
-    """Chart of U(2)_R at angles (phi, psi, theta, chi); numpy-broadcasting.
-
-    Returns (z11, z12, z21, z22, density) for the points
-    R * e^{i phi} * q(psi, theta, chi), with q the unit quaternion
-    [[cos(theta) e^{i psi}, sin(theta) e^{i chi}],
-     [-sin(theta) e^{-i chi}, cos(theta) e^{-i psi}]];
-    ranges phi in [0, pi), psi, chi in [0, 2 pi), theta in [0, pi/2].
-    The double cover (phi, q) ~ (phi + pi, -q) is handled by the halved
-    phi range.  The density
-
-        -i * R^4 * e^{4 i phi} * cos(theta) * sin(theta)
-
-    is the closed-form Jacobian of dV = (1/4) dz11^dz12^dz21^dz22 in this
-    chart, with the global sign calibrated so that integrating
-    density / N(Z)^2 over the chart yields -2*pi^3*i.
-
-    Only the angle inputs pass through exp, cos and sin; the entries are
-    products of these factors, so 1-D node arrays on separate axes give
-    the whole product grid by broadcasting.
-    """
-    c, s = np.cos(theta), np.sin(theta)
-    e = np.exp(1j * phi)
-    z11 = R * c * e * np.exp(1j * psi)
-    z12 = R * s * e * np.exp(1j * chi)
-    z21 = -R * s * e * np.exp(-1j * chi)
-    z22 = R * c * e * np.exp(-1j * psi)
-    density = -1j * R**4 * np.exp(4j * phi) * c * s
-    return z11, z12, z21, z22, density
-
-
 def chart_s3(R: float, psi, theta, chi):
     """Chart of S^3_R (real quaternion coordinates) at Hopf angles; numpy-broadcasting.
 
-    Returns (z11, z12, z21, z22, density): the points R * q(psi, theta, chi)
-    of `chart_u2` at phi = 0 and the surface density R^3 cos(theta) sin(theta),
-    whose integral over the full chart is 2*pi^2*R^3.
+    Returns (z11, z12, z21, z22, density) for the points R * q(psi, theta, chi),
+    with q the unit quaternion
+    [[cos(theta) e^{i psi}, sin(theta) e^{i chi}],
+     [-sin(theta) e^{-i chi}, cos(theta) e^{-i psi}]];
+    ranges psi, chi in [0, 2 pi), theta in [0, pi/2].  The surface density
+    R^3 cos(theta) sin(theta) integrates to 2*pi^2*R^3 over the chart.
     """
     c, s = np.cos(theta), np.sin(theta)
     z11 = R * c * np.exp(1j * psi)

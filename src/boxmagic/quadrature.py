@@ -1,22 +1,22 @@
 """Deterministic product quadrature over the cycles and the verification suite.
 
-Both cycles are parametrized through the unit-quaternion Hopf chart
-(psi, theta, chi); the 4-cycle adds the scaling phase phi.  Periodic
-dimensions (phi, psi, chi) use the trapezoid rule, the aperiodic theta
-uses Gauss-Legendre, so smooth integrands converge spectrally.
-
-The u2 node (phi, q) is e^{i phi} times the s3 node q.  A pole-free row
-is homogeneous, a sum of basis elements t^l_{n,m} N^k of one degree
-d = 2l + 2k, so its 4-cycle sum is one S^3 pass times a phase sum over
-the phi nodes (`_cycle_gram`): the normalization and orthogonality
-checks build n^3 nodes, not n^4.  Kernel rows, whose poles N(Z - P) are
-not homogeneous, stream the 4-cycle grid one phi slice (n^3 nodes) at a
-time, so memory grows as n^3 there too.  Each check makes one pass over
-its grid: its integrands are the rows of one (rows, nodes) stack, they
-share the powers of the entries and of N(Z)^(+-1) (`tbasis.EntryPowers`)
-and any common denominator, and each piece is summed by numpy's
-pairwise reduction (a Gram matrix by one product) and added in slice
-order, so the same flags give the same bits on every run.
+Every cycle integral is one pass over the S^3_R grid: the Hopf chart
+(psi, theta, chi) with the trapezoid rule in psi and chi and
+Gauss-Legendre in theta, so smooth integrands converge spectrally.
+U(2)_R is e^{i phi} S^3_R: its node (phi_k, q) is lam_k q with
+lam_k = e^{i pi k/n}, and its weight is -i R lam_k^4 (pi/n) times that
+of q (`_phases`).  A pole-free row is homogeneous, of one degree
+d = 2l + 2k, so its U(2)_R sum is its S^3 sum times a phase sum
+(`_cycle_gram`).  A kernel row f(Z) / prod_P N(Z - P) is split by degree,
+f(lam q) = sum_d lam^d f_d(q), and N(lam q - P) = lam^2 N(q) - lam B_P(q)
++ N(P) with B_P linear in q; so the powers of the entries
+(`tbasis.EntryPowers`), every f_d and every B_P are built once, and the
+loop over the phases forms only denominators (`integrate`).  Memory
+grows as n^3.  Each check makes one such pass over all its integrands.
+Every node sum is numpy's pairwise sum, or a Gram product that BLAS
+splits by blocks of the result, and the phases are summed in order, so
+the same flags give the same bits on every run, whatever the BLAS
+thread count.
 
 The verification checks implement the analytic identities at desk
 scale: the cycle normalization integral, the Poisson-type reproducing
@@ -34,7 +34,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .hc import ComplexQuaternion, chart_s3, chart_u2, conformal_act, domain_side
+from .hc import ComplexQuaternion, chart_s3, conformal_act, domain_side, norm, random_near_identity
 from .tbasis import BasisExpansion, EntryPowers, TIndex, term_of_inverse_argument
 
 __all__ = [
@@ -54,7 +54,8 @@ __all__ = [
     "SUITES",
 ]
 
-NODE_BUDGET = 2**24
+# Nodes of the S^3 grid that one pass holds, on either cycle: n <= 64.
+NODE_BUDGET = 2**18
 
 
 class DomainError(ValueError):
@@ -63,11 +64,7 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Product rule over one cycle chart.
-
-    Gauss-Legendre nodes are used in the aperiodic theta dimension and
-    equispaced trapezoid nodes in the periodic ones.
-    """
+    """Product rule over one cycle: n^3 nodes of S^3_R, times n phases on U(2)_R."""
 
     chart: str
     radius: float
@@ -80,21 +77,16 @@ class QuadratureSpec:
             raise ValueError("radius must be positive")
         if self.nodes_per_dim < 4:
             raise ValueError("need at least 4 nodes per dimension")
-        dims = 4 if self.chart == "u2" else 3
-        if self.nodes_per_dim**dims > NODE_BUDGET:
-            raise ValueError("total node count exceeds the configured budget")
+        if self.nodes_per_dim**3 > NODE_BUDGET:
+            raise ValueError("node count per pass exceeds the configured budget")
 
 
-def _grid(chart: str, radius: float, n: int):
-    """Yield the product rule in pieces of flattened (z11, z12, z21, z22, weights).
+def _grid(radius: float, n: int):
+    """The S^3_R product rule, flattened: (z11, z12, z21, z22, weights) at n^3 nodes.
 
-    The u2 grid comes one phi slice (n^3 nodes) at a time, the s3 grid
-    in one piece; in order, the pieces concatenate to the whole grid.
-    Only kernel rows walk the u2 slices; pole-free rows take the s3
-    piece times a phase sum (`_cycle_gram`).
-    The chart is called with each 1-D node array on its own axis, so
-    exp, cos and sin run over n values per angle and broadcasting forms
-    the products; the weights are the chart density times the
+    Both cycles are integrated over it (U(2)_R adds `_phases`).  The chart
+    gets each 1-D node array on its own axis, so exp, cos and sin run over
+    n values per angle; the weights are the chart density times the
     Gauss-Legendre theta weights and the cell measure.
     """
     periodic = np.arange(n) * (2.0 * np.pi / n)
@@ -102,37 +94,94 @@ def _grid(chart: str, radius: float, n: int):
     theta = 0.25 * np.pi * (x + 1.0)
     wth = wgl * 0.25 * np.pi
     try:
-        if chart == "u2":
-            for phi in np.arange(n) * (np.pi / n):
-                *z, density = chart_u2(radius, phi, periodic[:, None, None], theta[:, None], periodic)
-                yield _flat(*z, density * wth[:, None] * ((np.pi / n) * (2.0 * np.pi / n) ** 2))
-        else:
-            *z, density = chart_s3(radius, periodic[:, None, None], theta[:, None], periodic)
-            yield _flat(*z, (density * wth[:, None] * (2.0 * np.pi / n) ** 2).astype(complex))
-    except OverflowError:  # a power of the radius in the chart density (numpy overflows give inf)
-        raise OverflowError(f"a value of the {chart} chart leaves the float range") from None
+        *z, density = chart_s3(radius, periodic[:, None, None], theta[:, None], periodic)
+    except OverflowError:  # the radius power R^3 in the chart density (numpy overflows give inf)
+        raise OverflowError("a value of the s3 chart leaves the float range") from None
+    w = (density * wth[:, None] * (2.0 * np.pi / n) ** 2).astype(complex)
+    return tuple(a.ravel() for a in np.broadcast_arrays(*z, w))
 
 
-def _flat(*arrays):
-    return tuple(a.ravel() for a in np.broadcast_arrays(*arrays))
+def _phases(chart: str, R: float, n: int, powers) -> tuple[np.ndarray, np.ndarray]:
+    """Phases lam_k of a cycle over the S^3_R grid, and weight factors, one column per power m.
 
-
-def integrate(spec: QuadratureSpec, f) -> np.ndarray:
-    """Weighted sums of a stack of integrands over the chart nodes.
-
-    `f` receives the four entry arrays of one grid piece and returns
-    values with the nodes on the last axis: one row or a (rows, nodes)
-    stack.  Each piece is reduced by numpy's pairwise sum and the pieces
-    are added in grid order, so the same flags give the same bits.  A
-    non-finite value aborts, naming its row and node.  Returns the sums,
-    of shape f(...).shape[:-1].
+    On u2, lam_k = e^{i pi k/n} and the factor is -i R (pi/n) lam_k^m: a term of
+    degree d at the u2 node lam_k q, with its weight, is lam_k^(d+4) -i R (pi/n)
+    times its value and weight at the s3 node q.  The u2 density's R^4 is refused
+    here, before an s3 pass can underflow N(Z)^-k.  On s3: lam = 1, factor 1.
     """
-    total = 0
-    for z11, z12, z21, z22, w in _grid(spec.chart, spec.radius, spec.nodes_per_dim):
-        vals = np.asarray(f(z11, z12, z21, z22), dtype=complex)
-        vals = np.broadcast_to(vals, vals.shape[:-1] + w.shape)
-        _require_finite(vals, z11, z12, z21, z22)
-        total = total + np.sum(vals * w, axis=-1)
+    m = np.asarray(powers, dtype=float)
+    if chart == "s3":
+        return np.ones(1, dtype=complex), np.ones((1, m.size), dtype=complex)
+    try:
+        R**4
+    except OverflowError:
+        raise OverflowError("a value of the u2 chart leaves the float range") from None
+    phi = np.arange(n) * (np.pi / n)
+    return np.exp(1j * phi), (-1j * R * np.pi / n) * np.exp(1j * np.multiply.outer(phi, m))
+
+
+def integrate(spec: QuadratureSpec, rows) -> np.ndarray:
+    """Weighted sums of f(Z) / prod_P N(Z - P) over the cycle of `spec`, one per (f, poles) in `rows`.
+
+    A pole None stands for N(Z).  One S^3 pass serves every phase lam: f(lam q)
+    = sum_d lam^d f_d(q) over the degrees d of its terms, and N(lam q - P) =
+    lam (lam N(q) - B_P(q) + N(P)/lam) with B_P(q) = q11 p22 + q22 p11 - q12 p21
+    - q21 p12, so every f_d and B_P is evaluated once.  Per phase, each pole set
+    gets its denominator and one division of the weights by it, shared by all
+    its rows; each node sum is numpy's pairwise sum, so the bits do not depend
+    on the BLAS thread count.  A non-finite sum aborts, naming the first
+    non-finite value by row and node Z = lam q.  Returns shape (len(rows),).
+    """
+    R, n = spec.radius, spec.nodes_per_dim
+    lam, _ = _phases(spec.chart, R, n, ())
+    a, b, c, d, w = _grid(R, n)
+    powers = EntryPowers(a, b, c, d)
+    nq = powers.power("N", 1)
+    # B_P(q) for every pole at once: a product that sums over the four entries only.
+    points = list(dict.fromkeys(P for _, poles in rows for P in poles if P is not None))
+    B = np.array([[P.z22, -P.z21, -P.z12, P.z11] for P in points], dtype=complex).reshape(-1, 4) \
+        @ np.array([a, b, c, d])
+    NP = [norm(P) for P in points]
+
+    sets = {}  # poles -> [(row, degree d, f_d at the s3 nodes)]; a constant f_d stays a scalar
+    for r, (f, poles) in enumerate(rows):
+        for deg in sorted({i.two_l + 2 * i.k for i in f.coeffs}):
+            f_d = BasisExpansion({i: v for i, v in f.coeffs.items() if i.two_l + 2 * i.k == deg})
+            sets.setdefault(poles, []).append((r, deg, powers.value(f_d)))
+    passes = []  # (pole indices into B, terms, phase factors, sums per phase and term)
+    for poles, terms in sets.items():
+        fac = _phases(spec.chart, R, n, [deg + 4 for _, deg, _ in terms])[1]
+        passes.append(([None if P is None else points.index(P) for P in poles], terms, fac, np.empty_like(fac)))
+
+    # Node-sized buffers: fresh temporaries in the phase loop would page-fault each time.
+    den, tmp = np.empty_like(nq), np.empty_like(nq)
+
+    def over(top, lk, ln, idx):  # top / prod_P N(lam q - P), each factor lam (lam N(q) - B_P(q) + N(P)/lam)
+        den.fill(lk ** len(idx))
+        for i in idx:
+            if i is not None:
+                np.add(np.subtract(ln, B[i], out=tmp), NP[i] / lk, out=tmp)
+            np.multiply(den, ln if i is None else tmp, out=den)
+        return np.divide(top, den, out=den)
+
+    for k, lk in enumerate(lam):
+        ln = lk * nq
+        for idx, terms, _, sums in passes:
+            wd = over(w, lk, ln, idx)
+            sums[k] = [np.multiply(v, wd, out=tmp).sum() for _, _, v in terms]
+    total = np.zeros(len(rows), dtype=complex)
+    for _, terms, fac, sums in passes:
+        np.add.at(total, [r for r, _, _ in terms], (fac * sums).sum(axis=0))
+
+    if not np.isfinite(total).all():
+        for lk in lam:  # name the first non-finite value, phase by phase
+            vals = np.zeros((len(rows), a.size), dtype=complex)
+            for idx, terms, _, _ in passes:
+                inv = over(1.0, lk, lk * nq, idx)
+                for r, deg, v in terms:
+                    vals[r] += lk**deg * v * inv
+            _require_finite(vals, lk * a, lk * b, lk * c, lk * d)
+        raise FloatingPointError(f"a kernel sum at radius {R} overflows")
     return total
 
 
@@ -147,11 +196,6 @@ def _require_finite(vals: np.ndarray, z11, z12, z21, z22) -> None:
         )
 
 
-def _norm_shift(z11, z12, z21, z22, P: ComplexQuaternion):
-    """N(Z - P) on entry arrays."""
-    return (z11 - P.z11) * (z22 - P.z22) - (z12 - P.z12) * (z21 - P.z21)
-
-
 def _require_side(P: ComplexQuaternion, R: float, side: str, what: str) -> None:
     got = domain_side(P, R)
     if got != side:
@@ -161,24 +205,13 @@ def _require_side(P: ComplexQuaternion, R: float, side: str, what: str) -> None:
 def _kernel_pass(chart: str, R: float, nodes: int, rows) -> list[complex]:
     """Normalized integrals of f(Z) / prod_P N(Z - P), one per (f, poles) in `rows`.
 
-    The measure is (i/2 pi^3) dV on U(2)_R and dS/(2 pi^2 R) on S^3_R;
-    a pole None stands for N(Z) itself.  All rows go through one pass
-    over the grid: they share the powers of the entries and of N(Z),
-    and rows with the same poles share their denominator.
+    The measure is (i/2 pi^3) dV on U(2)_R and dS/(2 pi^2 R) on S^3_R; a pole
+    None stands for N(Z) itself.  All rows share one S^3_R pass (`integrate`).
     """
     if not rows:
         raise ValueError("a kernel pass needs at least one integrand")
-
-    def f(a, b, c, d):
-        powers, inverse = EntryPowers(a, b, c, d), {}
-        for _, poles in rows:
-            if poles not in inverse:
-                inverse[poles] = 1.0 / math.prod(
-                    powers.power("N", 1) if P is None else _norm_shift(a, b, c, d, P) for P in poles)
-        return [powers.value(g) * inverse[poles] for g, poles in rows]
-
     scale = 1j / (2.0 * np.pi**3) if chart == "u2" else 1.0 / (2.0 * np.pi**2 * R)
-    return (integrate(QuadratureSpec(chart, R, nodes), f) * scale).tolist()
+    return (integrate(QuadratureSpec(chart, R, nodes), rows) * scale).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -373,15 +406,18 @@ def _dual(L: int, n: int, m: int, k: int) -> BasisExpansion:
 def _gram(R: float, nodes: int, prims, duals) -> np.ndarray:
     """Every pairing sum_nodes w * prim_i * dual_j over S^3_R: (P * w) @ D^T in one piece.
 
-    A non-finite sum aborts, naming a node where P * w or D is not finite if there is one.
+    OpenBLAS splits that product between threads by blocks of the result, not
+    along the node sum; with one row or column numpy calls gemv or dot, which
+    may, so those pairings are pairwise sums.  A non-finite sum aborts, naming
+    a node where P * w or D is not finite if there is one.
     """
-    ((a, b, c, d, w),) = _grid("s3", R, nodes)
+    a, b, c, d, w = _grid(R, nodes)
     powers = EntryPowers(a, b, c, d)
     # A row may be a constant (t^0 N^0); broadcasting against w gives it every node.
     prim, dual = (np.array(np.broadcast_arrays(w, *(powers.value(f) for f in fs))[1:])
                   for fs in (prims, duals))
-    prim = prim * w
-    gram = prim @ dual.T
+    prim *= w
+    gram = prim @ dual.T if min(len(prim), len(dual)) > 1 else (prim[:, None] * dual).sum(axis=-1)
     if not np.isfinite(gram).all():
         for vals in (prim, dual):
             _require_finite(vals, a, b, c, d)
@@ -393,27 +429,18 @@ def _cycle_gram(R: float, nodes: int, prims, duals) -> np.ndarray:
     """Every pairing sum_nodes w * prim_i * dual_j over the u2 grid, as one S^3_R pass.
 
     Each row must be homogeneous, of degree d = 2l + 2k; a mixed row
-    raises ValueError.  The u2 node (phi, q) is e^{i phi} times the s3
-    node q, and its weight is -i R e^{4 i phi} pi/n times the s3 weight,
-    so the u2 sum of a pair of degrees d_i, d_j is -i R Phi_{d_i+d_j+4}
-    times its s3 sum, with Phi_m = (pi/n) sum_k e^{i m phi_k} over the
-    phi nodes of `_grid`: the same product rule, regrouped.
+    raises ValueError.  With the u2 nodes lam_k q and weights of
+    `_phases`, the u2 sum of a pair of degrees d_i, d_j is its s3 sum
+    times -i R (pi/n) sum_k lam_k^(d_i+d_j+4): the same product rule,
+    regrouped.
     """
     def degree(f: BasisExpansion) -> int:
         (d,) = {idx.two_l + 2 * idx.k for idx in f.coeffs}
         return d
 
     m = np.add.outer([degree(f) for f in prims], [degree(f) for f in duals]) + 4
-    phi = np.arange(nodes) * (np.pi / nodes)
-    phase = (np.pi / nodes) * np.exp(1j * np.multiply.outer(m, phi)).sum(axis=-1)
-    try:
-        # The u2 density's radius power raises where the u2 chart leaves the float range,
-        # before the s3 pass can underflow N(Z)^-k to a wrong value.
-        u2_scale = -1j * R**4
-    except OverflowError:
-        raise OverflowError("a value of the u2 chart leaves the float range") from None
-    sphere = _gram(R, nodes, prims, duals)  # its weights carry the s3 density's R^3
-    return u2_scale / R**3 * phase * sphere
+    phase = _phases("u2", R, nodes, m.ravel())[1].sum(axis=0).reshape(m.shape)
+    return phase * _gram(R, nodes, prims, duals)
 
 
 def _orthogonality_grams(two_l_max: int, R: float, nodes_s3: int, nodes_u2: int):
@@ -446,7 +473,7 @@ def orthogonality_check(two_l_max: int = 3, R: float = 0.9, nodes_s3: int = 24,
     degree-bounded element with an inverse-argument dual; the polynomial
     pairing over the 4-cycle additionally scans norm powers k, k' in
     {0, 1} and checks the 1/(2l+1) values with delta matching in k.
-    Each family is one Gram-matrix product, summed over the grid pieces.
+    Each family is one Gram-matrix product over one S^3 grid.
     """
     if two_l_max > 3:
         raise ValueError("orthogonality check is desk-scale: need 2l <= 3")
@@ -486,8 +513,6 @@ def conformal_check(r: float = 1.0, nodes: int = 20, tol: float = 1e-4,
     first; the original and every moved point set are then integrated
     in one pass.
     """
-    from .hc import norm, random_near_identity
-
     if samples < 1:
         raise ValueError("conformal check needs at least one sample")
     rng = _rng(seed)

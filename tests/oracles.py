@@ -27,22 +27,26 @@ eigenvalue extracted from a ladder image, the ladder image by the
 one-step ladder recursion, diagram images by peeling the history in
 Fractions, and the magic check comparing Fraction images.
 
-The polylogarithms and ladder functions are checked against
+The polylogarithms, the ladder functions and the eigenvalues mu (as
+shifted Legendre moments of the loop kernel) are checked against
 one-dimensional integral representations, summed by a Gauss-Legendre
 rule after the substitution t = s^6, which tames the logarithmic
 end-point singularities; the power series of Li_N has a reference that
 runs in complex arithmetic with integer powers at every argument.
 
 The quadrature grids have a reference build that evaluates exp, cos
-and sin over full meshgrids, the basis values a reference that sums the
-terms of each t^l_{n,m} with fresh powers (`t_poly` evaluated), the orthogonality Gram
+and sin over full meshgrids, the 4-cycle a chart of its own
+(`chart_u2`), the basis values a reference that sums the terms of each
+t^l_{n,m} with fresh powers (`t_poly` evaluated), the orthogonality Gram
 matrices a reference that sums each pair of value rows separately, and
-each batched check a reference that integrates one integrand per call.
+each batched check a reference that integrates one integrand per call;
+the one-loop integral has its closed form F_1 in the cross ratios.
 The conformal action has a second, left-quotient form.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from itertools import chain, permutations, product
@@ -51,7 +55,8 @@ import numpy as np
 
 from boxmagic import quadrature
 from boxmagic.diagrams import EXTERNALS, BoxDiagram, enumerate_diagrams
-from boxmagic.hc import ComplexQuaternion, GroupElement, conformal_act, domain_side, inverse, random_near_identity
+from boxmagic.hc import (ComplexQuaternion, GroupElement, conformal_act, domain_side, inverse, norm,
+                         random_near_identity)
 from boxmagic.magic import GeneratorImage, diagram_image, ladder_image
 from boxmagic.tbasis import BasisExpansion, TIndex, _nu, term_of_inverse_argument
 
@@ -626,6 +631,33 @@ def phi_oracle(L: int, x, y) -> np.ndarray:
     return -(f @ w) / (math.factorial(L) * math.factorial(L - 1))
 
 
+def mu_legendre(n: int, k: int) -> float:
+    """mu^(n)_k = 1/(n-1)! Int_0^1 P_(k-1)(2x - 1) (-ln x)^(n-1) dx, in floats.
+
+    The shifted Legendre moments of the n-loop kernel (-ln x)^(n-1)/(n-1)!,
+    summed by the Gauss-Legendre rule of `li_oracle`; no recursion in n or k.
+    """
+    t, w = _gauss_legendre_01()
+    p = np.polynomial.legendre.legval(2.0 * t - 1.0, [0] * (k - 1) + [1])
+    return float((w * p * (-np.log(t)) ** (n - 1)).sum()) / math.factorial(n - 1)
+
+
+def one_loop_closed_form(Z1: ComplexQuaternion, Z2: ComplexQuaternion,
+                         W1: ComplexQuaternion, W2: ComplexQuaternion) -> complex:
+    """F_1 = ln((1 - zb)/(1 - z)) / ((z - zb) D), the one-loop integral over U(2)_R.
+
+    D = N(Z1 - W2) N(Z2 - W1); z and zb are the roots of u^2 - (1 + s - t) u + s
+    with s = N(Z1 - Z2) N(W1 - W2)/D and t = N(Z1 - W1) N(Z2 - W2)/D.  F_1 is
+    symmetric in z and zb, so the sign of the square root does not matter.
+    """
+    D = norm(Z1 - W2) * norm(Z2 - W1)
+    s = norm(Z1 - Z2) * norm(W1 - W2) / D
+    t = norm(Z1 - W1) * norm(Z2 - W2) / D
+    root = cmath.sqrt((1 + s - t) ** 2 - 4 * s)
+    z, zb = (1 + s - t + root) / 2, (1 + s - t - root) / 2
+    return cmath.log((1 - zb) / (1 - z)) / ((z - zb) * D)
+
+
 def basis_value(f: BasisExpansion, z11, z12, z21, z22):
     """f at entries, each term t^l_{n,m} N^k with its own powers, from `t_poly` and a power of N."""
     n = z11 * z22 - z12 * z21
@@ -664,6 +696,31 @@ def conformal_draws(r: float, samples: int, scale: float, seed: int):
 def conformal_act_alt(h: GroupElement, Z: ComplexQuaternion) -> ComplexQuaternion:
     """Equivalent left-quotient form (a' - Z c')^-1 (-b' + Z d')."""
     return inverse(h.ap - Z * h.cp) * (Z * h.dp - h.bp)
+
+
+def chart_u2(R: float, phi, psi, theta, chi):
+    """Chart of U(2)_R at angles (phi, psi, theta, chi); numpy-broadcasting.
+
+    Returns (z11, z12, z21, z22, density) for the points
+    R * e^{i phi} * q(psi, theta, chi), with q the unit quaternion of
+    `hc.chart_s3`; ranges phi in [0, pi), psi, chi in [0, 2 pi), theta in
+    [0, pi/2].  The density
+
+        -i * R^4 * e^{4 i phi} * cos(theta) * sin(theta)
+
+    is the closed-form Jacobian of dV = (1/4) dz11^dz12^dz21^dz22 in this
+    chart, with the global sign calibrated so that integrating
+    density / N(Z)^2 over the chart yields -2*pi^3*i.  The package keeps
+    only the S^3_R chart and reaches U(2)_R through its phases.
+    """
+    c, s = np.cos(theta), np.sin(theta)
+    e = np.exp(1j * phi)
+    z11 = R * c * e * np.exp(1j * psi)
+    z12 = R * s * e * np.exp(1j * chi)
+    z21 = -R * s * e * np.exp(-1j * chi)
+    z22 = R * c * e * np.exp(-1j * psi)
+    density = -1j * R**4 * np.exp(4j * phi) * c * s
+    return z11, z12, z21, z22, density
 
 
 def meshgrid_grid(chart: str, radius: float, n: int):

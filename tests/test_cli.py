@@ -20,9 +20,9 @@ from boxmagic.polylog import phi
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_process(*argv: str, code: str | None = None) -> subprocess.CompletedProcess:
-    """`python -m boxmagic.cli ARGV` (or `python -c CODE`) in a fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def run_process(*argv: str, code: str | None = None, env: dict | None = None) -> subprocess.CompletedProcess:
+    """`python -m boxmagic.cli ARGV` (or `python -c CODE`) in a fresh interpreter, with extra `env`."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **(env or {}))
     cmd = [sys.executable, "-c", code] if code else [sys.executable, "-m", "boxmagic.cli", *argv]
     return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
 
@@ -194,8 +194,12 @@ class TestVerify:
         assert [str(w.message) for w in caught] == []
 
     def test_verify_all_json_is_bit_identical_across_runs(self):
-        # Two fresh interpreters: the reductions run in a fixed order, so the bytes repeat.
-        first, second = (run_process("verify", "all", "--json") for _ in range(2))
+        # Two fresh interpreters, one BLAS thread and two: the reductions run in a
+        # fixed order and the matrix products split no sum between threads, so the
+        # bytes repeat.
+        first, second = (run_process("verify", "all", "--json",
+                                     env=dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"), t))
+                         for t in ("1", "2"))
         assert first.returncode == 0, first.stderr
         assert first.stdout == second.stdout
         assert json.loads(first.stdout)["passed"] is True
@@ -267,6 +271,8 @@ CONTRACT_GRID = [
     (("verify", "normalization", "--nodes", "3"), 2),
     (("verify", "orthogonality", "--nodes", "3"), 2),
     (("verify", "normalization", "--nodes", "65"), 2),
+    (("verify", "poisson", "--nodes", "65"), 2),  # one pass holds n^3 <= 2^18 nodes on either cycle
+    (("verify", "orthogonality", "--nodes", "65"), 2),
     (("verify", "normalization", "--radius", "-1"), 2),
     (("verify", "poisson", "--radius", "nan"), 2),
     (("verify", "collapse", "--tol", "0"), 2),

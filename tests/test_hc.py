@@ -14,14 +14,13 @@ from boxmagic.hc import (
     ComplexQuaternion,
     GroupElement,
     chart_s3,
-    chart_u2,
     conformal_act,
     domain_side,
     inverse,
     norm,
     random_near_identity,
 )
-from oracles import conformal_act_alt
+from oracles import chart_u2, conformal_act_alt
 
 RNG = np.random.default_rng(42)
 IDENTITY = ComplexQuaternion(1, 0, 0, 1)

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 from boxmagic import quadrature
-from boxmagic.hc import ComplexQuaternion, chart_s3, chart_u2
+from boxmagic.hc import ComplexQuaternion, chart_s3
 from boxmagic.quadrature import (
     DomainError,
     QuadratureSpec,
     _grid,
     _kernel_pass,
     _orthogonality_grams,
+    _phases,
     conformal_check,
     integrate,
     lemma_zp_check,
@@ -28,8 +29,8 @@ from boxmagic.quadrature import (
     zp_closed_form,
 )
 from boxmagic.tbasis import BasisExpansion, TIndex
-from oracles import (conformal_draws, exact_H_pairing, kernel_integral, meshgrid_grid, orthogonality_pairs,
-                     pair_Zh)
+from oracles import (chart_u2, conformal_draws, exact_H_pairing, kernel_integral, meshgrid_grid,
+                     one_loop_closed_form, orthogonality_pairs, pair_Zh)
 
 W_IN = ComplexQuaternion(0.31 + 0.12j, -0.08 + 0.05j, 0.04 - 0.11j, 0.27 - 0.06j)
 WP_IN = ComplexQuaternion(-0.22 + 0.03j, 0.10 + 0.02j, -0.03 + 0.07j, -0.18 - 0.04j)
@@ -45,9 +46,12 @@ ONE_LOOP_PTS = (
 )
 
 
-def whole_grid(chart: str, R: float, n: int):
-    """The grid pieces of `_grid`, concatenated."""
-    return tuple(np.concatenate(parts) for parts in zip(*_grid(chart, R, n)))
+def u2_slices(R: float, n: int):
+    """The u2 nodes and weights that a kernel pass reaches, one (n, n^3) row per phase:
+    lam_k times the s3 grid of `_grid`, with the weight factor of power 4 of `_phases`."""
+    *z, w = _grid(R, n)
+    lam, fac = _phases("u2", R, n, [4])
+    return [np.multiply.outer(lam, x) for x in z] + [np.multiply.outer(fac[:, 0], w)]
 
 
 class TestSpecAndGrids:
@@ -60,21 +64,26 @@ class TestSpecAndGrids:
             QuadratureSpec("cycle", 1.0, 8)
         with pytest.raises(ValueError):
             QuadratureSpec("u2", 1.0, 90)  # exceeds the node budget
+        # A pass holds n^3 nodes on either cycle: the budget admits n <= 64 on both.
+        for chart in ("u2", "s3"):
+            QuadratureSpec(chart, 1.0, 64)
+            with pytest.raises(ValueError, match="budget"):
+                QuadratureSpec(chart, 1.0, 65)
 
     def test_grid_matches_scalar_charts(self):
-        # Every grid node must agree with the chart evaluated at its own angles.
+        # Every grid node must agree with the chart evaluated at its own angles;
+        # on u2 the node lam_k q and its weight against the 4-angle chart.
         n = 4
         x, wgl = np.polynomial.legendre.leggauss(n)
         thetas = 0.25 * math.pi * (x + 1.0)
         periodic = [2 * math.pi * j / n for j in range(n)]
         cases = (
-            ("u2", (math.pi / n) * (2 * math.pi / n) ** 2,
+            ("u2", (math.pi / n) * (2 * math.pi / n) ** 2, [a.ravel() for a in u2_slices(0.8, n)],
              lambda R, a: chart_u2(R, math.pi * a[0] / n, periodic[a[1]], thetas[a[2]], periodic[a[3]])),
-            ("s3", (2 * math.pi / n) ** 2,
+            ("s3", (2 * math.pi / n) ** 2, _grid(0.8, n),
              lambda R, a: chart_s3(R, periodic[a[0]], thetas[a[1]], periodic[a[2]])),
         )
-        for chart, cell, at in cases:
-            grid = whole_grid(chart, 0.8, n)
+        for chart, cell, grid, at in cases:
             for i, a in enumerate(np.ndindex(*(n,) * (4 if chart == "u2" else 3))):
                 *z, density = at(0.8, a)
                 weight = density * wgl[a[-2]] * 0.25 * math.pi * cell
@@ -83,54 +92,64 @@ class TestSpecAndGrids:
 
     def test_s3_total_weight(self):
         for R in (0.7, 1.25):
-            spec = QuadratureSpec("s3", R, 12)
-            total = integrate(spec, lambda a, b, c, d: np.ones_like(a))
+            total = quadrature._gram(R, 12, [BasisExpansion.one()], [BasisExpansion.one()])[0, 0]
             assert abs(total - 2 * math.pi**2 * R**3) <= 1e-10
 
     def test_s3_odd_monomial_vanishes(self):
-        spec = QuadratureSpec("s3", 1.0, 12)
         # z11 + z22 = 2 x0 is odd under the antipodal map.
-        val = integrate(spec, lambda a, b, c, d: a + d)
-        assert abs(val) < 1e-12
+        odd = BasisExpansion({TIndex(1, -1, -1, 0): 1, TIndex(1, 1, 1, 0): 1})
+        assert abs(quadrature._gram(1.0, 12, [odd], [BasisExpansion.one()])[0, 0]) < 1e-12
 
     def test_deterministic_repeat(self):
         spec = QuadratureSpec("u2", 1.0, 8)
-        f = lambda a, b, c, d: 1.0 / (a * d - b * c)
-        assert integrate(spec, f) == integrate(spec, f)
+        rows = [(BasisExpansion.one(), (None,)), (BasisExpansion.monomial("z11", 2), (None, W_IN))]
+        assert np.array_equal(integrate(spec, rows), integrate(spec, rows))
 
     @pytest.mark.parametrize("chart", ["u2", "s3"])
     @pytest.mark.parametrize("n", [4, 12, 20, 24, 32])
     @pytest.mark.parametrize("R", [0.8, 1.0, 1.25])
     def test_grid_bitwise_matches_meshgrid_build(self, chart, n, R):
-        # u2 comes in n phi slices of n^3 nodes, s3 in one piece.
-        pieces = list(_grid(chart, R, n))
-        assert [p[0].size for p in pieces] == ([n**3] * n if chart == "u2" else [n**3])
-        got = whole_grid(chart, R, n)
-        want = meshgrid_grid(chart, R, n)
-        for g, w in zip(got, want):
-            assert g.shape == w.shape
+        # Both cycles build one s3 piece of n^3 nodes, bit for bit the meshgrid
+        # build; the u2 nodes lam_k q and their weights are the meshgrid's 4-cycle
+        # to rounding, a few ulps (the phase multiplies last, not first; 2.4 eps measured).
+        got = _grid(R, n)
+        for g, w in zip(got, meshgrid_grid("s3", R, n)):
+            assert g.shape == w.shape == (n**3,)
             assert np.array_equal(g.view(np.float64), w.view(np.float64))
+        if chart == "u2":
+            want = meshgrid_grid("u2", R, n)
+            for g, w, scale in zip(u2_slices(R, n), want, [R] * 4 + [np.abs(want[4]).max()]):
+                assert np.abs(g.ravel() - w).max() <= 4 * np.finfo(float).eps * scale
 
     def test_nonfinite_integrand_reported(self):
-        spec = QuadratureSpec("s3", 1.0, 8)
-        with pytest.raises(FloatingPointError, match="non-finite"):
-            integrate(spec, lambda a, b, c, d: np.full_like(a, np.nan))
+        # N(Z) underflows to 0 at this radius, so 1/N(Z) is infinite at every node.
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
+            integrate(QuadratureSpec("s3", 1e-170, 8), [(BasisExpansion.one(), (None,))])
 
     def test_nonfinite_value_names_row_and_node(self):
-        def f(a, b, c, d):
-            rows = np.ones((3, a.size), dtype=complex)
-            rows[2, 5] = np.inf
-            return rows
-
-        z11 = whole_grid("u2", 1.0, 4)[0][5]
-        with pytest.raises(FloatingPointError, match=rf"integrand 2 at node Z = \[\[{re.escape(str(z11))},"):
-            integrate(QuadratureSpec("u2", 1.0, 4), f)
+        # A pole next to the u2 node lam_2 q_5 (relative offset 1e-10): at this radius
+        # only that node's N(Z - P) flushes below 1/DBL_MAX.  The message names the
+        # row and the node Z = lam_2 q_5, not the s3 node q_5.
+        R, n, k, j = 1e-147, 4, 2, 5
+        *q, _ = _grid(R, n)
+        lam, _ = _phases("u2", R, n, ())
+        P = ComplexQuaternion(*(lam[k] * z[j] * (1 + 1e-10) for z in q))
+        one = BasisExpansion.one()
+        rows = [(one, (ComplexQuaternion(2 * R, 0, 0, 2 * R),)), (one, (None,)), (one, (P,))]
+        with (np.errstate(all="ignore"),
+              pytest.raises(FloatingPointError, match=r"integrand 2 at node Z = \[\[") as err):
+            integrate(QuadratureSpec("u2", R, n), rows)
+        named = [complex(v) for v in re.findall(r"\(([^()]*)\)", str(err.value))]
+        assert len(named) == 4
+        assert max(abs(got - lam[k] * z[j]) for got, z in zip(named, q)) <= 1e-15 * R
 
     def test_row_stack_sums_each_row(self):
+        # 1/N(Z)^2 and N(Z)^2/N(Z) = N(Z): rows with different poles, one pass.
         spec = QuadratureSpec("u2", 1.0, 8)
-        got = integrate(spec, lambda a, b, c, d: np.stack([1.0 / (a * d - b * c) ** 2, a * d - b * c]))
+        inv_sq = (BasisExpansion.one(), (None, None))
+        got = integrate(spec, [inv_sq, (BasisExpansion({TIndex(0, 0, 0, 2): 1}), (None,))])
         assert got.shape == (2,)
-        assert got[0] == integrate(spec, lambda a, b, c, d: 1.0 / (a * d - b * c) ** 2)
+        assert got[0] == integrate(spec, [inv_sq])[0]
         assert abs(got[0] - (-2j * math.pi**3)) <= 1e-10
         assert abs(got[1]) <= 1e-12
 
@@ -146,8 +165,7 @@ class TestNormalization:
             normalization_check(radii=())
 
     def test_single_radius_value(self):
-        spec = QuadratureSpec("u2", 1.1, 12)
-        val = integrate(spec, lambda a, b, c, d: 1.0 / (a * d - b * c) ** 2)
+        (val,) = integrate(QuadratureSpec("u2", 1.1, 12), [(BasisExpansion.one(), (None, None))])
         assert abs(val - (-2j * math.pi**3)) <= 1e-10
 
 
@@ -236,7 +254,42 @@ class TestLemmaZp:
             zp_closed_form("z13", 1, W_IN, WP_IN)
 
 
+def random_point(rng: np.random.Generator, lo: float, hi: float, euclidean: bool) -> ComplexQuaternion:
+    """A point with singular values in [lo, hi]: a real quaternion of norm in [lo, hi]^2,
+    or a generic complex matrix U diag(s1, s2) V*."""
+    if euclidean:
+        x = rng.normal(size=4)
+        x *= rng.uniform(lo, hi) / np.linalg.norm(x)
+        return ComplexQuaternion(complex(x[0], -x[3]), complex(-x[2], -x[1]), complex(x[2], -x[1]),
+                                 complex(x[0], x[3]))
+    u, _, vh = np.linalg.svd(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return ComplexQuaternion.from_matrix(u @ np.diag(rng.uniform(lo, hi, 2)) @ vh)
+
+
 class TestOneLoop:
+    @pytest.mark.parametrize("euclidean", [True, False], ids=["euclidean", "complex"])
+    def test_matches_closed_form(self, euclidean):
+        # Z1, Z2 with singular values in [1.8, 2.5], W1, W2 in [0.05, 0.5], radius 1:
+        # at 32 nodes the kernel pass is F_1 to rounding (1.2e-15 measured, 3e-13 over other draws).
+        rng = np.random.default_rng(11 if euclidean else 12)
+        for _ in range(3):
+            points = [random_point(rng, lo, hi, euclidean) for lo, hi in ((1.8, 2.5),) * 2 + ((0.05, 0.5),) * 2]
+            want = one_loop_closed_form(*points)
+            assert abs(one_loop_eval(*points, 1.0, 32) - want) <= 1e-11 * abs(want)
+
+    @pytest.mark.parametrize("draw", range(6))
+    def test_converges_to_closed_form(self, draw):
+        # Points drawn like the checks' points: the conformal check's own draws, and
+        # singular values in [1.6, 2.5] outside and [0.05, 0.6] inside.
+        if draw < 3:
+            points = quadrature._covariance_points(quadrature._rng(draw), 1.0)
+        else:
+            rng = np.random.default_rng(draw)
+            points = [random_point(rng, lo, hi, False) for lo, hi in ((1.6, 2.5),) * 2 + ((0.05, 0.6),) * 2]
+        want = one_loop_closed_form(*points)
+        err10, err20 = (abs(one_loop_eval(*points, 1.0, n) - want) / abs(want) for n in (10, 20))
+        assert err20 < err10
+
     def test_spot_regression(self):
         got = one_loop_eval(*ONE_LOOP_PTS, 1.0, 24)
         assert got == pytest.approx(ONE_LOOP_SPOT, rel=1e-9)
@@ -333,13 +386,10 @@ class TestOrthogonality:
         pairs = [(idxs[rng.integers(len(idxs))], idxs[rng.integers(len(idxs))])
                  for _ in range(40)]
         for R in (0.8, 1.25):
-            a, b, c, d, w = whole_grid("u2", R, 12)
             for i1, i2 in pairs:
                 f1 = BasisExpansion({i1: 1})
                 f2 = BasisExpansion({i2: 1})
-                v1 = f1.eval_entries(a, b, c, d)
-                v2 = f2.eval_entries(a, b, c, d)
-                num = 1j / (2 * math.pi**3) * np.sum(w * v1 * v2)
+                num = 1j / (2 * math.pi**3) * quadrature._cycle_gram(R, 12, [f1], [f2])[0, 0]
                 assert abs(num - complex(pair_Zh(f1, f2))) <= 1e-6
 
 
@@ -358,27 +408,25 @@ def record_kernel_passes(monkeypatch):
 
 
 def record_grids(monkeypatch):
-    """Spy on quadrature._grid: a list of (chart, R, n, node counts of the pieces built) per call."""
+    """Spy on quadrature._grid: a list of (R, n, node count) per S^3 grid built."""
     calls = []
     real = quadrature._grid
 
-    def spy(chart, R, n):
-        sizes = []
-        calls.append((chart, R, n, sizes))
-        for piece in real(chart, R, n):
-            sizes.append(piece[0].size)
-            yield piece
+    def spy(R, n):
+        grid = real(R, n)
+        calls.append((R, n, grid[0].size))
+        return grid
 
     monkeypatch.setattr(quadrature, "_grid", spy)
     return calls
 
 
 class TestGridsBuilt:
-    """Pole-free checks take one S^3 pass per radius; kernel checks stream the u2 slices."""
+    """Every check builds one S^3 grid of n^3 nodes per radius and pass, on either cycle."""
 
     @pytest.mark.parametrize("check, want", [
-        (normalization_check, [("s3", 0.8, 32, [32**3]), ("s3", 1.25, 32, [32**3])]),
-        (orthogonality_check, [("s3", 0.9, 24, [24**3]), ("s3", 0.9, 16, [16**3])]),
+        (normalization_check, [(0.8, 32, 32**3), (1.25, 32, 32**3)]),
+        (orthogonality_check, [(0.9, 24, 24**3), (0.9, 16, 16**3)]),
     ])
     def test_pole_free_checks_build_only_s3(self, monkeypatch, check, want):
         calls = record_grids(monkeypatch)
@@ -389,11 +437,13 @@ class TestGridsBuilt:
         (lemma_zp_check, [1.0]),
         (collapse_check, [0.8, 1.25]),
         (conformal_check, [1.0]),
-    ])
-    def test_kernel_checks_stream_u2_slices(self, monkeypatch, check, radii):
+    ], ids=["lemma_zp", "collapse", "conformal"])
+    def test_kernel_checks_build_only_s3(self, monkeypatch, check, radii):
+        # The u2 kernel rows loop over the phases of one s3 grid, so a pass holds
+        # n^3 nodes, never the n^4 of the 4-cycle nor one phi slice after another.
         calls = record_grids(monkeypatch)
         check(nodes=8)
-        assert calls == [("u2", R, 8, [8**3] * 8) for R in radii]
+        assert calls == [(R, 8, 8**3) for R in radii]
 
 
 class TestBatchedChecksAgainstOracles:
