@@ -113,7 +113,7 @@ def _phases(chart: str, R: float, n: int, powers) -> tuple[np.ndarray, np.ndarra
     if chart == "s3":
         return np.ones(1, dtype=complex), np.ones((1, m.size), dtype=complex)
     try:
-        R**4
+        R**4  # the u2 density's radius power; Python floats raise where numpy gives inf
     except OverflowError:
         raise OverflowError("a value of the u2 chart leaves the float range") from None
     phi = np.arange(n) * (np.pi / n)
