@@ -31,7 +31,6 @@ from . import magic, polylog
 
 MAX_LOOPS_MU = 16
 MAX_K = 64
-MAX_LOOPS_MAGIC = 4
 
 # The checks of `quadrature.run_suite`, in its order (a test holds the two
 # equal); listed here so that building the parser does not import numpy.
@@ -112,8 +111,8 @@ def _cmd_diagrams(args: argparse.Namespace) -> int:
 
 
 def _cmd_magic(args: argparse.Namespace) -> int:
-    if not (1 <= args.loops <= MAX_LOOPS_MAGIC and 0 <= args.k_max <= MAX_K):
-        print(f"magic: need 1 <= loops <= {MAX_LOOPS_MAGIC} and 0 <= k-max <= {MAX_K}", file=sys.stderr)
+    if not (1 <= args.loops <= dg.MAX_LOOPS and 0 <= args.k_max <= MAX_K):
+        print(f"magic: need 1 <= loops <= {dg.MAX_LOOPS} and 0 <= k-max <= {MAX_K}", file=sys.stderr)
         return 2
     report = magic.verify_magic(args.loops, args.k_max)
     payload = {

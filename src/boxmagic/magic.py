@@ -17,23 +17,24 @@ square by the scalar
 
     mu^(n)_k = sum_{p=0}^{k-1} (-1)^(k+p+1) a^(k-1)(n, p) C(k-1, p).
 
-For an arbitrary diagram the image is computed by peeling the recorded
-last slingshot.  Each site has one directly reducible generator family:
+An n-loop diagram is the one-loop box with n-1 slingshots attached in
+turn.  The rule of the last site (`_attach`) gives its image from the
+images one loop below, and each site has one directly reducible
+generator family:
 
-* site Z1, left family:  multiply by (w'11)^(k-p) and recurse at p,
-  with weight 1/(k+1);
+* site Z1, left family:  multiply the degree-p image by (w'11)^(k-p),
+  summed over p <= k with weight 1/(k+1);
 * site Z2, right family: same with (w11)^(k-p) (this is the ladder
   recursion);
-* site W1, left family:  substitute the w11 slot of the predecessor
-  image by the peeled vertex and re-integrate, sending (w11)^a to
+* site W1, left family:  substitute the w11 slot of the image below by
+  the new vertex and re-integrate, sending (w11)^a to
   1/(a+1) sum_r (w11)^r (w'11)^(a-r);
 * site W2, right family: mirror of the previous rule on the w'11 slot.
 
-The opposite family is routed through the swap symmetry
-image_left(w, w') = image_right(w', w); `verify_magic` is the
-correctness gate for this reconstruction: it peels the history of
-every enumerated diagram and requires the integer numerators of its
-image to equal those of the ladder row, degree by degree.
+The opposite family follows from the swap symmetry
+image_left(w, w') = image_right(w', w).  A rule sees the history only
+through the images below, so `verify_magic` proves the identities for
+all 4^(n-1) histories by induction over the last slingshot.
 
 All arithmetic is exact; no floating point enters this module.  Rows
 and images are carried as integer numerators over lcm(1..k+1)^n and
@@ -48,8 +49,9 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, product
 
-from .diagrams import BoxDiagram, enumerate_diagrams, from_history
+from .diagrams import EXTERNALS, BoxDiagram, enumerate_diagrams, from_history
 
 __all__ = [
     "CoeffTable",
@@ -170,74 +172,64 @@ def ladder_image(n: int, k: int, side: str = "right") -> GeneratorImage:
     return GeneratorImage(k=k, side=side, coeffs=coeffs)
 
 
-_DIRECT_SIDE = {"Z1": "left", "Z2": "right", "W1": "left", "W2": "right"}
+# The generator family that each site's rule reduces directly, then the other one.
+_SIDES_OF = {"Z1": SIDES, "Z2": SIDES[::-1], "W1": SIDES, "W2": SIDES[::-1]}
 
 
-@lru_cache(maxsize=None)
-def _image_numerators(history: tuple[str, ...], side: str, k: int) -> tuple[int, ...]:
-    """Image coefficients as integer numerators over lcm(1..k+1)^(len(history)+1).
+def _attach(site: str, image, m: int, k: int) -> dict[str, tuple[int, ...]]:
+    """Level-(m+1) image of the degree-k generator, on both sides, after a slingshot at `site`.
 
-    Every rule divides by an integer in 1..k+1 once per loop, so the
-    common denominator of a degree-k image grows by one factor
-    L = lcm(1..k+1) per peeled slingshot; a degree-p sub-image is
-    brought over to L by the integer factor (L/lcm(1..p+1))^loops.
+    `image[p][side]` is the level-m image of degree p <= k as integer numerators
+    over lcm(1..p+1)^m; the result is over L^(m+1), L = lcm(1..k+1).  The rule
+    gives the site's direct side, and the other side is its reversal.
     """
     lcm = _lcm_upto(k + 1)
-    if not history:
-        return (lcm // (k + 1),) * (k + 1)
-    site = history[-1]
-    if _DIRECT_SIDE[site] != side:
-        # Route through the swap symmetry: the other family is direct.
-        other = "left" if side == "right" else "right"
-        return tuple(reversed(_image_numerators(history, other, k)))
-    prev = history[:-1]
-    out = [0] * (k + 1)
-    if site in ("Z1", "Z2"):
-        # Multiply by (w'11)^(k-p) (Z1) or (w11)^(k-p) (Z2), recurse at p, weight 1/(k+1).
-        shift = site == "Z1"
-        for p in range(k + 1):
-            scale = (lcm // _lcm_upto(p + 1)) ** len(history) * (lcm // (k + 1))
-            for q, c in enumerate(_image_numerators(prev, side, p)):
-                out[k - p + q if shift else q] += c * scale
-    elif site == "W1":
+    side, other = _SIDES_OF[site]
+    if site == "W1":
         # (w11)^(k-q) (w'11)^q -> 1/(k-q+1) sum_{j >= q} (w11)^(k-j) (w'11)^j: a prefix sum.
-        acc = 0
-        for q, c in enumerate(_image_numerators(prev, side, k)):
-            acc += c * (lcm // (k - q + 1))
-            out[q] = acc
-    else:  # W2, the mirror: a suffix sum.
-        sub = _image_numerators(prev, side, k)
-        acc = 0
-        for q in range(k, -1, -1):
-            acc += sub[q] * (lcm // (q + 1))
-            out[q] = acc
-    return tuple(out)
+        out = list(accumulate(c * (lcm // (k - q + 1)) for q, c in enumerate(image[k][side])))
+    elif site == "W2":
+        # The mirror on the w'11 slot: a suffix sum.
+        sub = image[k][side]
+        out = list(accumulate(sub[q] * (lcm // (q + 1)) for q in range(k, -1, -1)))[::-1]
+    else:
+        # Multiply the degree-p image by (w'11)^(k-p) (Z1) or (w11)^(k-p) (Z2), weight 1/(k+1).
+        out = [0] * (k + 1)
+        for p in range(k + 1):
+            scale = (lcm // _lcm_upto(p + 1)) ** m * (lcm // (k + 1))
+            shift = k - p if site == "Z1" else 0
+            for q, c in enumerate(image[p][side]):
+                out[shift + q] += c * scale
+    return {side: tuple(out), other: tuple(out[::-1])}
 
 
-@lru_cache(maxsize=None)
-def _history_solid(history: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
-    return from_history(history).solid
+def _ladder_images(n: int, k_max: int) -> list[dict[str, tuple[int, ...]]]:
+    """The n-loop ladder image of every degree p <= k_max on both sides, laid out as `_attach` takes it."""
+    rows = (_a_numerators(n, p)[0] for p in range(k_max + 1))
+    return [{"left": row[::-1], "right": row} for row in rows]
 
 
 def diagram_image(d: BoxDiagram, side: str, k: int) -> GeneratorImage:
-    """Image of the degree-k generator under the operator of diagram d.
+    """Image of the degree-k generator under diagram d: `_attach` folded over its history.
 
-    Evaluates by peeling the recorded attachment history; the base case
-    is the one-loop image 1/(k+1) sum_p (w11)^(k-p) (w'11)^p.
+    The fold starts from the one-loop images 1/(p+1) sum_q (w11)^(p-q) (w'11)^q, p <= k.
     """
     if side not in SIDES:
         raise ValueError(f"unsupported generator family {side!r}")
     if k < 0:
         raise ValueError("generator degree must be >= 0")
-    if _history_solid(d.history) != d.solid:
+    if from_history(d.history).solid != d.solid:
         raise ValueError("diagram history does not reproduce the diagram")
+    images = _ladder_images(1, k)
+    for m, site in enumerate(d.history, start=1):
+        images = [_attach(site, images, m, p) for p in range(k + 1)]
     den = _lcm_upto(k + 1) ** d.n
-    return GeneratorImage(k, side, tuple(Fraction(c, den) for c in _image_numerators(d.history, side, k)))
+    return GeneratorImage(k, side, tuple(Fraction(c, den) for c in images[k][side]))
 
 
 @dataclass(frozen=True)
 class MagicReport:
-    """Outcome of comparing all n-loop diagram images against the ladder."""
+    """Outcome at n loops, k <= k_max: n-loop diagrams covered, one failure per level, site, side and k."""
 
     n: int
     k_max: int
@@ -250,27 +242,27 @@ class MagicReport:
 
 
 def verify_magic(n: int, k_max: int) -> MagicReport:
-    """Check that every enumerated n-loop diagram yields the same images.
+    """Check that every n-loop diagram has the ladder image, by induction over the last slingshot.
 
-    For both generator families and every degree k <= k_max, each
-    diagram's image must coincide exactly with the ladder image: both are
-    integer numerators over lcm(1..k+1)^n (the ladder row reversed on the
-    left), compared as tuples; Fractions are made only for failure messages.
+    At every level m < n, each site must send the m-loop ladder images (every
+    degree, both sides) to the (m+1)-loop ladder image: one `_attach` call per
+    level, site and k <= k_max, whatever the number of histories.  Images are
+    compared as integer numerators; Fractions are made only for failure messages.
     """
-    diagrams = enumerate_diagrams(n)
+    diagram_count = len(enumerate_diagrams(n))
     failures: list[str] = []
-    for side in SIDES:
-        for k in range(k_max + 1):
-            row, den = _a_numerators(n, k)
-            expected = row if side == "right" else row[::-1]
-            for i, d in enumerate(diagrams):
-                got = _image_numerators(d.history, side, k)
-                if got != expected:
-                    failures.append(
-                        f"n={n} side={side} k={k} diagram#{i} history={d.history}: "
-                        f"{tuple(Fraction(c, den) for c in got)} != {tuple(Fraction(c, den) for c in expected)}"
-                    )
-    return MagicReport(n=n, k_max=k_max, diagram_count=len(diagrams), failures=tuple(failures))
+    ladder = _ladder_images(1, k_max)
+    for m in range(1, n):
+        target = _ladder_images(m + 1, k_max)
+        for site, k in product(EXTERNALS, range(k_max + 1)):
+            got = _attach(site, ladder, m, k)
+            for side in SIDES:
+                if got[side] != target[k][side]:
+                    den = _lcm_upto(k + 1) ** (m + 1)
+                    got_f, want_f = (tuple(Fraction(c, den) for c in x) for x in (got[side], target[k][side]))
+                    failures.append(f"level {m}->{m + 1} site={site} side={side} k={k}: {got_f} != {want_f}")
+        ladder = target
+    return MagicReport(n=n, k_max=k_max, diagram_count=diagram_count, failures=tuple(failures))
 
 
 def fraction_str(x: Fraction) -> str:

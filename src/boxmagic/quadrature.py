@@ -14,9 +14,9 @@ f(lam q) = sum_d lam^d f_d(q), and N(lam q - P) = lam^2 N(q) - lam B_P(q)
 loop over the phases forms only denominators (`integrate`).  Memory
 grows as n^3.  Each check makes one such pass over all its integrands.
 Every node sum is numpy's pairwise sum, or a Gram product that BLAS
-splits by blocks of the result, and the phases are summed in order, so
-the same flags give the same bits on every run, whatever the BLAS
-thread count.
+splits by blocks of the result, added over node blocks in order (`_gram`),
+and the phases are summed in order, so the same flags give the same bits
+on every run, whatever the BLAS thread count.
 
 The verification checks implement the analytic identities at desk
 scale: the cycle normalization integral, the Poisson-type reproducing
@@ -56,6 +56,10 @@ __all__ = [
 
 # Nodes of the S^3 grid that one pass holds, on either cycle: n <= 64.
 NODE_BUDGET = 2**18
+
+# Grid nodes per block of a Gram pass (`_gram`): its 30-60 value rows stay near
+# 10 MB at any n (953 MB at n = 64 in one piece); the default grids fit in one.
+GRAM_BLOCK = 2**14
 
 
 class DomainError(ValueError):
@@ -404,24 +408,28 @@ def _dual(L: int, n: int, m: int, k: int) -> BasisExpansion:
 
 
 def _gram(R: float, nodes: int, prims, duals) -> np.ndarray:
-    """Every pairing sum_nodes w * prim_i * dual_j over S^3_R: (P * w) @ D^T in one piece.
+    """Every pairing sum_nodes w * prim_i * dual_j over S^3_R: (P * w) @ D^T, added over node blocks in order.
 
     OpenBLAS splits that product between threads by blocks of the result, not
     along the node sum; with one row or column numpy calls gemv or dot, which
     may, so those pairings are pairwise sums.  A non-finite sum aborts, naming
     a node where P * w or D is not finite if there is one.
     """
-    a, b, c, d, w = _grid(R, nodes)
-    powers = EntryPowers(a, b, c, d)
-    # A row may be a constant (t^0 N^0); broadcasting against w gives it every node.
-    prim, dual = (np.array(np.broadcast_arrays(w, *(powers.value(f) for f in fs))[1:])
-                  for fs in (prims, duals))
-    prim *= w
-    gram = prim @ dual.T if min(len(prim), len(dual)) > 1 else (prim[:, None] * dual).sum(axis=-1)
-    if not np.isfinite(gram).all():
-        for vals in (prim, dual):
-            _require_finite(vals, a, b, c, d)
-        raise FloatingPointError(f"a pairing sum at radius {R} overflows")
+    grid = _grid(R, nodes)
+    gram = None
+    for start in range(0, grid[0].size, GRAM_BLOCK):
+        a, b, c, d, w = (x[start:start + GRAM_BLOCK] for x in grid)
+        powers = EntryPowers(a, b, c, d)
+        # A row may be a constant (t^0 N^0); broadcasting against w gives it every node.
+        prim, dual = (np.array(np.broadcast_arrays(w, *(powers.value(f) for f in fs))[1:])
+                      for fs in (prims, duals))
+        prim *= w
+        part = prim @ dual.T if min(len(prim), len(dual)) > 1 else (prim[:, None] * dual).sum(axis=-1)
+        gram = part if gram is None else gram + part
+        if not np.isfinite(gram).all():
+            for vals in (prim, dual):
+                _require_finite(vals, a, b, c, d)
+            raise FloatingPointError(f"a pairing sum at radius {R} overflows")
     return gram
 
 

@@ -109,8 +109,15 @@ class TestMagic:
         assert payload["diagrams"] == 2
 
     def test_range_violation(self, capsys):
-        code, _, _ = run(capsys, "magic", "--loops", "9")
-        assert code == 2
+        code, out, err = run(capsys, "magic", "--loops", "9")
+        assert (code, out, err) == (2, "", "magic: need 1 <= loops <= 8 and 0 <= k-max <= 64\n")
+
+    def test_loop_limit_is_the_diagram_limit(self, capsys):
+        assert MAX_LOOPS == 8
+        code, out, _ = run(capsys, "magic", "--loops", "8", "--k-max", "64")
+        assert code == 0
+        assert out == (f"magic identities at 8 loop(s), k <= 64: 2704 diagram(s), "
+                       "both generator families: PASS\n")
 
     def test_k_max_out_of_range(self, capsys):
         for k_max in (-1, MAX_K + 1):
@@ -371,26 +378,38 @@ class TestDependencies:
         assert names == ["numpy"]
 
 
-# Runs `verify all --json` and prints the exit code and the process's own peak RSS (kB).
-_VERIFY_ALL_RSS = """
+# Runs main(ARGV) and prints the exit code and the process's own peak RSS (kB).
+_PEAK_RSS = """
 import contextlib, io, resource
 from boxmagic.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
-    code = main(["verify", "all", "--json"])
+    code = main({argv!r})
 print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
+def peak_rss_mb(*argv: str) -> float:
+    """Peak RSS of one command that must exit 0.  A Linux child starts with its
+    parent's peak RSS as its own, so the command runs in a grandchild started
+    by a small interpreter."""
+    wrapper = ("import subprocess, sys; "
+               f"p = subprocess.run([sys.executable, '-c', {_PEAK_RSS.format(argv=list(argv))!r}], "
+               "capture_output=True, text=True); "
+               "sys.stdout.write(p.stdout); sys.stderr.write(p.stderr); sys.exit(p.returncode)")
+    proc = run_process(code=wrapper)
+    assert proc.returncode == 0, proc.stderr
+    code, kb = proc.stdout.split()
+    assert code == "0"
+    return int(kb) / 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB and inherited on Linux")
 class TestMemory:
-    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB and inherited on Linux")
     def test_verify_all_peak_rss(self):
-        # A Linux child starts with its parent's peak RSS as its own, so the
-        # command runs in a grandchild started by a small interpreter.
-        wrapper = ("import subprocess, sys; "
-                   f"p = subprocess.run([sys.executable, '-c', {_VERIFY_ALL_RSS!r}], capture_output=True, text=True); "
-                   "sys.stdout.write(p.stdout); sys.stderr.write(p.stderr); sys.exit(p.returncode)")
-        proc = run_process(code=wrapper)
-        assert proc.returncode == 0, proc.stderr
-        code, kb = proc.stdout.split()
-        assert code == "0"
-        assert int(kb) / 1024 <= 120, f"verify all peaked at {int(kb) / 1024:.1f} MB"
+        mb = peak_rss_mb("verify", "all", "--json")
+        assert mb <= 120, f"verify all peaked at {mb:.1f} MB"
+
+    def test_orthogonality_at_the_node_limit_peak_rss(self):
+        # The Gram pass holds one block of nodes at a time (953 MB in one piece).
+        mb = peak_rss_mb("verify", "orthogonality", "--nodes", "64")
+        assert mb <= 200, f"verify orthogonality --nodes 64 peaked at {mb:.1f} MB"

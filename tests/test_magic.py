@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 from decimal import getcontext
 from fractions import Fraction
 from itertools import chain, product
@@ -227,6 +228,21 @@ class TestEigenvalueExtract:
             eigenvalue_extract(ladder_image(2, 3), 3)
 
 
+def _mutated_attach(site: str):
+    """`_attach` with 1 added to the first numerator of `site`'s rule; the other side stays its reversal."""
+    original = magic._attach
+
+    def mutated(s, image, m, k):
+        out = original(s, image, m, k)
+        if s != site:
+            return out
+        direct, other = magic._SIDES_OF[s]
+        bad = (out[direct][0] + 1,) + out[direct][1:]
+        return {direct: bad, other: bad[::-1]}
+
+    return mutated
+
+
 class TestVerifyMagic:
     def test_one_loop_trivial(self):
         rep = verify_magic(1, 6)
@@ -238,42 +254,58 @@ class TestVerifyMagic:
             assert rep.passed, rep.failures
 
     def test_agrees_with_fraction_comparison(self):
-        for n in range(1, 6):
-            rep = verify_magic(n, 6)
-            assert rep.failures == tuple(magic_failures_fraction(n, 6)) == ()
+        # The induction against enumerating every diagram and comparing its image.
+        for n in range(1, 7):
+            rep = verify_magic(n, 8)
+            assert rep.failures == tuple(magic_failures_fraction(n, 8)) == ()
             assert rep.diagram_count == len(enumerate_diagrams(n))
 
     def test_mutated_rule_fails(self, monkeypatch):
-        # Add 1 to the first numerator of the W1 prefix sum: every history
-        # ending in W1 then has a wrong image on both sides.
-        original = magic._image_numerators
-
-        def mutated(history, side, k):
-            out = original(history, side, k)
-            if history and history[-1] == "W1" and side == "left":
-                out = (out[0] + 1,) + out[1:]
-            return out
-
-        original.cache_clear()
-        monkeypatch.setattr(magic, "_image_numerators", mutated)
-        try:
-            rep = verify_magic(3, 4)
-            expected = magic_failures_fraction(3, 4)
-        finally:
-            original.cache_clear()
+        # Add 1 to the first numerator of the W1 prefix sum: W1 then misses the
+        # ladder at both levels, on both sides and at every degree.
+        monkeypatch.setattr(magic, "_attach", _mutated_attach("W1"))
+        rep = verify_magic(3, 4)
         assert not rep.passed
-        assert rep.failures == tuple(expected)
-        # Text recorded from the Fraction comparison before it became an integer one.
-        assert len(rep.failures) == 10
-        assert rep.failures[0] == (
-            "n=3 side=left k=0 diagram#5 history=('Z2', 'W1'): (Fraction(2, 1),) != (Fraction(1, 1),)"
-        )
+        assert len(rep.failures) == 20
+        assert rep.failures[0] == "level 1->2 site=W1 side=left k=0: (Fraction(2, 1),) != (Fraction(1, 1),)"
+        # The Fractions of the last failure are those that the history peeling
+        # reported for the diagram ('Z2', 'W1').
         assert rep.failures[-1] == (
-            "n=3 side=right k=4 diagram#5 history=('Z2', 'W1'): "
+            "level 2->3 site=W1 side=right k=4: "
             "(Fraction(12019, 18000), Fraction(3799, 18000), Fraction(1489, 18000), Fraction(61, 2000), "
             "Fraction(1729, 216000)) != (Fraction(12019, 18000), Fraction(3799, 18000), "
             "Fraction(1489, 18000), Fraction(61, 2000), Fraction(1, 125))"
         )
+
+    @pytest.mark.parametrize("site", EXTERNALS)
+    def test_each_site_mutation_fails_both_checks(self, monkeypatch, site):
+        monkeypatch.setattr(magic, "_attach", _mutated_attach(site))
+        rep = verify_magic(3, 4)
+        assert not rep.passed
+        assert all(f" site={site} " in f for f in rep.failures)
+        assert magic_failures_fraction(3, 4)
+
+    def test_cost_does_not_depend_on_histories(self, monkeypatch):
+        calls = []
+        original = magic._attach
+
+        def spy(site, image, m, k):
+            calls.append((m, site, k))
+            return original(site, image, m, k)
+
+        monkeypatch.setattr(magic, "_attach", spy)
+        for n, k_max in ((1, 5), (4, 24), (5, 12), (8, 3)):
+            calls.clear()
+            assert verify_magic(n, k_max).passed
+            assert len(calls) == (n - 1) * 4 * (k_max + 1)
+            assert set(calls) == set(product(range(1, n), EXTERNALS, range(k_max + 1)))
+
+    def test_keeps_no_history_cache(self):
+        assert verify_magic(5, 12) == verify_magic(5, 12)
+        for name, obj in vars(magic).items():
+            if hasattr(obj, "cache_info"):
+                assert "history" not in inspect.signature(obj).parameters, name
+                assert "history" not in inspect.getsource(obj), name
 
 
 class TestSerialization:

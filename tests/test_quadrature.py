@@ -336,9 +336,10 @@ class TestOrthogonality:
         assert res.passed
         assert res.details["pairs_sphere"] == 30 * 30
 
-    # Odd and even node counts, and the check's defaults (24, 16): the cycle
-    # Gram is one S^3 pass times a phase sum, the oracle sums the 4-D grid.
-    @pytest.mark.parametrize("nodes_s3, nodes_u2", [(5, 5), (7, 7), (12, 12), (16, 12), (24, 16)])
+    # Odd and even node counts, the check's defaults (24, 16), and 32^3 nodes in
+    # two blocks: the cycle Gram is one S^3 pass times a phase sum, the oracle
+    # sums the 4-D grid.
+    @pytest.mark.parametrize("nodes_s3, nodes_u2", [(5, 5), (7, 7), (12, 12), (16, 12), (24, 16), (32, 12)])
     def test_gram_matches_per_pair_sums(self, nodes_s3, nodes_u2):
         (gs, want_s), (gu, want_u) = _orthogonality_grams(3, 0.9, nodes_s3, nodes_u2)
         sphere, cycle = orthogonality_pairs(3, 0.9, nodes_s3, nodes_u2)
@@ -349,6 +350,14 @@ class TestOrthogonality:
         if nodes_s3 >= 12:  # fewer nodes do not resolve the degree-3 rows
             assert np.abs(sphere - np.diag(want_s)).max() <= 1e-6
             assert np.abs(cycle - np.diag(want_u)).max() <= 1e-6
+
+    def test_gram_blocks_add_up(self, monkeypatch):
+        # 12^3 = 1728 nodes in blocks of 500, the last one ragged, against one block.
+        whole = _orthogonality_grams(3, 0.9, 12, 12)
+        monkeypatch.setattr(quadrature, "GRAM_BLOCK", 500)
+        blocked = _orthogonality_grams(3, 0.9, 12, 12)
+        for (g1, _), (g2, _) in zip(whole, blocked):
+            assert np.abs(g1 - g2).max() <= 1e-15
 
     def test_mixed_degree_row_refused(self):
         # A row with terms of two degrees has no single phase factor.

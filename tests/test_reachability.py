@@ -29,7 +29,6 @@ BENCHMARK = "perfbench/spans.py wraps it by name for `--trace 1`, or perfbench/w
 STAYING = {
     "magic.ladder_image": BENCHMARK,
     "magic.diagram_image": BENCHMARK,
-    "magic._history_solid": "diagram_image calls it",
     "magic.GeneratorImage": "ladder_image and diagram_image return it",
     "diagrams.from_history": BENCHMARK,
     "polylog.phi1": BENCHMARK,
