@@ -57,8 +57,8 @@ __all__ = [
 # Nodes of the S^3 grid that one pass holds, on either cycle: n <= 64.
 NODE_BUDGET = 2**18
 
-# Grid nodes per block of a Gram pass (`_gram`): its 30-60 value rows stay near
-# 10 MB at any n (953 MB at n = 64 in one piece); the default grids fit in one.
+# Grid nodes per block of a Gram pass (`_gram`), so that its 30-60 value rows
+# take about 16 MB at any n; the default grids, 24^3 and 16^3 nodes, fit in one.
 GRAM_BLOCK = 2**14
 
 

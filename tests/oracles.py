@@ -559,10 +559,10 @@ def image_by_history_fraction(history: tuple[str, ...], side: str, k: int) -> tu
 
 
 def magic_failures_fraction(n: int, k_max: int) -> list[str]:
-    """The magic check comparing Fraction images of diagram_image and ladder_image.
+    """The magic check by enumeration: Fraction images of diagram_image against ladder_image.
 
-    Every enumerated diagram is rebuilt from its history by diagram_image;
-    failures are worded as in verify_magic.
+    Every enumerated n-loop diagram is rebuilt from its history by
+    diagram_image; a failure names the diagram's index and history.
     """
     diagrams = enumerate_diagrams(n)
     failures = []

@@ -116,7 +116,7 @@ class TestMagic:
         assert MAX_LOOPS == 8
         code, out, _ = run(capsys, "magic", "--loops", "8", "--k-max", "64")
         assert code == 0
-        assert out == (f"magic identities at 8 loop(s), k <= 64: 2704 diagram(s), "
+        assert out == ("magic identities at 8 loop(s), k <= 64: 2704 diagram(s), "
                        "both generator families: PASS\n")
 
     def test_k_max_out_of_range(self, capsys):
