@@ -17,15 +17,16 @@ that pass through it (see `_close_at`).
 Solid edges stand for 1/N(Yi - Yj) factors of the diagram's rational
 integrand, dashed edges for N(Yi - Yj); both edge sets are multisets.
 Internal labels are interchangeable: diagrams differing by a
-permutation of T1..Tn are identified, externals stay fixed.  Diagrams
-are canonicalized and enumerated up to MAX_LOOPS loops.
+permutation of T1..Tn are identified, externals stay fixed.  A diagram's
+class is read off its history (`canonical_key`): the sites that share
+their arms, Z1 and W1 or Z2 and W2, come in runs.  Diagrams are keyed
+and enumerated up to MAX_LOOPS loops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, permutations, product
-from operator import itemgetter
+from itertools import chain, groupby, product
 
 __all__ = [
     "EXTERNALS",
@@ -42,12 +43,9 @@ __all__ = [
 
 EXTERNALS = ("Z1", "Z2", "W1", "W2")
 
-# Most loops canonicalized and enumerated: canonical_key tries up to n!
-# relabellings, and enumerate_diagrams(8) takes about 1 s (2704 classes).
+# Most loops keyed and enumerated: the range over which the tests prove
+# canonical_key; enumerate_diagrams(8) takes about 0.5 s (2704 classes).
 MAX_LOOPS = 8
-
-# Vertex indices of canonical_key: the externals, then T1..T_MAX_LOOPS.
-_INDEX = {v: i for i, v in enumerate(EXTERNALS + tuple(f"T{k}" for k in range(1, MAX_LOOPS + 1)))}
 
 # The two externals receiving the slingshot arms (and the dashed string)
 # when attaching at a given site; fixed so that attaching at W2 or Z2
@@ -158,55 +156,25 @@ def from_history(history: tuple[str, ...]) -> BoxDiagram:
 
 
 def canonical_key(d: BoxDiagram):
-    """Label-permutation-invariant key; equal keys iff isomorphic diagrams.
+    """Isomorphism-class key read off the attachment history; equal keys iff isomorphic.
 
-    On vertex indices (externals 0..3, fixed; T1..Tn 4..n+3), one integer
-    matrix codes each pair's relation as 4n * solid + 4 * dashed
-    multiplicity + 2 (a < b) + (b < a), injective as a pair has fewer than
-    n dashed edges.  Colour refinement splits the internals into cells that
-    any isomorphism preserves: a vertex starts with its row against the
-    externals, then takes the rank of its colour and sorted (colour,
-    relation) codes, until the cells stop growing or are single vertices.
-    The key, (n, the matrix read in vertex order), is the least over the
-    orders that take the cells in colour order and permute within each:
-    at most n! orders, so n <= MAX_LOOPS.
+    Sites Z1 and W1 put their arms and string on (Z2, W2), sites Z2 and W2
+    on (Z1, W1).  The history is cut into runs of consecutive sites that
+    share that pair; the key is the first run's pair and length, then
+    (length, number of Z sites) for each later run, and () for the one-loop
+    diagram.  It is proved against the refinement oracle for every history
+    up to MAX_LOOPS loops (tests), so larger diagrams are refused, and so
+    are diagrams without a full history (one site per loop after the first).
     """
-    n = d.n
-    if n > MAX_LOOPS:
+    if d.n > MAX_LOOPS:
         raise ValueError(f"canonical_key supports at most {MAX_LOOPS} internal vertices")
-    rel = [[0] * (n + 4) for _ in range(n + 4)]
-    for edges, weight in ((d.solid, 4 * n), (d.dashed, 4)):
-        for (a, b) in edges:
-            i, j = _INDEX[a], _INDEX[b]
-            rel[i][j] += weight
-            rel[j][i] += weight
-    for (a, b) in d.order:
-        i, j = _INDEX[a], _INDEX[b]
-        rel[i][j] += 2
-        rel[j][i] += 1
-    rows = rel[4:]
-    scale = 4 * n * (len(d.solid) + 1)  # above every relation code
-    sigs = [tuple(row[:4]) for row in rows]
-    cells = 0
-    while True:
-        ranked = sorted(set(sigs))
-        if len(ranked) == cells:
-            break
-        cells = len(ranked)
-        rank = {s: c for c, s in enumerate(ranked)}
-        colour = [rank[s] for s in sigs]
-        if cells == n:
-            break
-        sigs = [(c, tuple(sorted([cu * scale + r for cu, r in zip(colour, row[4:])])))
-                for c, row in zip(colour, rows)]
-    members = [[v for v, c in enumerate(colour, start=4) if c == k] for k in range(cells)]
-    best = None
-    for perms in product(*(permutations(cell) for cell in members)):
-        read = itemgetter(0, 1, 2, 3, *chain.from_iterable(perms))
-        key = (n, tuple(map(read, read(rel))))
-        if best is None or key < best:
-            best = key
-    return best
+    if len(d.history) != d.n - 1:
+        raise ValueError(f"canonical_key needs the attachment history: {d.n} loops, {len(d.history)} sites")
+    if not d.history:
+        return ()
+    first, *later = (list(run) for _, run in groupby(d.history, ADJACENT.get))
+    return (ADJACENT[first[0]], len(first),
+            tuple((len(run), sum(site[0] == "Z" for site in run)) for run in later))
 
 
 def enumerate_diagrams(n: int) -> list[BoxDiagram]:

@@ -10,11 +10,12 @@ d = 2l + 2k, so its U(2)_R sum is its S^3 sum times a phase sum
 (`_cycle_gram`).  A kernel row f(Z) / prod_P N(Z - P) is split by degree,
 f(lam q) = sum_d lam^d f_d(q), and N(lam q - P) = lam^2 N(q) - lam B_P(q)
 + N(P) with B_P linear in q; so the powers of the entries
-(`tbasis.EntryPowers`), every f_d and every B_P are built once, and the
-loop over the phases forms only denominators (`integrate`).  Memory
-grows as n^3.  Each check makes one such pass over all its integrands.
+(`tbasis.EntryPowers`), every f_d and every B_P are built once per node
+block, and the loop over the phases forms only denominators (`integrate`).
+Both passes hold the n^3 grid and the values of one block of nodes
+(`_blocks`).  Each check makes one such pass over all its integrands.
 Every node sum is numpy's pairwise sum, or a Gram product that BLAS
-splits by blocks of the result, added over node blocks in order (`_gram`),
+splits by blocks of the result (`_gram`), added over node blocks in order,
 and the phases are summed in order, so the same flags give the same bits
 on every run, whatever the BLAS thread count.
 
@@ -57,8 +58,9 @@ __all__ = [
 # Nodes of the S^3 grid that one pass holds, on either cycle: n <= 64.
 NODE_BUDGET = 2**18
 
-# Grid nodes per block of a Gram pass (`_gram`), so that its 30-60 value rows
-# take about 16 MB at any n; the default grids, 24^3 and 16^3 nodes, fit in one.
+# Grid nodes per block of a pass (`_blocks`), so that the 30-60 value rows of
+# a Gram pass take about 16 MB at any n; the default grids (at most 24^3 nodes
+# on the kernel checks, 32^3 on normalization) fit in one or two.
 GRAM_BLOCK = 2**14
 
 
@@ -124,67 +126,80 @@ def _phases(chart: str, R: float, n: int, powers) -> tuple[np.ndarray, np.ndarra
     return np.exp(1j * phi), (-1j * R * np.pi / n) * np.exp(1j * np.multiply.outer(phi, m))
 
 
+def _blocks(R: float, n: int):
+    """The S^3_R grid of `_grid` in order, as (z11, z12, z21, z22, weights) blocks of GRAM_BLOCK nodes."""
+    grid = _grid(R, n)
+    for start in range(0, grid[0].size, GRAM_BLOCK):
+        yield tuple(x[start:start + GRAM_BLOCK] for x in grid)
+
+
 def integrate(spec: QuadratureSpec, rows) -> np.ndarray:
     """Weighted sums of f(Z) / prod_P N(Z - P) over the cycle of `spec`, one per (f, poles) in `rows`.
 
     A pole None stands for N(Z).  One S^3 pass serves every phase lam: f(lam q)
     = sum_d lam^d f_d(q) over the degrees d of its terms, and N(lam q - P) =
     lam (lam N(q) - B_P(q) + N(P)/lam) with B_P(q) = q11 p22 + q22 p11 - q12 p21
-    - q21 p12, so every f_d and B_P is evaluated once.  Per phase, each pole set
-    gets its denominator and one division of the weights by it, shared by all
-    its rows; each node sum is numpy's pairwise sum, so the bits do not depend
-    on the BLAS thread count.  A non-finite sum aborts, naming the first
-    non-finite value by row and node Z = lam q.  Returns shape (len(rows),).
+    - q21 p12, so every f_d and B_P is evaluated once per node block (`_blocks`).
+    Per phase, each pole set gets its denominator and one division of the
+    weights by it, shared by all its rows; each node sum is numpy's pairwise
+    sum, added over the blocks in order, so the bits do not depend on the BLAS
+    thread count.  A non-finite sum aborts, naming the first non-finite value
+    of its block by row and node Z = lam q.  Returns shape (len(rows),).
     """
     R, n = spec.radius, spec.nodes_per_dim
     lam, _ = _phases(spec.chart, R, n, ())
-    a, b, c, d, w = _grid(R, n)
-    powers = EntryPowers(a, b, c, d)
-    nq = powers.power("N", 1)
-    # B_P(q) for every pole at once: a product that sums over the four entries only.
     points = list(dict.fromkeys(P for _, poles in rows for P in poles if P is not None))
-    B = np.array([[P.z22, -P.z21, -P.z12, P.z11] for P in points], dtype=complex).reshape(-1, 4) \
-        @ np.array([a, b, c, d])
+    coeffs = np.array([[P.z22, -P.z21, -P.z12, P.z11] for P in points], dtype=complex).reshape(-1, 4)
     NP = [norm(P) for P in points]
 
-    sets = {}  # poles -> [(row, degree d, f_d at the s3 nodes)]; a constant f_d stays a scalar
+    sets = {}  # poles -> [(row, degree d, f_d)]
     for r, (f, poles) in enumerate(rows):
         for deg in sorted({i.two_l + 2 * i.k for i in f.coeffs}):
             f_d = BasisExpansion({i: v for i, v in f.coeffs.items() if i.two_l + 2 * i.k == deg})
-            sets.setdefault(poles, []).append((r, deg, powers.value(f_d)))
-    passes = []  # (pole indices into B, terms, phase factors, sums per phase and term)
+            sets.setdefault(poles, []).append((r, deg, f_d))
+    passes = []  # (pole indices, terms, phase factors, sums per phase and term)
     for poles, terms in sets.items():
         fac = _phases(spec.chart, R, n, [deg + 4 for _, deg, _ in terms])[1]
-        passes.append(([None if P is None else points.index(P) for P in poles], terms, fac, np.empty_like(fac)))
+        passes.append(([None if P is None else points.index(P) for P in poles], terms, fac, np.zeros_like(fac)))
 
-    # Node-sized buffers: fresh temporaries in the phase loop would page-fault each time.
-    den, tmp = np.empty_like(nq), np.empty_like(nq)
+    for a, b, c, d, w in _blocks(R, n):
+        powers = EntryPowers(a, b, c, d)
+        nq = powers.power("N", 1)
+        # B_P(q) for every pole at once: a product that sums over the four entries only.
+        B = coeffs @ np.array([a, b, c, d])
+        # f_d at the block's nodes; a constant f_d stays a scalar.
+        values = [[powers.value(f_d) for _, _, f_d in terms] for _, terms, _, _ in passes]
+        # Node-sized buffers: fresh temporaries in the phase loop would page-fault each time.
+        den, tmp = np.empty_like(nq), np.empty_like(nq)
 
-    def over(top, lk, ln, idx):  # top / prod_P N(lam q - P), each factor lam (lam N(q) - B_P(q) + N(P)/lam)
-        den.fill(lk ** len(idx))
-        for i in idx:
-            if i is not None:
-                np.add(np.subtract(ln, B[i], out=tmp), NP[i] / lk, out=tmp)
-            np.multiply(den, ln if i is None else tmp, out=den)
-        return np.divide(top, den, out=den)
+        def over(top, lk, ln, idx):  # top / prod_P N(lam q - P), each factor lam (lam N(q) - B_P(q) + N(P)/lam)
+            den.fill(lk ** len(idx))
+            for i in idx:
+                if i is not None:
+                    np.add(np.subtract(ln, B[i], out=tmp), NP[i] / lk, out=tmp)
+                np.multiply(den, ln if i is None else tmp, out=den)
+            return np.divide(top, den, out=den)
 
-    for k, lk in enumerate(lam):
-        ln = lk * nq
-        for idx, terms, _, sums in passes:
-            wd = over(w, lk, ln, idx)
-            sums[k] = [np.multiply(v, wd, out=tmp).sum() for _, _, v in terms]
+        for k, lk in enumerate(lam):
+            ln = lk * nq
+            for (idx, _, _, sums), vals in zip(passes, values):
+                wd = over(w, lk, ln, idx)
+                sums[k] += [np.multiply(v, wd, out=tmp).sum() for v in vals]
+
+        if not all(np.isfinite(sums).all() for *_, sums in passes):
+            for lk in lam:  # name the block's first non-finite value, phase by phase
+                bad = np.zeros((len(rows), a.size), dtype=complex)
+                for (idx, terms, _, _), vals in zip(passes, values):
+                    inv = over(1.0, lk, lk * nq, idx)
+                    for (r, deg, _), v in zip(terms, vals):
+                        bad[r] += lk**deg * v * inv
+                _require_finite(bad, lk * a, lk * b, lk * c, lk * d)
+            raise FloatingPointError(f"a kernel sum at radius {R} overflows")
+
     total = np.zeros(len(rows), dtype=complex)
     for _, terms, fac, sums in passes:
         np.add.at(total, [r for r, _, _ in terms], (fac * sums).sum(axis=0))
-
     if not np.isfinite(total).all():
-        for lk in lam:  # name the first non-finite value, phase by phase
-            vals = np.zeros((len(rows), a.size), dtype=complex)
-            for idx, terms, _, _ in passes:
-                inv = over(1.0, lk, lk * nq, idx)
-                for r, deg, v in terms:
-                    vals[r] += lk**deg * v * inv
-            _require_finite(vals, lk * a, lk * b, lk * c, lk * d)
         raise FloatingPointError(f"a kernel sum at radius {R} overflows")
     return total
 
@@ -415,10 +430,8 @@ def _gram(R: float, nodes: int, prims, duals) -> np.ndarray:
     may, so those pairings are pairwise sums.  A non-finite sum aborts, naming
     a node where P * w or D is not finite if there is one.
     """
-    grid = _grid(R, nodes)
     gram = None
-    for start in range(0, grid[0].size, GRAM_BLOCK):
-        a, b, c, d, w = (x[start:start + GRAM_BLOCK] for x in grid)
+    for a, b, c, d, w in _blocks(R, nodes):
         powers = EntryPowers(a, b, c, d)
         # A row may be a constant (t^0 N^0); broadcasting against w gives it every node.
         prim, dual = (np.array(np.broadcast_arrays(w, *(powers.value(f) for f in fs))[1:])

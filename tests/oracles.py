@@ -387,8 +387,10 @@ def brute_force_key(d: BoxDiagram) -> tuple:
 def refinement_key(d: BoxDiagram) -> tuple:
     """Least (n, solid, dashed, order) encoding over the relabellings within colour cells.
 
-    The string-keyed form of `canonical_key`: the internal vertices are
-    split by colour refinement on name-keyed relations (solid and dashed
+    A graph canonicalisation, independent of the history that
+    `canonical_key` reads, and the reference its proof rests on (checked
+    against `brute_force_key`): the internal vertices are split by colour
+    refinement on name-keyed relations (solid and dashed
     multiplicity, v < u, u < v), starting from the relations to the four
     externals; the relabellings number the cells in colour order and
     permute vertices only within a cell.

@@ -413,3 +413,8 @@ class TestMemory:
         # The Gram pass holds one block of nodes at a time (953 MB in one piece).
         mb = peak_rss_mb("verify", "orthogonality", "--nodes", "64")
         assert mb <= 200, f"verify orthogonality --nodes 64 peaked at {mb:.1f} MB"
+
+    def test_poisson_at_the_node_limit_peak_rss(self):
+        # The kernel pass holds the values of one block of nodes at a time (231 MB in one piece).
+        mb = peak_rss_mb("verify", "poisson", "--nodes", "64")
+        assert mb <= 120, f"verify poisson --nodes 64 peaked at {mb:.1f} MB"

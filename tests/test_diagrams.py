@@ -214,20 +214,27 @@ class TestCanonicalKey:
                         (children[i].history, children[j].history)
 
     def test_matches_refinement_oracle(self):
-        # Every child attempted while enumerating up to six loops, and the
-        # one-loop seed: two keys are equal exactly when their keys from the
-        # string-keyed refinement are equal.
+        # The one-loop seed and every child attempted while enumerating up to
+        # seven loops, so every class up to eight loops: two keys are equal
+        # exactly when their refinement-oracle keys are equal.  This covers
+        # all 4^(n-1) histories up to MAX_LOOPS: the key of h + (s,) depends
+        # only on the key of h and on s (the later runs alternate between the
+        # two pairs, so the key gives the last run's pair), and attaching a
+        # slingshot to isomorphic diagrams gives isomorphic diagrams; so by
+        # induction each history has a child tried here with its key and its
+        # class.
         diagrams_seen = [one_loop()]
-        diagrams_seen += [attach_slingshot(d, s) for n in range(1, 6) for d in enumerate_diagrams(n)
+        diagrams_seen += [attach_slingshot(d, s) for n in range(1, MAX_LOOPS) for d in enumerate_diagrams(n)
                           for s in EXTERNALS]
-        assert len(diagrams_seen) == 389
+        assert len(diagrams_seen) == 4485
         keys = [canonical_key(d) for d in diagrams_seen]
         oracle = [refinement_key(d) for d in diagrams_seen]
         assert len(set(keys)) == len(set(oracle)) == len(set(zip(keys, oracle)))
 
-    def test_matches_brute_force_key_on_random_diagrams(self):
-        # Unlike enumerated diagrams, these have colour cells that refinement
-        # cannot split, and variants that differ only in one pair's relation.
+    def test_refinement_oracle_matches_brute_force_key_on_random_diagrams(self):
+        # The proof above rests on the refinement oracle.  Unlike enumerated
+        # diagrams, these have colour cells that refinement cannot split, and
+        # variants that differ only in one pair's relation.
         rng = random.Random(11)
         found = []
         for _ in range(200):
@@ -238,9 +245,18 @@ class TestCanonicalKey:
         for ring in (("T1", "T2", "T3", "T4"), ("T1", "T3", "T2", "T4")):
             edges = (tuple(sorted(e)) for e in zip(ring, ring[1:] + ring[:1]))
             found.append(BoxDiagram(n=4, solid=tuple(sorted(edges)), dashed=(), order=frozenset()))
-        keys = [canonical_key(d) for d in found]
+        keys = [refinement_key(d) for d in found]
         brute = [brute_force_key(d) for d in found]
         assert len(set(keys)) == len(set(brute)) == len(set(zip(keys, brute)))
+
+    def test_refuses_diagram_without_its_history(self):
+        # The key reads only the history, so a diagram without one site per added loop is refused.
+        d = from_history(("Z2", "W1"))
+        for history in ((), ("Z2",), ("Z2", "W1", "W1")):
+            with pytest.raises(ValueError, match="history"):
+                canonical_key(dataclasses.replace(d, history=history))
+        with pytest.raises(ValueError, match="history"):
+            canonical_key(_random_diagram(random.Random(3), 3))
 
     def test_size_limit(self):
         d = one_loop()
@@ -256,7 +272,7 @@ class TestEnumeration:
         # n = 2 is the stated count; the higher counts are regression
         # values recorded from exhaustive attachment with deduplication.
         # They follow OEIS A006012, a(n) = 4 a(n-1) - 2 a(n-2); n = 8
-        # takes about 1 s.
+        # takes about 0.5 s.
         assert len(enumerate_diagrams(1)) == 1
         assert len(enumerate_diagrams(2)) == 2
         assert len(enumerate_diagrams(3)) == 6

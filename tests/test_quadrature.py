@@ -143,6 +143,31 @@ class TestSpecAndGrids:
         assert len(named) == 4
         assert max(abs(got - lam[k] * z[j]) for got, z in zip(named, q)) <= 1e-15 * R
 
+    def test_nonfinite_value_named_in_a_later_block(self, monkeypatch):
+        # The same pole next to lam_2 q_5, with blocks of 4 nodes: q_5 is the
+        # second node of the second block, and the message still names lam_2 q_5.
+        monkeypatch.setattr(quadrature, "GRAM_BLOCK", 4)
+        R, n, k, j = 1e-147, 4, 2, 5
+        *q, _ = _grid(R, n)
+        lam, _ = _phases("u2", R, n, ())
+        P = ComplexQuaternion(*(lam[k] * z[j] * (1 + 1e-10) for z in q))
+        rows = [(BasisExpansion.one(), (None,)), (BasisExpansion.monomial("z11", 1), (P,))]
+        with (np.errstate(all="ignore"),
+              pytest.raises(FloatingPointError, match=r"integrand 1 at node Z = \[\[") as err):
+            integrate(QuadratureSpec("u2", R, n), rows)
+        named = [complex(v) for v in re.findall(r"\(([^()]*)\)", str(err.value))]
+        assert max(abs(got - lam[k] * z[j]) for got, z in zip(named, q)) <= 1e-15 * R
+
+    @pytest.mark.parametrize("chart", ["u2", "s3"])
+    def test_kernel_blocks_add_up(self, monkeypatch, chart):
+        # 12^3 = 1728 nodes in blocks of 500, the last one ragged, against one block.
+        spec = QuadratureSpec(chart, 1.0, 12)
+        rows = [(BasisExpansion.monomial("z11", 2), (W_IN, WP_IN)), (BasisExpansion.one(), (None, W_IN)),
+                (BasisExpansion({TIndex(2, 0, 0, 0): 1}).degt(), (WP_IN,))]
+        whole = integrate(spec, rows)
+        monkeypatch.setattr(quadrature, "GRAM_BLOCK", 500)
+        assert np.abs(integrate(spec, rows) - whole).max() <= 1e-14 * np.abs(whole).max()
+
     def test_row_stack_sums_each_row(self):
         # 1/N(Z)^2 and N(Z)^2/N(Z) = N(Z): rows with different poles, one pass.
         spec = QuadratureSpec("u2", 1.0, 8)
