@@ -17,6 +17,11 @@ square by the scalar
 
     mu^(n)_k = sum_{p=0}^{k-1} (-1)^(k+p+1) a^(k-1)(n, p) C(k-1, p).
 
+The closed row a^k(n, p) = sum_m (-1)^(m-1-p) C(k, m-1) C(m-1, p) / m^n and
+Vandermonde's identity give mu^(n)_k = sum_{m=1}^{k} (-1)^(k+m) C(k-1, m-1)
+C(k+m-2, k-1) / m^n, which `mu_table` sums for every k in one pass; the tests
+hold it to the a-recursion and to the eigenvalues extracted from ladder images.
+
 An n-loop diagram is the one-loop box with n-1 slingshots attached in
 turn.  The rule of the last site (`_attach`) gives its image from the
 images one loop below, and each site has one directly reducible
@@ -34,7 +39,8 @@ generator family:
 The opposite family follows from the swap symmetry
 image_left(w, w') = image_right(w', w).  A rule sees the history only
 through the images below, so `verify_magic` proves the identities for
-all 4^(n-1) histories by induction over the last slingshot.
+all 4^(n-1) histories by induction over the last slingshot.  It counts
+the diagram classes by a(n) = 4 a(n-1) - 2 a(n-2), not by enumeration.
 
 All arithmetic is exact; no floating point enters this module.  Rows
 and images are carried as integer numerators over lcm(1..k+1)^n and
@@ -51,25 +57,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
 
-from .diagrams import EXTERNALS, BoxDiagram, enumerate_diagrams, from_history
+from .diagrams import EXTERNALS, MAX_LOOPS, BoxDiagram, from_history
 
 __all__ = [
-    "CoeffTable",
-    "GeneratorImage",
-    "EigenvalueTable",
-    "MagicReport",
-    "a_table",
-    "mu",
-    "mu_table",
-    "ladder_image",
-    "diagram_image",
-    "verify_magic",
-    "fraction_str",
-    "fraction_decimal",
-    "mu_table_payload",
-    "a_table_payload",
-    "payload_to_csv",
-    "payload_to_json",
+    "CoeffTable", "GeneratorImage", "EigenvalueTable", "MagicReport", "a_table", "mu_table",
+    "ladder_image", "diagram_image", "verify_magic", "fraction_str", "fraction_decimal",
+    "mu_table_payload", "a_table_payload", "payload_to_csv", "payload_to_json",
 ]
 
 SIDES = ("left", "right")
@@ -144,21 +137,21 @@ def a_table(n: int, k: int) -> CoeffTable:
     return CoeffTable(n=n, k=k, a=tuple(Fraction(a, den) for a in nums))
 
 
-def mu(n: int, k: int) -> Fraction:
-    """Eigenvalue mu^(n)_k via the alternating-binomial sum over a^(k-1)(n, .)."""
-    if k < 1:
-        raise ValueError("component index k must be >= 1")
-    nums, den = _a_numerators(n, k - 1)
-    sign = -1 if k % 2 == 0 else 1  # (-1)^(k+p+1) at p = 0
-    total = 0
-    for p, a in enumerate(nums):
-        total += sign * a * math.comb(k - 1, p)
-        sign = -sign
-    return Fraction(total, den)
-
-
 def mu_table(n: int, k_max: int) -> EigenvalueTable:
-    return EigenvalueTable(n=n, values=tuple(mu(n, k) for k in range(1, k_max + 1)))
+    """mu^(n)_k for k <= k_max by the closed sum in one pass: numerators over L^n, L = lcm(1..k_max)."""
+    if n < 1 or k_max < 0:
+        raise ValueError("need n >= 1 and k_max >= 0")
+    lcm = _lcm_upto(k_max)
+    powers = [(lcm // m) ** n for m in range(1, k_max + 1)]
+    den = lcm**n
+    values = []
+    for k in range(1, k_max + 1):
+        total, c = 0, (-1) ** (k + 1)  # c = (-1)^(k+m) C(k-1, m-1) C(k+m-2, k-1), from m = 1
+        for m in range(1, k + 1):
+            total += c * powers[m - 1]
+            c = -c * (k - m) * (k + m - 1) // (m * m)  # exact: both binomials step by one
+        values.append(Fraction(total, den))
+    return EigenvalueTable(n=n, values=tuple(values))
 
 
 def ladder_image(n: int, k: int, side: str = "right") -> GeneratorImage:
@@ -229,7 +222,7 @@ def diagram_image(d: BoxDiagram, side: str, k: int) -> GeneratorImage:
 
 @dataclass(frozen=True)
 class MagicReport:
-    """Outcome at n loops, k <= k_max: n-loop diagrams covered, one failure per level, site, side and k."""
+    """Outcome at n loops, k <= k_max: n-loop diagram classes, one failure per level, site, side and k."""
 
     n: int
     k_max: int
@@ -248,8 +241,14 @@ def verify_magic(n: int, k_max: int) -> MagicReport:
     degree, both sides) to the (m+1)-loop ladder image: one `_attach` call per
     level, site and k <= k_max, whatever the number of histories.  Images are
     compared as integer numerators; Fractions are made only for failure messages.
+    The class count is a(n) = 4 a(n-1) - 2 a(n-2), a(1) = 1, a(2) = 2 (OEIS A006012),
+    held to `enumerate_diagrams` for every n <= MAX_LOOPS by the tests.
     """
-    diagram_count = len(enumerate_diagrams(n))
+    if not (1 <= n <= MAX_LOOPS and k_max >= 0):
+        raise ValueError(f"need 1 <= n <= {MAX_LOOPS} and k_max >= 0")
+    before, diagram_count = 1, 1  # a(0) = 1 gives a(2) = 4 a(1) - 2 a(0) = 2
+    for _ in range(n - 1):
+        before, diagram_count = diagram_count, 4 * diagram_count - 2 * before
     failures: list[str] = []
     ladder = _ladder_images(1, k_max)
     for m in range(1, n):

@@ -474,7 +474,10 @@ def li_kernel_series(n: int, k_max: int) -> list[dict[tuple[int, int], Fraction]
 def mu_closed(n: int, k: int) -> Fraction:
     """mu^(n)_k = sum_{m=1..k} (-1)^(k+m) C(k-1, m-1) C(k+m-2, k-1) / m^n in Fractions.
 
-    At n = 2 this is 1, then (-1)^(k+1) / (k (k-1)).
+    At n = 2 this is 1, then (-1)^(k+1) / (k (k-1)).  This is the sum that
+    `mu_table` evaluates, here term by term in Fractions; the oracles that do
+    not share its formula are `eigenvalue_extract` of a ladder image (the
+    a-recursion) and `mu_legendre`.
     """
     if k < 1:
         raise ValueError("component index k must be >= 1")

@@ -18,7 +18,7 @@ from boxmagic.hc import ComplexQuaternion
 from boxmagic.magic import (
     a_table,
     ladder_image,
-    mu,
+    mu_table,
     verify_magic,
 )
 from boxmagic.polylog import li_integral, li_series, li, phi1
@@ -57,17 +57,14 @@ class _Budget:
 
 def test_criterion_01_two_loop_closed_form():
     with _Budget("criterion 1: mu^(2)_k equals the closed form exactly, k <= 64", 1.0):
-        for k in range(1, 65):
-            assert mu(2, k) == mu_closed(2, k)
+        assert mu_table(2, 64).values == tuple(mu_closed(2, k) for k in range(1, 65))
 
 
 def test_criterion_02_projection_and_unit_eigenvalue():
     with _Budget("criterion 2: mu^(1)_k = delta_k1 (k <= 64) and mu^(n)_1 = 1 (n <= 16)", 1.0):
-        assert mu(1, 1) == 1
-        for k in range(2, 65):
-            assert mu(1, k) == 0
+        assert mu_table(1, 64).values == (1,) + (0,) * 63
         for n in range(1, 17):
-            assert mu(n, 1) == 1
+            assert mu_table(n, 1).values == (1,)
 
 
 def test_criterion_03_operator_magic_identities():

@@ -1,7 +1,9 @@
-"""Byte-identity gate for the exact outputs of the CLI.
+"""Byte-identity gate for the exact outputs of the CLI and of the benchmark.
 
 The SHA-256 digests were recorded from the CLI before the exact layers
-moved to integer arithmetic and colour-refined canonical keys.  Any
+moved to integer arithmetic and colour-refined canonical keys, and the
+mu tables at the benchmark's k_max = 96 (past the CLI's limit) before
+the eigenvalues moved from the per-k a-recursion to the closed sum.  Any
 change to these bytes is a change of result, not of speed.
 """
 
@@ -12,6 +14,7 @@ import hashlib
 import pytest
 
 from boxmagic.cli import main
+from boxmagic.magic import mu_table_payload, payload_to_json
 
 PINNED_JSON = {
     ("mu", "--loops", "1", "--k-max", "8", "--format", "json"):
@@ -63,6 +66,12 @@ PINNED_TABLES = {
         "9c629b414c6344c68db9c729f33b4fa8d1bfff8ee161104b18c302dcaa211335",
 }
 
+# payload_to_json(mu_table_payload(n, 96)), the mu jobs of the benchmark's `exact` workload.
+PINNED_MU_96 = {
+    2: "498b98f9ba1153246ca98b8fcdde98bc3a6124f5c3baac2d82b7b4737b48730f",
+    20: "0413faa85a61a088e0f5974cf2eb6b4a3220a43ec781e4be4fb53102c299b272",
+}
+
 # Digest of repr(sorted DOT file contents), with each file's own name
 # (boxdiag_n{n}_{i}) replaced by NAME: only the discovery index i may move.
 PINNED_DOT = {
@@ -88,6 +97,11 @@ def test_json_bytes(capsys, argv):
 def test_table_bytes(capsys, argv):
     assert main(list(argv)) == 0
     assert _sha256(capsys.readouterr().out) == PINNED_TABLES[argv]
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_MU_96))
+def test_mu_payload_bytes_at_benchmark_size(n):
+    assert _sha256(payload_to_json(mu_table_payload(n, 96))) == PINNED_MU_96[n]
 
 
 @pytest.mark.parametrize("n", sorted(PINNED_DOT))

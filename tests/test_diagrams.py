@@ -22,6 +22,7 @@ from boxmagic.diagrams import (
     one_loop,
     to_dot,
 )
+from boxmagic.magic import verify_magic
 from oracles import brute_force_key, net_degree, refinement_key, transitive_closure, validate_diagram
 
 
@@ -267,20 +268,22 @@ class TestCanonicalKey:
             canonical_key(d)
 
 
+@pytest.fixture(scope="module")
+def class_counts():
+    """len(enumerate_diagrams(n)) for every n <= MAX_LOOPS, enumerated once: n = 8 takes about 0.5 s."""
+    return {n: len(enumerate_diagrams(n)) for n in range(1, MAX_LOOPS + 1)}
+
+
 class TestEnumeration:
-    def test_counts(self):
+    def test_counts(self, class_counts):
         # n = 2 is the stated count; the higher counts are regression
         # values recorded from exhaustive attachment with deduplication.
-        # They follow OEIS A006012, a(n) = 4 a(n-1) - 2 a(n-2); n = 8
-        # takes about 0.5 s.
-        assert len(enumerate_diagrams(1)) == 1
-        assert len(enumerate_diagrams(2)) == 2
-        assert len(enumerate_diagrams(3)) == 6
-        assert len(enumerate_diagrams(4)) == 20
-        assert len(enumerate_diagrams(5)) == 68
-        assert len(enumerate_diagrams(6)) == 232
-        assert len(enumerate_diagrams(7)) == 792
-        assert len(enumerate_diagrams(8)) == 2704
+        # They follow OEIS A006012, a(n) = 4 a(n-1) - 2 a(n-2).
+        assert class_counts == {1: 1, 2: 2, 3: 6, 4: 20, 5: 68, 6: 232, 7: 792, 8: 2704}
+
+    def test_closed_count_matches_enumeration(self, class_counts):
+        # verify_magic reports the closed count; enumeration is the proof, n <= MAX_LOOPS.
+        assert {n: verify_magic(n, 0).diagram_count for n in class_counts} == class_counts
 
     def test_calls_through_module_names(self, monkeypatch):
         # The span tracer of the benchmark wraps canonical_key and

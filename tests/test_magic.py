@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import math
 from decimal import getcontext
 from fractions import Fraction
 from itertools import chain, product
@@ -11,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxmagic.diagrams import EXTERNALS, attach_slingshot, enumerate_diagrams, from_history, one_loop
-from boxmagic import magic
+from boxmagic.diagrams import EXTERNALS, MAX_LOOPS, attach_slingshot, enumerate_diagrams, from_history, one_loop
+from boxmagic import diagrams, magic
 from boxmagic.magic import (
     GeneratorImage,
     a_table,
@@ -20,7 +21,6 @@ from boxmagic.magic import (
     fraction_decimal,
     fraction_str,
     ladder_image,
-    mu,
     mu_table,
     mu_table_payload,
     payload_to_csv,
@@ -90,36 +90,32 @@ class TestATable:
 class TestMu:
     def test_first_component_always_unit(self):
         for n in range(1, 17):
-            assert mu(n, 1) == 1
+            assert mu_table(n, 1).values == (1,)
 
     def test_one_loop_is_projection(self):
-        assert mu(1, 1) == 1
-        for k in range(2, 65):
-            assert mu(1, k) == 0
+        assert mu_table(1, 64).values == (1,) + (0,) * 63
 
     def test_two_loop_matches_closed_form(self):
-        for k in range(1, 65):
-            assert mu(2, k) == mu_closed(2, k)
+        assert mu_table(2, 64).values == tuple(mu_closed(2, k) for k in range(1, 65))
 
     def test_closed_form_values(self):
         assert mu_closed(2, 1) == 1
         assert mu_closed(2, 2) == Fraction(-1, 2)
         assert mu_closed(2, 3) == Fraction(1, 6)
-        assert mu(2, 5) == Fraction(1, 20)
+        assert mu_table(2, 5).values[-1] == Fraction(1, 20)
         for k in range(2, 65):
             assert mu_closed(2, k) == Fraction((-1) ** (k + 1), k * (k - 1))
 
     def test_matches_fraction_oracle(self):
         for n in range(1, 17):
-            for k in range(1, 65):
-                assert mu(n, k) == mu_closed(n, k)
+            assert mu_table(n, 64).values == tuple(mu_closed(n, k) for k in range(1, 65))
 
     def test_matches_legendre_integral(self):
         # A float oracle with no recursion: the shifted Legendre moments of the
         # loop kernel.  The worst absolute difference measured is 8.7e-14.
         for n in range(1, 9):
-            for k in range(1, 25):
-                assert abs(float(mu(n, k)) - mu_legendre(n, k)) <= 1e-13
+            for k, v in enumerate(mu_table(n, 24).values, start=1):
+                assert abs(float(v) - mu_legendre(n, k)) <= 1e-13
 
     def test_table_invariant(self):
         t = mu_table(3, 8)
@@ -128,11 +124,26 @@ class TestMu:
             t = mu_table(n, 64)
             assert len(t.values) == 64 and t.values[0] == 1
 
+    def test_table_does_not_depend_on_k_max(self):
+        # Every k_max has its own lcm, so the shared powers differ; the Fractions must not.
+        for n in (1, 2, 7):
+            full = mu_table(n, 40).values
+            for k_max in (0, 1, 2, 13, 39):
+                assert mu_table(n, k_max).values == full[:k_max]
+
     def test_range_validation(self):
-        with pytest.raises(ValueError):
-            mu(2, 0)
+        # Out of range, the closed sum would still return numbers: (L/m)^0 = 1.
+        for n, k_max in ((2, -1), (0, 4), (0, 0), (-1, 3)):
+            with pytest.raises(ValueError):
+                mu_table(n, k_max)
         with pytest.raises(ValueError):
             mu_closed(2, 0)
+
+    def test_matches_extracted_eigenvalues_at_benchmark_size(self):
+        # The a-recursion, through the ladder image, is the independent oracle.
+        values = mu_table(20, 96).values
+        for k in (1, 2, 63, 96):
+            assert values[k - 1] == eigenvalue_extract(ladder_image(20, k - 1), k)
 
 
 class TestLadderImage:
@@ -215,13 +226,13 @@ class TestEigenvalueExtract:
 
     def test_matches_direct_sum_formula(self):
         for n in range(1, 7):
-            for k in range(1, 13):
-                assert eigenvalue_extract(ladder_image(n, k - 1), k) == mu(n, k)
+            for k, v in enumerate(mu_table(n, 12).values, start=1):
+                assert eigenvalue_extract(ladder_image(n, k - 1), k) == v
 
     def test_left_images_give_same_eigenvalues(self):
         for n in (2, 3):
-            for k in range(1, 9):
-                assert eigenvalue_extract(ladder_image(n, k - 1, "left"), k) == mu(n, k)
+            for k, v in enumerate(mu_table(n, 8).values, start=1):
+                assert eigenvalue_extract(ladder_image(n, k - 1, "left"), k) == v
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
@@ -243,10 +254,74 @@ def _mutated_attach(site: str):
     return mutated
 
 
+def _v(k: int, m: int) -> tuple[int, ...]:
+    """v_{k,m}[p] = (-1)^(m-1-p) C(k, m-1) C(m-1, p), p = 0..k, in integers: zero unless m <= k + 1."""
+    return tuple((-1) ** (m + 1 + p) * math.comb(k, m - 1) * math.comb(m - 1, p) for p in range(k + 1))
+
+
+def _basis_failures(attach, k_top: int) -> list[tuple[str, int, int]]:
+    """(site, k, m) of every level-0 call that does not send (v_{p,m})_{p<=k} to L v_{k,m} / m, L = lcm(1..k+1).
+
+    The entries of v are integers, so they are numerators over lcm^0 = 1 at level 0.
+    """
+    bad = []
+    for k in range(k_top + 1):
+        lcm = math.lcm(*range(1, k + 2))
+        for m in range(1, k + 2):
+            family = [{"right": _v(p, m), "left": _v(p, m)[::-1]} for p in range(k + 1)]
+            want = tuple(lcm * c // m for c in _v(k, m))
+            for site in EXTERNALS:
+                if attach(site, family, 0, k) != {"right": want, "left": want[::-1]}:
+                    bad.append((site, k, m))
+    return bad
+
+
+# One source mutation per site rule of `_attach`: (text in the rule, mutated text).
+_SITE_MUTATIONS = {
+    "Z1": ('shift = k - p if site == "Z1" else 0', 'shift = (k - p if p else 0) if site == "Z1" else 0'),
+    "Z2": ('shift = k - p if site == "Z1" else 0', 'shift = k - p if site == "Z1" else int(p < k)'),
+    "W1": ("lcm // (k - q + 1)", "lcm // (k - q + 2)"),
+    "W2": ("lcm // (q + 1)) for q in range(k, -1, -1)", "lcm // (q + 2)) for q in range(k, -1, -1)"),
+}
+
+
+class TestSiteRulesAreDiagonal:
+    # Every site rule maps the integer family v_{.,m} to itself with eigenvalue 1/m,
+    # and the one-loop row is sum_m v_{k,m} / m; so every history of n - 1 slingshots
+    # gives sum_m v_{k,m} / m^n, which is the ladder row (`a_row_closed`) at every n.
+    def test_every_site_is_diagonal_on_v(self):
+        assert _basis_failures(magic._attach, 24) == []
+
+    @pytest.mark.parametrize("site", EXTERNALS)
+    def test_each_site_mutation_fails(self, site):
+        old, new = _SITE_MUTATIONS[site]
+        source = inspect.getsource(magic._attach)
+        assert source.count(old) == 1
+        namespace = dict(vars(magic))
+        exec(compile(source.replace(old, new), magic.__file__, "exec"), namespace)
+        bad = _basis_failures(namespace["_attach"], 12)
+        assert bad and {s for s, _, _ in bad} == {site}
+
+
 class TestVerifyMagic:
     def test_one_loop_trivial(self):
         rep = verify_magic(1, 6)
         assert rep.passed and rep.diagram_count == 1
+
+    def test_range_validation(self):
+        # k_max < 0 would apply no rule and pass; n = 0 and n > MAX_LOOPS have a count formula but no proof.
+        for n, k_max in ((3, -1), (1, -1), (0, 4), (MAX_LOOPS + 1, 4), (MAX_LOOPS + 1, 0)):
+            with pytest.raises(ValueError):
+                verify_magic(n, k_max)
+
+    def test_does_not_enumerate(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("verify_magic enumerated diagrams")
+
+        monkeypatch.setattr(diagrams, "enumerate_diagrams", refuse)
+        monkeypatch.setattr(magic, "enumerate_diagrams", refuse, raising=False)
+        counts = [verify_magic(n, 2).diagram_count for n in range(1, MAX_LOOPS + 1)]
+        assert counts == [1, 2, 6, 20, 68, 232, 792, 2704]
 
     def test_two_and_three_loops(self):
         for n in (2, 3):
@@ -329,8 +404,8 @@ class TestSerialization:
             Fraction(-1, 12): "-0.0833333333333333333333333333333",
             Fraction(1, 20): "0.05",
             Fraction(10**40, 7): "1.42857142857142857142857142857E+39",
-            mu(5, 9): "0.381054276781208188416133322491",
-            mu(16, 64): "-0.964551031488532618869740475107",
+            mu_table(5, 9).values[-1]: "0.381054276781208188416133322491",
+            mu_table(16, 64).values[-1]: "-0.964551031488532618869740475107",
         }
         for x, text in cases.items():
             assert fraction_decimal(x) == text
