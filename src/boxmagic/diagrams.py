@@ -202,7 +202,7 @@ def enumerate_diagrams(n: int) -> list[BoxDiagram]:
     return list(current.values())
 
 
-def to_dot(d: BoxDiagram, name: str = "boxdiag") -> str:
+def to_dot(d: BoxDiagram, name: str) -> str:
     """DOT rendering: boxed externals, filled internals, dashed strings."""
     lines = [f"graph {name} {{"]
     for v in EXTERNALS:

@@ -43,6 +43,8 @@ __all__ = [
 # below BOUNDARY_TOL marks a Shilov-boundary point.
 BOUNDARY_TOL = 1e-10
 
+_SINGULAR_TOL = 1e-14  # `inverse` refuses Z with |N(Z)| below this
+
 
 @dataclass(frozen=True)
 class ComplexQuaternion:
@@ -86,10 +88,10 @@ def norm(Z: ComplexQuaternion) -> complex:
     return Z.z11 * Z.z22 - Z.z12 * Z.z21
 
 
-def inverse(Z: ComplexQuaternion, tol: float = 1e-14) -> ComplexQuaternion:
+def inverse(Z: ComplexQuaternion) -> ComplexQuaternion:
     """Matrix inverse, N(Z)^-1 times the adjugate.  Raises on singular Z."""
     n = norm(Z)
-    if abs(n) < tol:
+    if abs(n) < _SINGULAR_TOL:
         raise ZeroDivisionError(f"singular complexified quaternion, N(Z)={n}")
     return ComplexQuaternion(Z.z22 / n, -Z.z12 / n, -Z.z21 / n, Z.z11 / n)
 

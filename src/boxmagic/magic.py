@@ -23,24 +23,26 @@ C(k+m-2, k-1) / m^n, which `mu_table` sums for every k in one pass; the tests
 hold it to the a-recursion and to the eigenvalues extracted from ladder images.
 
 An n-loop diagram is the one-loop box with n-1 slingshots attached in
-turn.  The rule of the last site (`_attach`) gives its image from the
-images one loop below, and each site has one directly reducible
-generator family:
+turn, and its image follows from the images one loop below by the rule
+of the last site.  The engine holds the right family only; swapping
+Z1 <-> Z2 and W1 <-> W2 exchanges the two families and reverses every
+image, image_left(w, w') = image_right(w', w), so on the right family
+Z1 and Z2 share one rule, W1 and W2 share another, and the left family
+is the reversal, taken only in `ladder_image` and `diagram_image`:
 
-* site Z1, left family:  multiply the degree-p image by (w'11)^(k-p),
-  summed over p <= k with weight 1/(k+1);
-* site Z2, right family: same with (w11)^(k-p) (this is the ladder
-  recursion);
-* site W1, left family:  substitute the w11 slot of the image below by
-  the new vertex and re-integrate, sending (w11)^a to
-  1/(a+1) sum_r (w11)^r (w'11)^(a-r);
-* site W2, right family: mirror of the previous rule on the w'11 slot.
+* the ladder step (`_ladder_step`), the rule of W1 and W2: substitute
+  the w'11 slot of the degree-k image by the new vertex and re-integrate,
+  sending (w11)^(k-q) (w'11)^q to 1/(q+1) sum_{r<=q} (w11)^(k-r) (w'11)^r;
+  on the coefficients this is the suffix sum of the a-recursion above,
+  and `_a_numerators` is the one-loop row followed by n-1 of these steps;
+* the Z rule (`_z_rule`), the rule of Z1 and Z2: multiply the degree-p
+  image by (w11)^(k-p) and sum over p <= k with weight 1/(k+1).
 
-The opposite family follows from the swap symmetry
-image_left(w, w') = image_right(w', w).  A rule sees the history only
-through the images below, so `verify_magic` proves the identities for
-all 4^(n-1) histories by induction over the last slingshot.  It counts
-the diagram classes by a(n) = 4 a(n-1) - 2 a(n-2), not by enumeration.
+So the W sites give the ladder by construction, and the magic identity
+is "the Z rule reproduces the ladder step": a rule sees the history only
+through the images below, and `verify_magic` proves the identities for
+all 4^(n-1) histories by checking that at every level.  It counts the
+diagram classes by a(n) = 4 a(n-1) - 2 a(n-2), not by enumeration.
 
 All arithmetic is exact; no floating point enters this module.  Rows
 and images are carried as integer numerators over lcm(1..k+1)^n and
@@ -55,9 +57,9 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate
 
-from .diagrams import EXTERNALS, MAX_LOOPS, BoxDiagram, from_history
+from .diagrams import MAX_LOOPS, BoxDiagram, from_history
 
 __all__ = [
     "CoeffTable", "GeneratorImage", "EigenvalueTable", "MagicReport", "a_table", "mu_table",
@@ -110,24 +112,30 @@ def _lcm_upto(m: int) -> int:
     return math.lcm(*range(1, m + 1))
 
 
+def _ladder_step(row: tuple[int, ...]) -> tuple[int, ...]:
+    """One ladder step on a degree-k row of integer numerators, L = lcm(1..k+1).
+
+    A'[p] = sum_{q >= p} A[q] L/(q+1): the recursion a^k(n+1, p) = sum_{q >= p}
+    a^k(n, q)/(q+1) over one more factor L of the denominator, and the rule of
+    the sites W1 and W2 on the right family.
+    """
+    lcm = _lcm_upto(len(row))
+    return tuple(accumulate(row[q] * (lcm // (q + 1)) for q in range(len(row) - 1, -1, -1)))[::-1]
+
+
 def _a_numerators(n: int, k: int) -> tuple[tuple[int, ...], int]:
     """Row a^k(n, .) as integer numerators over the common denominator lcm(1..k+1)^n.
 
-    Returns (numerators, denominator).  With L = lcm(1..k+1), the
-    recursion becomes A_1[p] = L/(k+1), A_n[p] = sum_{q >= p} A_{n-1}[q] L/(q+1):
-    every step is exact in integers.
+    Returns (numerators, denominator): the one-loop row L/(k+1), L = lcm(1..k+1),
+    followed by n-1 ladder steps, every one exact in integers.
     """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
     lcm = _lcm_upto(k + 1)
-    weights = [lcm // (q + 1) for q in range(k + 1)]
-    row = [weights[k]] * (k + 1)
+    row = (lcm // (k + 1),) * (k + 1)
     for _ in range(n - 1):
-        acc = 0
-        for q in range(k, -1, -1):
-            acc += row[q] * weights[q]
-            row[q] = acc
-    return tuple(row), lcm**n
+        row = _ladder_step(row)
+    return row, lcm**n
 
 
 @lru_cache(maxsize=None)
@@ -165,47 +173,26 @@ def ladder_image(n: int, k: int, side: str = "right") -> GeneratorImage:
     return GeneratorImage(k=k, side=side, coeffs=coeffs)
 
 
-# The generator family that each site's rule reduces directly, then the other one.
-_SIDES_OF = {"Z1": SIDES, "Z2": SIDES[::-1], "W1": SIDES, "W2": SIDES[::-1]}
+def _z_rule(images: list[tuple[int, ...]], m: int, k: int) -> tuple[int, ...]:
+    """Level-(m+1) right image of degree k after a slingshot at Z1 or Z2: 1/(k+1) sum_p (w11)^(k-p) images[p].
 
-
-def _attach(site: str, image, m: int, k: int) -> dict[str, tuple[int, ...]]:
-    """Level-(m+1) image of the degree-k generator, on both sides, after a slingshot at `site`.
-
-    `image[p][side]` is the level-m image of degree p <= k as integer numerators
-    over lcm(1..p+1)^m; the result is over L^(m+1), L = lcm(1..k+1).  The rule
-    gives the site's direct side, and the other side is its reversal.
+    `images[p]` is the level-m right image of degree p <= k as integer numerators
+    over lcm(1..p+1)^m; the result is over L^(m+1), L = lcm(1..k+1).
     """
     lcm = _lcm_upto(k + 1)
-    side, other = _SIDES_OF[site]
-    if site == "W1":
-        # (w11)^(k-q) (w'11)^q -> 1/(k-q+1) sum_{j >= q} (w11)^(k-j) (w'11)^j: a prefix sum.
-        out = list(accumulate(c * (lcm // (k - q + 1)) for q, c in enumerate(image[k][side])))
-    elif site == "W2":
-        # The mirror on the w'11 slot: a suffix sum.
-        sub = image[k][side]
-        out = list(accumulate(sub[q] * (lcm // (q + 1)) for q in range(k, -1, -1)))[::-1]
-    else:
-        # Multiply the degree-p image by (w'11)^(k-p) (Z1) or (w11)^(k-p) (Z2), weight 1/(k+1).
-        out = [0] * (k + 1)
-        for p in range(k + 1):
-            scale = (lcm // _lcm_upto(p + 1)) ** m * (lcm // (k + 1))
-            shift = k - p if site == "Z1" else 0
-            for q, c in enumerate(image[p][side]):
-                out[shift + q] += c * scale
-    return {side: tuple(out), other: tuple(out[::-1])}
-
-
-def _ladder_images(n: int, k_max: int) -> list[dict[str, tuple[int, ...]]]:
-    """The n-loop ladder image of every degree p <= k_max on both sides, laid out as `_attach` takes it."""
-    rows = (_a_numerators(n, p)[0] for p in range(k_max + 1))
-    return [{"left": row[::-1], "right": row} for row in rows]
+    out = [0] * (k + 1)
+    for p in range(k + 1):
+        scale = (lcm // _lcm_upto(p + 1)) ** m * (lcm // (k + 1))
+        for q, c in enumerate(images[p]):
+            out[q] += c * scale
+    return tuple(out)
 
 
 def diagram_image(d: BoxDiagram, side: str, k: int) -> GeneratorImage:
-    """Image of the degree-k generator under diagram d: `_attach` folded over its history.
+    """Image of the degree-k generator under diagram d: the site rules folded over its history.
 
-    The fold starts from the one-loop images 1/(p+1) sum_q (w11)^(p-q) (w'11)^q, p <= k.
+    The fold runs on the right images of every degree p <= k, from the one-loop
+    rows 1/(p+1) sum_q (w11)^(p-q) (w'11)^q; the left image is the reversal.
     """
     if side not in SIDES:
         raise ValueError(f"unsupported generator family {side!r}")
@@ -213,16 +200,20 @@ def diagram_image(d: BoxDiagram, side: str, k: int) -> GeneratorImage:
         raise ValueError("generator degree must be >= 0")
     if from_history(d.history).solid != d.solid:
         raise ValueError("diagram history does not reproduce the diagram")
-    images = _ladder_images(1, k)
+    images = [_a_numerators(1, p)[0] for p in range(k + 1)]
     for m, site in enumerate(d.history, start=1):
-        images = [_attach(site, images, m, p) for p in range(k + 1)]
+        if site.startswith("W"):
+            images = [_ladder_step(row) for row in images]
+        else:
+            images = [_z_rule(images, m, p) for p in range(k + 1)]
     den = _lcm_upto(k + 1) ** d.n
-    return GeneratorImage(k, side, tuple(Fraction(c, den) for c in images[k][side]))
+    coeffs = images[k] if side == "right" else images[k][::-1]
+    return GeneratorImage(k, side, tuple(Fraction(c, den) for c in coeffs))
 
 
 @dataclass(frozen=True)
 class MagicReport:
-    """Outcome at n loops, k <= k_max: n-loop diagram classes, one failure per level, site, side and k."""
+    """Outcome at n loops, k <= k_max: n-loop diagram classes, one failure per level and k (both Z sites)."""
 
     n: int
     k_max: int
@@ -237,10 +228,12 @@ class MagicReport:
 def verify_magic(n: int, k_max: int) -> MagicReport:
     """Check that every n-loop diagram has the ladder image, by induction over the last slingshot.
 
-    At every level m < n, each site must send the m-loop ladder images (every
-    degree, both sides) to the (m+1)-loop ladder image: one `_attach` call per
-    level, site and k <= k_max, whatever the number of histories.  Images are
-    compared as integer numerators; Fractions are made only for failure messages.
+    At every level m < n, the m-loop ladder rows of every degree k <= k_max are
+    advanced by one ladder step (the W sites), and the Z rule applied to them
+    must give the same (m+1)-loop rows: (n-1)(k_max+1) rule applications and as
+    many ladder steps, whatever the number of histories.  The left family is
+    the reversal of the right, so the right rows cover both.  Rows are compared
+    as integer numerators; Fractions are made only for failure messages.
     The class count is a(n) = 4 a(n-1) - 2 a(n-2), a(1) = 1, a(2) = 2 (OEIS A006012),
     held to `enumerate_diagrams` for every n <= MAX_LOOPS by the tests.
     """
@@ -250,16 +243,15 @@ def verify_magic(n: int, k_max: int) -> MagicReport:
     for _ in range(n - 1):
         before, diagram_count = diagram_count, 4 * diagram_count - 2 * before
     failures: list[str] = []
-    ladder = _ladder_images(1, k_max)
+    ladder = [_a_numerators(1, k)[0] for k in range(k_max + 1)]
     for m in range(1, n):
-        target = _ladder_images(m + 1, k_max)
-        for site, k in product(EXTERNALS, range(k_max + 1)):
-            got = _attach(site, ladder, m, k)
-            for side in SIDES:
-                if got[side] != target[k][side]:
-                    den = _lcm_upto(k + 1) ** (m + 1)
-                    got_f, want_f = (tuple(Fraction(c, den) for c in x) for x in (got[side], target[k][side]))
-                    failures.append(f"level {m}->{m + 1} site={site} side={side} k={k}: {got_f} != {want_f}")
+        target = [_ladder_step(row) for row in ladder]
+        for k in range(k_max + 1):
+            got = _z_rule(ladder, m, k)
+            if got != target[k]:
+                den = _lcm_upto(k + 1) ** (m + 1)
+                got_f, want_f = (tuple(Fraction(c, den) for c in x) for x in (got, target[k]))
+                failures.append(f"level {m}->{m + 1} site=Z1,Z2 k={k}: {got_f} != {want_f}")
         ladder = target
     return MagicReport(n=n, k_max=k_max, diagram_count=diagram_count, failures=tuple(failures))
 

@@ -54,6 +54,7 @@ __all__ = [
 
 _SERIES_RADIUS = 0.5
 _SERIES_TOL = 1e-17
+_SERIES_MAX_TERMS = 10_000
 
 # The ln z expansion is accepted for |ln z| <= _LOG_RADIUS; every |z| in
 # (1/2, 1] has |ln z| <= 3.22.  Its coefficients fall like (2 pi)^-k, so
@@ -139,7 +140,7 @@ def _extend_powers(powers: list[float], N: int, stop: int) -> None:
             powers.append(math.inf)
 
 
-def li_series(N: int, z: complex, tol: float = _SERIES_TOL, max_terms: int = 10_000) -> complex:
+def li_series(N: int, z: complex) -> complex:
     """Power series sum_{j>=1} z^j / j^N; converges for |z| < 1.
 
     On the real axis the same loop runs on z.real in float arithmetic:
@@ -155,7 +156,8 @@ def li_series(N: int, z: complex, tol: float = _SERIES_TOL, max_terms: int = 10_
     powers = _POWERS.get(N)
     if powers is None:
         powers = _POWERS[N] = [math.nan]
-    for j in range(1, max_terms + 1):
+    tol = _SERIES_TOL  # a local, read once per call rather than once per term
+    for j in range(1, _SERIES_MAX_TERMS + 1):
         term = term * z
         try:
             inc = term / powers[j]

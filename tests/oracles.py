@@ -49,6 +49,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from functools import cache
 from itertools import chain, permutations, product
 
 import numpy as np
@@ -607,11 +608,17 @@ _GL_NODES = 400
 _GL_POWER = 6
 
 
+@cache
 def _gauss_legendre_01() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes t and weights on [0, 1] of a Gauss-Legendre rule in s, t = s^6."""
+    """Nodes t and weights on [0, 1] of a Gauss-Legendre rule in s, t = s^6, built once.
+
+    The arrays are shared by every caller and marked read-only.
+    """
     x, w = np.polynomial.legendre.leggauss(_GL_NODES)
     s = 0.5 * (x + 1.0)
-    return s**_GL_POWER, 0.5 * w * _GL_POWER * s ** (_GL_POWER - 1)
+    t, wt = s**_GL_POWER, 0.5 * w * _GL_POWER * s ** (_GL_POWER - 1)
+    t.flags.writeable = wt.flags.writeable = False
+    return t, wt
 
 
 def li_oracle(N: int, z) -> np.ndarray:

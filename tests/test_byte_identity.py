@@ -3,7 +3,9 @@
 The SHA-256 digests were recorded from the CLI before the exact layers
 moved to integer arithmetic and colour-refined canonical keys, and the
 mu tables at the benchmark's k_max = 96 (past the CLI's limit) before
-the eigenvalues moved from the per-k a-recursion to the closed sum.  Any
+the eigenvalues moved from the per-k a-recursion to the closed sum, and
+the `magic` reports at the CLI's limits (8 loops, k_max = 64) before the
+engine dropped its mirrored generator family.  Any
 change to these bytes is a change of result, not of speed.
 """
 
@@ -35,6 +37,10 @@ PINNED_JSON = {
         "2b59d4d6fce451dbf95a526a90c12432072fa4b2eb333d65f97afeea926e1766",
     ("magic", "--loops", "4", "--k-max", "12", "--json"):
         "65034be480fdd263265149dd41be20c2a76c96400ee865a2a3b7cf149aac883e",
+    ("magic", "--loops", "5", "--k-max", "12", "--json"):
+        "9f6687f28214da06c647dc7510f48ad867b5223e0bf2c8d25eedd9266d3e2190",
+    ("magic", "--loops", "8", "--k-max", "64", "--json"):
+        "d90568b7d6eceab3e68f447994ee6fc5c384ca4c17141615ba09a596fbf650f3",
 }
 
 # Text and CSV outputs of the same `mu` and `acoeff` argument sets,

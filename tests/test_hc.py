@@ -95,6 +95,12 @@ class TestInverse:
         with pytest.raises(ZeroDivisionError):
             inverse(ComplexQuaternion(1, 1, 1, 1))
 
+    def test_refuses_norm_below_threshold(self):
+        # N(Z) = 5e-15 is refused, 2e-14 is inverted.
+        with pytest.raises(ZeroDivisionError):
+            inverse(ComplexQuaternion(1e-7, 0, 0, 5e-8))
+        assert inverse(ComplexQuaternion(1e-7, 0, 0, 2e-7)).z11 == pytest.approx(1e7)
+
 
 class TestConformalAction:
     def test_identity_element(self):

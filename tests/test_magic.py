@@ -69,6 +69,11 @@ class TestATable:
             for k in range(0, 33):
                 assert a_table(n, k).a == a_row_closed(n, k)
 
+    def test_matches_fraction_oracle_at_cli_limit(self):
+        # k = 64 is the largest degree `acoeff` accepts (cli.MAX_K).
+        for n in (2, 8, 16):
+            assert a_table(n, 64).a == a_row_closed(n, 64)
+
     def test_matches_nested_kernel_series(self):
         # The coefficient of u^k a^(k-p) b^p in Li_L(xi) / (xi (1 - u b)),
         # xi = u (a - b) / (1 - u b), is a^k(L, k-p); every other coefficient vanishes.
@@ -239,19 +244,23 @@ class TestEigenvalueExtract:
             eigenvalue_extract(ladder_image(2, 3), 3)
 
 
-def _mutated_attach(site: str):
-    """`_attach` with 1 added to the first numerator of `site`'s rule; the other side stays its reversal."""
-    original = magic._attach
+def _plus_one(rule: str):
+    """`rule` (`_z_rule` or `_ladder_step`) with 1 added to the first numerator of its result."""
+    original = getattr(magic, rule)
 
-    def mutated(s, image, m, k):
-        out = original(s, image, m, k)
-        if s != site:
-            return out
-        direct, other = magic._SIDES_OF[s]
-        bad = (out[direct][0] + 1,) + out[direct][1:]
-        return {direct: bad, other: bad[::-1]}
+    def mutated(*args):
+        out = original(*args)
+        return (out[0] + 1,) + out[1:]
 
     return mutated
+
+
+@pytest.fixture
+def fresh_a_table():
+    """Empty the `a_table` cache before and after, so no row built under a mutated rule outlives the test."""
+    magic.a_table.cache_clear()
+    yield
+    magic.a_table.cache_clear()
 
 
 def _v(k: int, m: int) -> tuple[int, ...]:
@@ -259,48 +268,61 @@ def _v(k: int, m: int) -> tuple[int, ...]:
     return tuple((-1) ** (m + 1 + p) * math.comb(k, m - 1) * math.comb(m - 1, p) for p in range(k + 1))
 
 
-def _basis_failures(attach, k_top: int) -> list[tuple[str, int, int]]:
-    """(site, k, m) of every level-0 call that does not send (v_{p,m})_{p<=k} to L v_{k,m} / m, L = lcm(1..k+1).
+def _basis_failures(z_rule, ladder_step, k_top: int) -> list[tuple[str, int, int]]:
+    """(rule, k, m) of every level-0 call that does not send v_{.,m} to L v_{k,m} / m, L = lcm(1..k+1).
 
-    The entries of v are integers, so they are numerators over lcm^0 = 1 at level 0.
+    The Z rule takes the right rows (v_{p,m})_{p<=k}, the ladder step (the W rule) the
+    row v_{k,m}.  The entries of v are integers, so they are numerators over lcm^0 = 1
+    at level 0.
     """
     bad = []
     for k in range(k_top + 1):
         lcm = math.lcm(*range(1, k + 2))
         for m in range(1, k + 2):
-            family = [{"right": _v(p, m), "left": _v(p, m)[::-1]} for p in range(k + 1)]
             want = tuple(lcm * c // m for c in _v(k, m))
-            for site in EXTERNALS:
-                if attach(site, family, 0, k) != {"right": want, "left": want[::-1]}:
-                    bad.append((site, k, m))
+            if z_rule([_v(p, m) for p in range(k + 1)], 0, k) != want:
+                bad.append(("Z", k, m))
+            if ladder_step(_v(k, m)) != want:
+                bad.append(("W", k, m))
     return bad
 
 
-# One source mutation per site rule of `_attach`: (text in the rule, mutated text).
+# The rule that serves each site on the right family.
+_RULE_OF = {"Z1": "_z_rule", "Z2": "_z_rule", "W1": "_ladder_step", "W2": "_ladder_step"}
+
+# The site mutations of ROADMAP item 1, restated on the right family: (text in the
+# site's rule, mutated text).  Z1 without its shift at p = 0 sends the degree-0 image
+# to (w'11)^k, Z2 shifts by 1 for p < k, and the weight 1/(k-q+2) of W1 and 1/(q+2)
+# of W2 coincide as the weight 1/(q+2) of the ladder step.
 _SITE_MUTATIONS = {
-    "Z1": ('shift = k - p if site == "Z1" else 0', 'shift = (k - p if p else 0) if site == "Z1" else 0'),
-    "Z2": ('shift = k - p if site == "Z1" else 0', 'shift = k - p if site == "Z1" else int(p < k)'),
-    "W1": ("lcm // (k - q + 1)", "lcm // (k - q + 2)"),
-    "W2": ("lcm // (q + 1)) for q in range(k, -1, -1)", "lcm // (q + 2)) for q in range(k, -1, -1)"),
+    "Z1": ("out[q] += c * scale", "out[q + (0 if p else k)] += c * scale"),
+    "Z2": ("out[q] += c * scale", "out[q + (p < k)] += c * scale"),
+    "W1": ("lcm // (q + 1)", "lcm // (q + 2)"),
+    "W2": ("lcm // (q + 1)", "lcm // (q + 2)"),
 }
 
 
 class TestSiteRulesAreDiagonal:
-    # Every site rule maps the integer family v_{.,m} to itself with eigenvalue 1/m,
-    # and the one-loop row is sum_m v_{k,m} / m; so every history of n - 1 slingshots
-    # gives sum_m v_{k,m} / m^n, which is the ladder row (`a_row_closed`) at every n.
+    # Both rules map the integer family v_{.,m} to itself with eigenvalue 1/m, and the
+    # one-loop row is sum_m v_{k,m} / m; so every history of n - 1 slingshots gives
+    # sum_m v_{k,m} / m^n, which is the ladder row (`a_row_closed`) at every n.
     def test_every_site_is_diagonal_on_v(self):
-        assert _basis_failures(magic._attach, 24) == []
+        assert _basis_failures(magic._z_rule, magic._ladder_step, 24) == []
 
     @pytest.mark.parametrize("site", EXTERNALS)
-    def test_each_site_mutation_fails(self, site):
-        old, new = _SITE_MUTATIONS[site]
-        source = inspect.getsource(magic._attach)
+    def test_each_site_mutation_fails(self, monkeypatch, site):
+        rule, (old, new) = _RULE_OF[site], _SITE_MUTATIONS[site]
+        source = inspect.getsource(getattr(magic, rule))
         assert source.count(old) == 1
         namespace = dict(vars(magic))
         exec(compile(source.replace(old, new), magic.__file__, "exec"), namespace)
-        bad = _basis_failures(namespace["_attach"], 12)
-        assert bad and {s for s, _, _ in bad} == {site}
+        rules = {"_z_rule": magic._z_rule, "_ladder_step": magic._ladder_step, rule: namespace[rule]}
+        bad = _basis_failures(rules["_z_rule"], rules["_ladder_step"], 12)
+        assert bad and {r for r, _, _ in bad} == {site[0]}
+        # The ladder step is the a-recursion too: only its mutation misses the closed row.
+        monkeypatch.setattr(magic, rule, namespace[rule])
+        nums, den = magic._a_numerators(3, 6)
+        assert (tuple(Fraction(c, den) for c in nums) == a_row_closed(3, 6)) == (site[0] == "Z")
 
 
 class TestVerifyMagic:
@@ -336,44 +358,54 @@ class TestVerifyMagic:
             assert rep.diagram_count == len(enumerate_diagrams(n))
 
     def test_mutated_rule_fails(self, monkeypatch):
-        # Add 1 to the first numerator of the W1 prefix sum: W1 then misses the
-        # ladder at both levels, on both sides and at every degree.
-        monkeypatch.setattr(magic, "_attach", _mutated_attach("W1"))
+        # Add 1 to the first numerator of the Z rule: it then misses the ladder
+        # step at both levels and at every degree, one failure for both Z sites.
+        monkeypatch.setattr(magic, "_z_rule", _plus_one("_z_rule"))
         rep = verify_magic(3, 4)
         assert not rep.passed
-        assert len(rep.failures) == 20
-        assert rep.failures[0] == "level 1->2 site=W1 side=left k=0: (Fraction(2, 1),) != (Fraction(1, 1),)"
-        # The Fractions of the last failure are those that the history peeling
-        # reported for the diagram ('Z2', 'W1').
+        assert len(rep.failures) == 10
+        assert rep.failures[0] == "level 1->2 site=Z1,Z2 k=0: (Fraction(2, 1),) != (Fraction(1, 1),)"
         assert rep.failures[-1] == (
-            "level 2->3 site=W1 side=right k=4: "
-            "(Fraction(12019, 18000), Fraction(3799, 18000), Fraction(1489, 18000), Fraction(61, 2000), "
-            "Fraction(1729, 216000)) != (Fraction(12019, 18000), Fraction(3799, 18000), "
+            "level 2->3 site=Z1,Z2 k=4: "
+            "(Fraction(144229, 216000), Fraction(3799, 18000), Fraction(1489, 18000), Fraction(61, 2000), "
+            "Fraction(1, 125)) != (Fraction(12019, 18000), Fraction(3799, 18000), "
             "Fraction(1489, 18000), Fraction(61, 2000), Fraction(1, 125))"
         )
+        # The target is the image that history peeling gives every 3-loop diagram,
+        # and the mutation adds 1/lcm(1..5)^3 to its first coefficient.
+        want = image_by_history_fraction(("W1", "Z2"), "right", 4)
+        got = (want[0] + Fraction(1, 60**3),) + want[1:]
+        assert rep.failures[-1] == f"level 2->3 site=Z1,Z2 k=4: {got} != {want}"
 
     @pytest.mark.parametrize("site", EXTERNALS)
-    def test_each_site_mutation_fails_both_checks(self, monkeypatch, site):
-        monkeypatch.setattr(magic, "_attach", _mutated_attach(site))
+    def test_each_site_mutation_fails_both_checks(self, monkeypatch, fresh_a_table, site):
+        monkeypatch.setattr(magic, _RULE_OF[site], _plus_one(_RULE_OF[site]))
         rep = verify_magic(3, 4)
         assert not rep.passed
-        assert all(f" site={site} " in f for f in rep.failures)
+        assert all(" site=Z1,Z2 " in f for f in rep.failures)
         assert magic_failures_fraction(3, 4)
 
     def test_cost_does_not_depend_on_histories(self, monkeypatch):
-        calls = []
-        original = magic._attach
+        calls, steps = [], []
+        z_rule, ladder_step = magic._z_rule, magic._ladder_step
 
-        def spy(site, image, m, k):
-            calls.append((m, site, k))
-            return original(site, image, m, k)
+        def spy(images, m, k):
+            calls.append((m, k))
+            return z_rule(images, m, k)
 
-        monkeypatch.setattr(magic, "_attach", spy)
+        def step_spy(row):
+            steps.append(len(row) - 1)
+            return ladder_step(row)
+
+        monkeypatch.setattr(magic, "_z_rule", spy)
+        monkeypatch.setattr(magic, "_ladder_step", step_spy)
         for n, k_max in ((1, 5), (4, 24), (5, 12), (8, 3)):
             calls.clear()
+            steps.clear()
             assert verify_magic(n, k_max).passed
-            assert len(calls) == (n - 1) * 4 * (k_max + 1)
-            assert set(calls) == set(product(range(1, n), EXTERNALS, range(k_max + 1)))
+            assert len(calls) == len(steps) == (n - 1) * (k_max + 1)
+            assert set(calls) == set(product(range(1, n), range(k_max + 1)))
+            assert sorted(steps) == sorted(list(range(k_max + 1)) * (n - 1))
 
     def test_keeps_no_history_cache(self):
         assert verify_magic(5, 12) == verify_magic(5, 12)
