@@ -261,10 +261,10 @@ def fraction_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def fraction_decimal(x: Fraction, digits: int = 30) -> str:
-    """Decimal rendering at the given number of significant digits."""
+def fraction_decimal(x: Fraction) -> str:
+    """Decimal rendering at 30 significant digits, in a local decimal context."""
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = 30
         return str(Decimal(x.numerator) / Decimal(x.denominator))
 
 

@@ -214,11 +214,17 @@ def li(N: int, z: complex) -> complex:
 
 
 def lambda_rho(x: float, y: float) -> tuple[float, float]:
-    """The auxiliary pair lambda = sqrt((1-x-y)^2 - 4xy), rho = 2/(1-x-y+lambda)."""
+    """The auxiliary pair lambda = sqrt((1-x-y)^2 - 4xy), rho = 2/(1-x-y+lambda).
+
+    Refuses (x, y) outside the region x, y > 0, x + y < 1, lambda^2 > 0,
+    where rho > 1.
+    """
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"arguments must be finite, got (x, y) = ({x}, {y})")
     if x <= 0 or y <= 0:
         raise ValueError("arguments must be positive")
+    if x + y >= 1.0:
+        raise ValueError(f"(x, y) = ({x}, {y}) leaves the principal region x + y < 1")
     lam2 = (1.0 - x - y) ** 2 - 4.0 * x * y
     if lam2 <= 0:
         raise ValueError(f"lambda^2 = {lam2} is not positive at (x, y) = ({x}, {y})")
@@ -227,18 +233,11 @@ def lambda_rho(x: float, y: float) -> tuple[float, float]:
     return lam, rho
 
 
-def _check_region(x: float, y: float) -> tuple[float, float]:
-    lam, rho = lambda_rho(x, y)
-    if rho * x <= 0 or rho * y <= 0:
-        raise ValueError(f"(x, y) = ({x}, {y}) leaves the principal region (rho*x, rho*y must be > 0)")
-    return lam, rho
-
-
 def phi(L: int, x: float, y: float) -> float:
     """L-loop ladder function Phi^(L)(x, y), the real part of the closed form above."""
     if L < 1:
         raise ValueError("loop order must be >= 1")
-    lam, rho = _check_region(x, y)
+    lam, rho = lambda_rho(x, y)
     lyx = math.log(y / x)
     a, b = -1.0 / (rho * x), -rho * y
     if not math.isfinite(a):  # a subnormal x overflows 1/(rho x); Phi^(L) is symmetric in (x, y)

@@ -687,22 +687,20 @@ def kernel_integral(grid, f: BasisExpansion, poles) -> complex:
     return complex(np.sum(vals * w))
 
 
-def conformal_draws(r: float, samples: int, scale: float, seed: int):
-    """Accepted moved point sets of the conformal check, drawing h one at a time.
+def conformal_draws(r: float, seed: int):
+    """The conformal check's five moved point sets, drawing h of scale 0.05 one at a time.
 
-    A draw is kept when Z1, Z2 stay outside and W1, W2 inside the cycle;
-    returns the kept sets and the number of draws made.
+    Returns the sets and, for each, whether it keeps Z1, Z2 outside and
+    W1, W2 inside the cycle.
     """
-    rng = quadrature._rng(seed)
+    rng = np.random.default_rng(seed)
     points = quadrature._covariance_points(rng, r)
-    kept, draws = [], 0
-    while len(kept) < samples and draws < 20 * samples:
-        draws += 1
-        h = random_near_identity(rng, scale, r)
+    draws = []
+    for _ in range(5):
+        h = random_near_identity(rng, 0.05, r)
         moved = tuple(conformal_act(h, P) for P in points)
-        if [domain_side(P, r) for P in moved] == ["minus", "minus", "plus", "plus"]:
-            kept.append(moved)
-    return kept, draws
+        draws.append((moved, [domain_side(P, r) for P in moved] == ["minus", "minus", "plus", "plus"]))
+    return draws
 
 
 def conformal_act_alt(h: GroupElement, Z: ComplexQuaternion) -> ComplexQuaternion:

@@ -105,14 +105,14 @@ def test_criterion_06_cycle_normalization():
 
 def test_criterion_07_poisson_formula():
     with _Budget("criterion 7: sphere reproducing formula, residual <= 1e-6", 10.0):
-        res = poisson_check(R=1.0, nodes=24, tol=1e-6, samples=5)
+        res = poisson_check(R=1.0, nodes=24, tol=1e-6)
         assert res.passed, res.details
 
 
 def test_criterion_08_two_point_and_single_point_collapse():
     with _Budget("criterion 8: generator collapse <= 1e-5; quotient collapse <= 1e-6, "
                  "R-independent <= 1e-8", 60.0):
-        res = lemma_zp_check(R=1.0, nodes=20, tol=1e-5, k_max=3)
+        res = lemma_zp_check(R=1.0, nodes=20, tol=1e-5)
         assert res.passed, res.details
         # (i/2 pi^3) Int (degt phi)(Z) / (N(Z) N(Z-W)) dV = phi(W) at both radii
         phis = [BasisExpansion.monomial("z11", k) for k in range(4)]
@@ -126,13 +126,13 @@ def test_criterion_08_two_point_and_single_point_collapse():
 
 def test_criterion_09_orthogonality_relations():
     with _Budget("criterion 9: orthogonality relations vs delta/(2l+1), residual <= 1e-6", 60.0):
-        res = orthogonality_check(two_l_max=3, R=0.9, nodes_s3=24, nodes_u2=16, tol=1e-6)
+        res = orthogonality_check(R=0.9, nodes_s3=24, nodes_u2=16, tol=1e-6)
         assert res.passed, res.details
 
 
 def test_criterion_10_conformal_covariance():
     with _Budget("criterion 10: one-loop conformal covariance, residual <= 1e-4", 60.0):
-        res = conformal_check(r=1.0, nodes=20, tol=1e-4, samples=5, scale=0.05)
+        res = conformal_check(r=1.0, nodes=20, tol=1e-4)
         assert res.passed, res.details
 
 

@@ -302,6 +302,8 @@ CONTRACT_GRID = [
     (("phi", "--level", "7", "--x", "0.1", "--y", "0.2"), 2),
     (("phi", "--level", "2", "--x", "1e-320", "--y", "0.2"), 0),
     (("phi", "--level", "2", "--x", "1e-320", "--y", "1e-320"), 2),
+    (("phi", "--level", "2", "--x", "1e200", "--y", "1e200"), 2),  # x + y >= 1: refused before lambda^2 overflows
+    (("phi", "--level", "3", "--x", "1e120", "--y", "1e-3"), 2),
     (("mu", "--loops", "2", "--k-max", "4", "--out", "{missing}"), 2),
     (("mu", "--loops", "0"), 2),
     (("acoeff", "--loops", "2", "--k", "x"), 2),

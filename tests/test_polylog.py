@@ -8,6 +8,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxmagic.polylog import lambda_rho, li, li_integral, li_series, phi, phi1, phi2
 from oracles import li_oracle, li_series_complex, phi_oracle
@@ -235,6 +237,16 @@ class TestPhi2:
 
 
 class TestPhi:
+    @given(st.integers(1, 6), *[st.floats(min_value=0, exclude_min=True, allow_infinity=False)] * 2)
+    @settings(max_examples=300, deadline=None)
+    def test_finite_or_refused(self, L, x, y):
+        # Outside the principal region phi raises ValueError; it never overflows or divides by zero.
+        try:
+            value = phi(L, x, y)
+        except ValueError:
+            return
+        assert math.isfinite(value)
+
     @pytest.mark.parametrize("L", range(1, 7))
     def test_matches_integral(self, L):
         want = phi_oracle(L, [p[0] for p in PHI_POINTS], [p[1] for p in PHI_POINTS])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 import re
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from boxmagic import quadrature
-from boxmagic.hc import ComplexQuaternion, chart_s3
+from boxmagic.hc import ComplexQuaternion, GroupElement, chart_s3
 from boxmagic.quadrature import (
     DomainError,
     QuadratureSpec,
@@ -216,10 +217,6 @@ class TestPoisson:
         res = poisson_check(nodes=16)
         assert res.passed
 
-    def test_no_samples_refused(self):
-        with pytest.raises(ValueError, match="at least one integrand"):
-            poisson_check(nodes=8, samples=0)
-
     def test_grid_refinement_improves(self):
         phi = BasisExpansion({TIndex(2, 0, 0, 0): 1})
         errs = []
@@ -307,7 +304,7 @@ class TestOneLoop:
         # Points drawn like the checks' points: the conformal check's own draws, and
         # singular values in [1.6, 2.5] outside and [0.05, 0.6] inside.
         if draw < 3:
-            points = quadrature._covariance_points(quadrature._rng(draw), 1.0)
+            points = quadrature._covariance_points(np.random.default_rng(draw), 1.0)
         else:
             rng = np.random.default_rng(draw)
             points = [random_point(rng, lo, hi, False) for lo, hi in ((1.6, 2.5),) * 2 + ((0.05, 0.6),) * 2]
@@ -331,16 +328,30 @@ class TestOneLoop:
             one_loop_eval(W1, Z2, Z1, W2, 1.0, 8)  # an inside point placed outside
 
     def test_conformal_covariance(self):
-        res = conformal_check(nodes=16, samples=3)
+        res = conformal_check(nodes=16)
         assert res.passed
         assert res.residual <= 1e-4
 
     @pytest.mark.parametrize("r", [1e-3, 100.0])
-    def test_conformal_resampling_is_bounded(self, r):
-        # At a large scale every map moves a point across the cycle, at
-        # any radius; the check gives up after 20 draws per sample.
-        with pytest.raises(DomainError, match=f"radius {r}: 40 draws"):
-            conformal_check(r=r, nodes=8, samples=2, scale=2.0)
+    def test_conformal_refuses_a_map_that_moves_a_point_across(self, monkeypatch, capsys, r):
+        # A map is refused, not redrawn: the dilation Z -> 1000 Z takes W1 out of the cycle.
+        monkeypatch.setattr(quadrature, "random_near_identity",
+                            lambda rng, scale, radius: GroupElement(np.diag([1e3, 1e3, 1, 1]).astype(complex)))
+        message = re.escape(f"h(W1) must lie on the 'plus' side of radius {r}")
+        with pytest.raises(DomainError, match=message):
+            conformal_check(r=r, nodes=8)
+        from boxmagic import cli
+
+        assert cli.main(["verify", "conformal", "--radius", str(r), "--nodes", "8"]) == 2
+        assert re.search(message, capsys.readouterr().err)
+
+    def test_no_conformal_draw_is_refused(self, monkeypatch):
+        # The check draws its five maps once and refuses one that moves a point across
+        # the cycle; at its scale no seed here draws one, so every seed reaches the integral.
+        monkeypatch.setattr(quadrature, "_kernel_pass", lambda chart, R, nodes, rows: [1.0] * len(rows))
+        for r in (1e-3, 1.0, 20.0, 1e5):
+            for seed in range(100):
+                assert len(conformal_check(r=r, seed=seed).details["samples"]) == 5
 
     @pytest.mark.parametrize("r", [1e-3, 0.1, 10.0, 100.0])
     def test_conformal_residual_is_radius_independent(self, r):
@@ -350,14 +361,10 @@ class TestOneLoop:
         assert res.passed
         assert res.residual == pytest.approx(conformal_check(r=1.0, nodes=8).residual, rel=1e-8)
 
-    def test_conformal_no_samples_refused(self):
-        with pytest.raises(ValueError, match="at least one sample"):
-            conformal_check(nodes=8, samples=0)
-
 
 class TestOrthogonality:
     def test_check_passes(self):
-        res = orthogonality_check(two_l_max=3, nodes_s3=16, nodes_u2=12)
+        res = orthogonality_check(nodes_s3=16, nodes_u2=12)
         assert res.passed
         assert res.details["pairs_sphere"] == 30 * 30
 
@@ -366,7 +373,7 @@ class TestOrthogonality:
     # sums the 4-D grid.
     @pytest.mark.parametrize("nodes_s3, nodes_u2", [(5, 5), (7, 7), (12, 12), (16, 12), (24, 16), (32, 12)])
     def test_gram_matches_per_pair_sums(self, nodes_s3, nodes_u2):
-        (gs, want_s), (gu, want_u) = _orthogonality_grams(3, 0.9, nodes_s3, nodes_u2)
+        (gs, want_s), (gu, want_u) = _orthogonality_grams(0.9, nodes_s3, nodes_u2)
         sphere, cycle = orthogonality_pairs(3, 0.9, nodes_s3, nodes_u2)
         assert gs.shape == sphere.shape == (30, 30)
         assert gu.shape == cycle.shape == (60, 60)
@@ -378,9 +385,9 @@ class TestOrthogonality:
 
     def test_gram_blocks_add_up(self, monkeypatch):
         # 12^3 = 1728 nodes in blocks of 500, the last one ragged, against one block.
-        whole = _orthogonality_grams(3, 0.9, 12, 12)
+        whole = _orthogonality_grams(0.9, 12, 12)
         monkeypatch.setattr(quadrature, "GRAM_BLOCK", 500)
-        blocked = _orthogonality_grams(3, 0.9, 12, 12)
+        blocked = _orthogonality_grams(0.9, 12, 12)
         for (g1, _), (g2, _) in zip(whole, blocked):
             assert np.abs(g1 - g2).max() <= 1e-15
 
@@ -390,16 +397,12 @@ class TestOrthogonality:
         with pytest.raises(ValueError):
             quadrature._cycle_gram(0.9, 8, [mixed], [BasisExpansion.one()])
 
-    def test_scale_limit(self):
-        with pytest.raises(ValueError):
-            orthogonality_check(two_l_max=4)
-
     def test_targets_are_the_exact_pairings(self):
         # Over the check's own index lists and duals, the exact sphere pairing
         # and the exact 4-cycle pairing give its targets: the diagonals it
         # compares against, and zeros everywhere else.
-        idxs = list(quadrature._basis_indices(3))
-        (_, want_s), (_, want_u) = _orthogonality_grams(3, 0.9, 4, 4)
+        idxs = list(quadrature._basis_indices())
+        (_, want_s), (_, want_u) = _orthogonality_grams(0.9, 4, 4)
         sphere = [[exact_H_pairing(BasisExpansion({TIndex(*i, 0): 1}), quadrature._dual(*j, -1)) for j in idxs]
                   for i in idxs]
         assert all(v.im == 0 for row in sphere for v in row)
@@ -513,25 +516,16 @@ class TestBatchedChecksAgainstOracles:
                                                        ONE_LOOP_PTS)
         assert abs(one_loop_eval(*ONE_LOOP_PTS, 1.0, 12) - want) <= 1e-13 * max(1.0, abs(want))
 
-    @staticmethod
-    def _same_draws(monkeypatch, r, scale, draws):
-        kept, made = conformal_draws(r, 5, scale, 20240)
-        assert (len(kept), made) == (5, draws)
-        calls = record_kernel_passes(monkeypatch)
-        res = conformal_check(r=r, nodes=8, scale=scale)
-        ((_, _, _, rows, _),) = calls
-        assert [poles for _, poles in rows[1:]] == kept
-        assert len(res.details["samples"]) == 5
-
     @pytest.mark.parametrize("r, draws", [(1.0, 5), (20.0, 5)])
     def test_conformal_accepts_the_same_draws(self, monkeypatch, r, draws):
-        # The maps scale with the radius: at r = 20 no draw is rejected either.
-        self._same_draws(monkeypatch, r, 0.05, draws)
-
-    @pytest.mark.parametrize("r", [1.0, 20.0])
-    def test_conformal_resampled_draws(self, monkeypatch, r):
-        # At scale 1, fifty of the first fifty-five maps move a point across the cycle.
-        self._same_draws(monkeypatch, r, 1.0, 55)
+        # The maps scale with the radius: at r = 20 every draw keeps its points' sides too.
+        made = conformal_draws(r, 20240)
+        assert [keeps for _, keeps in made] == [True] * draws
+        calls = record_kernel_passes(monkeypatch)
+        res = conformal_check(r=r, nodes=8)
+        ((_, _, _, rows, _),) = calls
+        assert [poles for _, poles in rows[1:]] == [moved for moved, _ in made]
+        assert len(res.details["samples"]) == draws
 
 
 class TestSuiteRunner:
@@ -575,6 +569,13 @@ class TestSuiteRunner:
         (check,) = res.checks
         assert check.nodes == 8
         assert check.tolerance == 0.5
+
+    @pytest.mark.parametrize("name", quadrature.SUITES)
+    def test_checks_take_only_what_verify_and_the_benchmark_set(self, name):
+        # --radius, --nodes and --tol, and the seed that the benchmark passes: no other knob.
+        check, radius_arg, node_args = quadrature._CHECKS[name]
+        params = list(inspect.signature(check).parameters)
+        assert params in ([radius_arg, *node_args, "tol"], [radius_arg, *node_args, "tol", "seed"])
 
     @pytest.mark.parametrize("flags, expected", [
         ({}, dict.fromkeys(quadrature.SUITES, {})),  # each default lives only in its check's signature

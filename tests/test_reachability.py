@@ -33,7 +33,7 @@ STAYING = {
     "diagrams.from_history": BENCHMARK,
     "polylog.phi1": BENCHMARK,
     "polylog.phi2": BENCHMARK,
-    "quadrature.one_loop_eval": "ROADMAP item 1 compares it with the closed form in a `nested` check",
+    "quadrature.one_loop_eval": "ROADMAP item 2 compares it with the closed form in a `nested` check",
 }
 
 # Runs each command through main() under a profiler and prints, as JSON,
