@@ -53,9 +53,18 @@ def _out_path(text: str) -> str:
     return text
 
 
+def _write(path: str | Path, text: str) -> None:
+    """Write a file; a failed write (disk full, a directory in the way) is a usage error: exit 2."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        _write(out, text)
     else:
         sys.stdout.write(text)
 
@@ -105,7 +114,7 @@ def _cmd_diagrams(args: argparse.Namespace) -> int:
             return 2
         for i, d in enumerate(ds):
             name = f"boxdiag_n{args.loops}_{i}"
-            (outdir / f"{name}.dot").write_text(dg.to_dot(d, name), encoding="utf-8")
+            _write(outdir / f"{name}.dot", dg.to_dot(d, name))
         print(f"wrote {len(ds)} DOT file(s) to {outdir}")
     return 0
 

@@ -62,48 +62,11 @@ from itertools import accumulate
 from .diagrams import MAX_LOOPS, BoxDiagram, from_history
 
 __all__ = [
-    "CoeffTable", "GeneratorImage", "EigenvalueTable", "MagicReport", "a_table", "mu_table",
-    "ladder_image", "diagram_image", "verify_magic", "fraction_str", "fraction_decimal",
-    "mu_table_payload", "a_table_payload", "payload_to_csv", "payload_to_json",
+    "MagicReport", "a_table", "mu_table", "ladder_image", "diagram_image", "verify_magic",
+    "fraction_str", "fraction_decimal", "mu_table_payload", "a_table_payload", "payload_to_csv", "payload_to_json",
 ]
 
 SIDES = ("left", "right")
-
-
-@dataclass(frozen=True)
-class CoeffTable:
-    """Exact coefficients a^k(n, 0..k) of the n-loop ladder on degree-k generators."""
-
-    n: int
-    k: int
-    a: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
-class GeneratorImage:
-    """Image polynomial sum_p coeffs[p] * (w11)^(k-p) * (w'11)^p.
-
-    `side` records which generator family was applied: "left" for
-    (z11)^k (x) 1, "right" for 1 (x) (z'11)^k.
-    """
-
-    k: int
-    side: str
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if self.side not in SIDES:
-            raise ValueError(f"side must be one of {SIDES}")
-        if len(self.coeffs) != self.k + 1:
-            raise ValueError("image must have k+1 coefficients")
-
-
-@dataclass(frozen=True)
-class EigenvalueTable:
-    """Eigenvalues mu^(n)_k for k = 1..k_max, exact rationals."""
-
-    n: int
-    values: tuple[Fraction, ...]
 
 
 @lru_cache(maxsize=None)  # m = k + 1 <= 65 from the commands (k <= cli.MAX_K)
@@ -138,14 +101,13 @@ def _a_numerators(n: int, k: int) -> tuple[tuple[int, ...], int]:
     return row, lcm**n
 
 
-@lru_cache(maxsize=None)
-def a_table(n: int, k: int) -> CoeffTable:
-    """The coefficient row a^k(n, .), by the exact recursion."""
+def a_table(n: int, k: int) -> tuple[Fraction, ...]:
+    """The coefficient row a^k(n, 0..k), by the exact recursion."""
     nums, den = _a_numerators(n, k)
-    return CoeffTable(n=n, k=k, a=tuple(Fraction(a, den) for a in nums))
+    return tuple(Fraction(a, den) for a in nums)
 
 
-def mu_table(n: int, k_max: int) -> EigenvalueTable:
+def mu_table(n: int, k_max: int) -> tuple[Fraction, ...]:
     """mu^(n)_k for k <= k_max by the closed sum in one pass: numerators over L^n, L = lcm(1..k_max)."""
     if n < 1 or k_max < 0:
         raise ValueError("need n >= 1 and k_max >= 0")
@@ -159,18 +121,19 @@ def mu_table(n: int, k_max: int) -> EigenvalueTable:
             total += c * powers[m - 1]
             c = -c * (k - m) * (k + m - 1) // (m * m)  # exact: both binomials step by one
         values.append(Fraction(total, den))
-    return EigenvalueTable(n=n, values=tuple(values))
+    return tuple(values)
 
 
-def ladder_image(n: int, k: int, side: str = "right") -> GeneratorImage:
-    """Image of the degree-k generator under the n-loop ladder operator.
+def ladder_image(n: int, k: int, side: str = "right") -> tuple[Fraction, ...]:
+    """Coefficients c_0..c_k of the degree-k generator's image under the n-loop ladder operator.
 
     Read off the coefficient table; the one-step ladder recursion that
     agrees with it lives in the tests as an oracle.
     """
-    row = a_table(n, k).a
-    coeffs = row if side == "right" else tuple(reversed(row))
-    return GeneratorImage(k=k, side=side, coeffs=coeffs)
+    if side not in SIDES:
+        raise ValueError(f"unsupported generator family {side!r}")
+    row = a_table(n, k)
+    return row if side == "right" else row[::-1]
 
 
 def _z_rule(images: list[tuple[int, ...]], m: int, k: int) -> tuple[int, ...]:
@@ -188,8 +151,8 @@ def _z_rule(images: list[tuple[int, ...]], m: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def diagram_image(d: BoxDiagram, side: str, k: int) -> GeneratorImage:
-    """Image of the degree-k generator under diagram d: the site rules folded over its history.
+def diagram_image(d: BoxDiagram, side: str, k: int) -> tuple[Fraction, ...]:
+    """Image coefficients of the degree-k generator under diagram d: the site rules folded over its history.
 
     The fold runs on the right images of every degree p <= k, from the one-loop
     rows 1/(p+1) sum_q (w11)^(p-q) (w'11)^q; the left image is the reversal.
@@ -208,7 +171,7 @@ def diagram_image(d: BoxDiagram, side: str, k: int) -> GeneratorImage:
             images = [_z_rule(images, m, p) for p in range(k + 1)]
     den = _lcm_upto(k + 1) ** d.n
     coeffs = images[k] if side == "right" else images[k][::-1]
-    return GeneratorImage(k, side, tuple(Fraction(c, den) for c in coeffs))
+    return tuple(Fraction(c, den) for c in coeffs)
 
 
 @dataclass(frozen=True)
@@ -269,27 +232,25 @@ def fraction_decimal(x: Fraction) -> str:
 
 
 def mu_table_payload(n: int, k_max: int) -> dict:
-    table = mu_table(n, k_max)
     return {
         "schema": "boxmagic.mu-table/1",
         "loops": n,
         "k_max": k_max,
         "values": [
-            {"k": k + 1, "exact": fraction_str(v), "decimal": fraction_decimal(v)}
-            for k, v in enumerate(table.values)
+            {"k": k, "exact": fraction_str(v), "decimal": fraction_decimal(v)}
+            for k, v in enumerate(mu_table(n, k_max), start=1)
         ],
     }
 
 
 def a_table_payload(n: int, k: int) -> dict:
-    table = a_table(n, k)
     return {
         "schema": "boxmagic.a-table/1",
         "loops": n,
         "k": k,
         "values": [
             {"p": p, "exact": fraction_str(v), "decimal": fraction_decimal(v)}
-            for p, v in enumerate(table.a)
+            for p, v in enumerate(a_table(n, k))
         ],
     }
 

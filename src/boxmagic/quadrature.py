@@ -7,7 +7,7 @@ U(2)_R is e^{i phi} S^3_R: its node (phi_k, q) is lam_k q with
 lam_k = e^{i pi k/n}, and its weight is -i R lam_k^4 (pi/n) times that
 of q (`_phases`).  A pole-free row is homogeneous, of one degree
 d = 2l + 2k, so its U(2)_R sum is its S^3 sum times a phase sum
-(`_cycle_gram`).  A kernel row f(Z) / prod_P N(Z - P) is split by degree,
+(`_gram`).  A kernel row f(Z) / prod_P N(Z - P) is split by degree,
 f(lam q) = sum_d lam^d f_d(q), and N(lam q - P) = lam^2 N(q) - lam B_P(q)
 + N(P) with B_P linear in q; so the powers of the entries
 (`tbasis.EntryPowers`), every f_d and every B_P are built once per node
@@ -328,9 +328,8 @@ def normalization_check(radii=(0.8, 1.25), nodes: int = 32, tol: float = 1e-8) -
     worst = 0.0
     values = {}
     for R in radii:
-        QuadratureSpec("u2", float(R), nodes)  # raises ValueError on a bad radius or node count
-        val = complex(_cycle_gram(float(R), nodes, [BasisExpansion({TIndex(0, 0, 0, -2): 1})],
-                                  [BasisExpansion.one()])[0, 0])
+        spec = QuadratureSpec("u2", float(R), nodes)
+        val = complex(_gram(spec, [BasisExpansion({TIndex(0, 0, 0, -2): 1})], [BasisExpansion.one()])[0, 0])
         rel = abs(val - target) / abs(target)
         values[str(R)] = {"value": [val.real, val.imag], "rel_err": rel}
         worst = max(worst, rel)
@@ -419,16 +418,29 @@ def _dual(L: int, n: int, m: int, k: int) -> BasisExpansion:
     return BasisExpansion({di: fac})
 
 
-def _gram(R: float, nodes: int, prims, duals) -> np.ndarray:
-    """Every pairing sum_nodes w * prim_i * dual_j over S^3_R: (P * w) @ D^T, added over node blocks in order.
+def _gram(spec: QuadratureSpec, prims, duals) -> np.ndarray:
+    """Every pairing sum_nodes w * prim_i * dual_j over the cycle of `spec`, as one S^3_R pass.
 
-    OpenBLAS splits that product between threads by blocks of the result, not
-    along the node sum; with one row or column numpy calls gemv or dot, which
-    may, so those pairings are pairwise sums.  A non-finite sum aborts, naming
-    a node where P * w or D is not finite if there is one.
+    Each row must be homogeneous, of degree d = 2l + 2k; a mixed row raises
+    ValueError.  With the u2 nodes lam_k q and weights of `_phases`, the u2
+    sum of a pair of degrees d_i, d_j is its s3 sum times -i R (pi/n)
+    sum_k lam_k^(d_i+d_j+4); on s3 that phase sum is 1.  The s3 sums are
+    (P * w) @ D^T, added over node blocks in order.  OpenBLAS splits that
+    product between threads by blocks of the result, not along the node
+    sum; with one row or column numpy calls gemv or dot, which may, so
+    those pairings are pairwise sums.  A non-finite sum aborts, naming a
+    node where P * w or D is not finite if there is one.
     """
+    R, n = spec.radius, spec.nodes_per_dim
+
+    def degree(f: BasisExpansion) -> int:
+        (d,) = {idx.two_l + 2 * idx.k for idx in f.coeffs}
+        return d
+
+    m = np.add.outer([degree(f) for f in prims], [degree(f) for f in duals]) + 4
+    phase = _phases(spec.chart, R, n, m.ravel())[1].sum(axis=0).reshape(m.shape)
     gram = None
-    for a, b, c, d, w in _blocks(R, nodes):
+    for a, b, c, d, w in _blocks(R, n):
         powers = EntryPowers(a, b, c, d)
         # A row may be a constant (t^0 N^0); broadcasting against w gives it every node.
         prim, dual = (np.array(np.broadcast_arrays(w, *(powers.value(f) for f in fs))[1:])
@@ -440,25 +452,7 @@ def _gram(R: float, nodes: int, prims, duals) -> np.ndarray:
             for vals in (prim, dual):
                 _require_finite(vals, a, b, c, d)
             raise FloatingPointError(f"a pairing sum at radius {R} overflows")
-    return gram
-
-
-def _cycle_gram(R: float, nodes: int, prims, duals) -> np.ndarray:
-    """Every pairing sum_nodes w * prim_i * dual_j over the u2 grid, as one S^3_R pass.
-
-    Each row must be homogeneous, of degree d = 2l + 2k; a mixed row
-    raises ValueError.  With the u2 nodes lam_k q and weights of
-    `_phases`, the u2 sum of a pair of degrees d_i, d_j is its s3 sum
-    times -i R (pi/n) sum_k lam_k^(d_i+d_j+4): the same product rule,
-    regrouped.
-    """
-    def degree(f: BasisExpansion) -> int:
-        (d,) = {idx.two_l + 2 * idx.k for idx in f.coeffs}
-        return d
-
-    m = np.add.outer([degree(f) for f in prims], [degree(f) for f in duals]) + 4
-    phase = _phases("u2", R, nodes, m.ravel())[1].sum(axis=0).reshape(m.shape)
-    return phase * _gram(R, nodes, prims, duals)
+    return phase * gram
 
 
 def _orthogonality_grams(R: float, nodes_s3: int, nodes_u2: int):
@@ -473,12 +467,13 @@ def _orthogonality_grams(R: float, nodes_s3: int, nodes_u2: int):
     # Harmonic pairing on the 3-sphere.
     prims = [BasisExpansion({TIndex(L, n, m, 0): 1}).degt() for (L, n, m) in idxs]
     duals = [_dual(L, n, m, -1) for (L, n, m) in idxs]
-    sphere = (_gram(R, nodes_s3, prims, duals) / (2.0 * np.pi**2 * R), np.ones(len(idxs)))
+    sphere = (_gram(QuadratureSpec("s3", R, nodes_s3), prims, duals) / (2.0 * np.pi**2 * R),
+              np.ones(len(idxs)))
 
     # Polynomial pairing on the 4-cycle.
     prims = [BasisExpansion({TIndex(L, n, m, kk): 1}) for (L, n, m) in idxs for kk in (0, 1)]
     duals = [_dual(L, n, m, -kk - 2) for (L, n, m) in idxs for kk in (0, 1)]
-    cycle = (1j / (2.0 * np.pi**3) * _cycle_gram(R, nodes_u2, prims, duals),
+    cycle = (1j / (2.0 * np.pi**3) * _gram(QuadratureSpec("u2", R, nodes_u2), prims, duals),
              np.repeat([1.0 / (L + 1) for (L, _, _) in idxs], 2))
     return sphere, cycle
 
@@ -492,8 +487,6 @@ def orthogonality_check(R: float = 0.9, nodes_s3: int = 24, nodes_u2: int = 16, 
     {0, 1} and checks the 1/(2l+1) values with delta matching in k.
     Each family is one Gram-matrix product over one S^3 grid.
     """
-    for chart, n in (("s3", nodes_s3), ("u2", nodes_u2)):
-        QuadratureSpec(chart, R, n)  # raises ValueError below 4 nodes or above NODE_BUDGET
     (gs, want_s), (gu, want_u) = _orthogonality_grams(R, nodes_s3, nodes_u2)
     h_worst = float(np.abs(gs - np.diag(want_s)).max())
     u_worst = float(np.abs(gu - np.diag(want_u)).max())

@@ -58,7 +58,7 @@ from boxmagic import quadrature
 from boxmagic.diagrams import EXTERNALS, BoxDiagram, enumerate_diagrams
 from boxmagic.hc import (ComplexQuaternion, GroupElement, conformal_act, domain_side, inverse, norm,
                          random_near_identity)
-from boxmagic.magic import GeneratorImage, diagram_image, ladder_image
+from boxmagic.magic import diagram_image, ladder_image
 from boxmagic.tbasis import BasisExpansion, TIndex, _nu, term_of_inverse_argument
 
 
@@ -486,18 +486,18 @@ def mu_closed(n: int, k: int) -> Fraction:
                 for m in range(1, k + 1)), Fraction(0))
 
 
-def eigenvalue_extract(img: GeneratorImage, k: int) -> Fraction:
-    """Scalar action on the k-th irreducible component, from a degree-(k-1) image.
+def eigenvalue_extract(coeffs: tuple[Fraction, ...], k: int, side: str = "right") -> Fraction:
+    """Scalar action on the k-th irreducible component, from the coefficients of a degree-(k-1) image.
 
     The ratio-of-inner-products formula: with orthonormal extreme
     monomials, the right-family image gives
     sum_p (-1)^(k+p+1) C(k-1, p) c_p (and the mirrored sum on the left).
     """
-    if img.k != k - 1:
-        raise ValueError(f"image has degree {img.k}, expected {k - 1}")
+    if len(coeffs) != k:
+        raise ValueError(f"image has degree {len(coeffs) - 1}, expected {k - 1}")
     total = Fraction(0)
-    for p, c in enumerate(img.coeffs):
-        if img.side == "right":
+    for p, c in enumerate(coeffs):
+        if side == "right":
             sign = -1 if (k + p + 1) % 2 else 1
         else:
             sign = -1 if p % 2 else 1
@@ -505,17 +505,16 @@ def eigenvalue_extract(img: GeneratorImage, k: int) -> Fraction:
     return total
 
 
-def ladder_image_recursive(n: int, k: int, side: str) -> GeneratorImage:
-    """Ladder image via image^(n) = 1/(k+1) sum_p monomial * image^(n-1)(p).
+def ladder_image_recursive(n: int, k: int, side: str) -> tuple[Fraction, ...]:
+    """Ladder image coefficients via image^(n) = 1/(k+1) sum_p monomial * image^(n-1)(p).
 
     Unmemoised, so exponential in n: keep n and k small.
     """
     if n == 1:
-        row = tuple(Fraction(1, k + 1) for _ in range(k + 1))
-        return GeneratorImage(k, side, row)
+        return tuple(Fraction(1, k + 1) for _ in range(k + 1))
     out = [Fraction(0)] * (k + 1)
     for p in range(k + 1):
-        sub = ladder_image_recursive(n - 1, p, side).coeffs
+        sub = ladder_image_recursive(n - 1, p, side)
         for q in range(p + 1):
             if side == "right":
                 # multiplier (w11)^(k-p) keeps the w' exponent q
@@ -523,7 +522,7 @@ def ladder_image_recursive(n: int, k: int, side: str) -> GeneratorImage:
             else:
                 # multiplier (w'11)^(k-p) raises the w' exponent to k-p+q
                 out[k - p + q] += sub[q] / (k + 1)
-    return GeneratorImage(k, side, tuple(out))
+    return tuple(out)
 
 
 _DIRECT_SIDE = {"Z1": "left", "Z2": "right", "W1": "left", "W2": "right"}
@@ -577,9 +576,9 @@ def magic_failures_fraction(n: int, k_max: int) -> list[str]:
             expected = ladder_image(n, k, side)
             for i, d in enumerate(diagrams):
                 got = diagram_image(d, side, k)
-                if got.coeffs != expected.coeffs:
+                if got != expected:
                     failures.append(f"n={n} side={side} k={k} diagram#{i} history={d.history}: "
-                                    f"{got.coeffs} != {expected.coeffs}")
+                                    f"{got} != {expected}")
     return failures
 
 

@@ -271,7 +271,9 @@ class TestPhi:
 
 # (argv, exit code): usage errors exit 2, a check that really fails exits 1.
 # "{missing}" stands for a file in a directory that does not exist,
-# "{file}" for an existing file.
+# "{file}" for an existing file, "{full}" for /dev/full (every write fails
+# with ENOSPC) and "{dots}" for a directory where the first DOT file's name
+# is taken by a directory.
 CONTRACT_GRID = [
     (("verify", "normalization", "--nodes", "8"), 0),
     (("verify", "normalization", "--nodes", "8", "--tol", "1e-300"), 1),
@@ -310,14 +312,23 @@ CONTRACT_GRID = [
     (("magic", "--loops", "2", "--k-max", "-1"), 2),
     (("diagrams", "--loops", "9"), 2),
     (("diagrams", "--loops", "2", "--dot-dir", "{file}"), 2),
+    (("diagrams", "--loops", "2", "--dot-dir", "{dots}"), 2),
+    (("mu", "--loops", "2", "--k-max", "4", "--out", "{full}"), 2),
+    (("acoeff", "--loops", "2", "--k", "3", "--format", "csv", "--out", "{full}"), 2),
+    (("magic", "--loops", "2", "--k-max", "4", "--json", "--out", "{full}"), 2),
+    (("verify", "normalization", "--nodes", "8", "--json", "--out", "{full}"), 2),
 ]
 
 
 class TestContract:
     @pytest.mark.parametrize("argv, expected", CONTRACT_GRID, ids=[" ".join(a) for a, _ in CONTRACT_GRID])
     def test_exit_code_and_no_traceback(self, tmp_path, argv, expected):
-        paths = {"{missing}": str(tmp_path / "missing" / "out.txt"), "{file}": str(tmp_path / "file")}
+        if "{full}" in argv and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        paths = {"{missing}": str(tmp_path / "missing" / "out.txt"), "{file}": str(tmp_path / "file"),
+                 "{full}": "/dev/full", "{dots}": str(tmp_path / "dots")}
         (tmp_path / "file").write_text("", encoding="utf-8")
+        (tmp_path / "dots" / "boxdiag_n2_0.dot").mkdir(parents=True)
         proc = run_process(*(paths.get(a, a) for a in argv))
         assert proc.returncode in (0, 1, 2)
         assert "Traceback" not in proc.stderr
@@ -325,6 +336,8 @@ class TestContract:
         assert proc.returncode == expected, proc.stderr
         if expected == 2:
             assert proc.stderr.strip()
+        if "{full}" in argv or "{dots}" in argv:
+            assert "cannot write" in proc.stderr
 
 
 # Modules that only `verify` may load.

@@ -93,13 +93,13 @@ class TestSpecAndGrids:
 
     def test_s3_total_weight(self):
         for R in (0.7, 1.25):
-            total = quadrature._gram(R, 12, [BasisExpansion.one()], [BasisExpansion.one()])[0, 0]
+            total = quadrature._gram(QuadratureSpec("s3", R, 12), [BasisExpansion.one()], [BasisExpansion.one()])[0, 0]
             assert abs(total - 2 * math.pi**2 * R**3) <= 1e-10
 
     def test_s3_odd_monomial_vanishes(self):
         # z11 + z22 = 2 x0 is odd under the antipodal map.
         odd = BasisExpansion({TIndex(1, -1, -1, 0): 1, TIndex(1, 1, 1, 0): 1})
-        assert abs(quadrature._gram(1.0, 12, [odd], [BasisExpansion.one()])[0, 0]) < 1e-12
+        assert abs(quadrature._gram(QuadratureSpec("s3", 1.0, 12), [odd], [BasisExpansion.one()])[0, 0]) < 1e-12
 
     def test_deterministic_repeat(self):
         spec = QuadratureSpec("u2", 1.0, 8)
@@ -394,8 +394,9 @@ class TestOrthogonality:
     def test_mixed_degree_row_refused(self):
         # A row with terms of two degrees has no single phase factor.
         mixed = BasisExpansion({TIndex(0, 0, 0, 0): 1, TIndex(1, 1, 1, 0): 1})
-        with pytest.raises(ValueError):
-            quadrature._cycle_gram(0.9, 8, [mixed], [BasisExpansion.one()])
+        for chart in ("u2", "s3"):
+            with pytest.raises(ValueError):
+                quadrature._gram(QuadratureSpec(chart, 0.9, 8), [mixed], [BasisExpansion.one()])
 
     def test_targets_are_the_exact_pairings(self):
         # Over the check's own index lists and duals, the exact sphere pairing
@@ -426,7 +427,7 @@ class TestOrthogonality:
             for i1, i2 in pairs:
                 f1 = BasisExpansion({i1: 1})
                 f2 = BasisExpansion({i2: 1})
-                num = 1j / (2 * math.pi**3) * quadrature._cycle_gram(R, 12, [f1], [f2])[0, 0]
+                num = 1j / (2 * math.pi**3) * quadrature._gram(QuadratureSpec("u2", R, 12), [f1], [f2])[0, 0]
                 assert abs(num - complex(pair_Zh(f1, f2))) <= 1e-6
 
 
