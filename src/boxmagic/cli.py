@@ -13,9 +13,10 @@ Only ``verify`` needs numpy.  It imports the quadrature layer (and with
 it numpy) when it runs, so the other commands start without it.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage
-errors.  JSON outputs carry a versioned ``schema`` field; exact
-rationals are serialized as "num/den" strings and decimals carry 30
-significant digits (17 for floating-point results).
+errors, among them a failed write to a file or to standard output.
+JSON outputs carry a versioned ``schema`` field; exact rationals are
+serialized as "num/den" strings and decimals carry 30 significant
+digits (17 for floating-point results).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -62,24 +64,36 @@ def _write(path: str | Path, text: str) -> None:
         raise SystemExit(2) from None
 
 
-def _write_or_print(text: str, out: str | None) -> None:
+def _stdout(op, *args) -> None:
+    """Call op(*args), a write to or a flush of standard output.  A failure (a full disk, a closed
+    pipe) exits 2, after pointing stdout at os.devnull so that the flush at exit cannot fail again."""
+    try:
+        op(*args)
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"cannot write <stdout>: {exc.strerror or exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
+def _emit(text: str, out: str | None = None) -> None:
+    """Write text to the file `out`, or else to standard output; every command writes through here."""
     if out:
         _write(out, text)
     else:
-        sys.stdout.write(text)
+        _stdout(sys.stdout.write, text)
 
 
 def _emit_table(args: argparse.Namespace, payload: dict, title: str, key: str) -> int:
     """Write an exact table payload as JSON, CSV or text lines `key=... exact decimal`."""
     if args.format == "json":
-        _write_or_print(magic.payload_to_json(payload), args.out)
+        _emit(magic.payload_to_json(payload), args.out)
     elif args.format == "csv":
-        _write_or_print(magic.payload_to_csv(payload), args.out)
+        _emit(magic.payload_to_csv(payload), args.out)
     else:
         lines = [title]
         for row in payload["values"]:
             lines.append(f"  {key}={row[key]:<3d} {row['exact']:>24s}   {row['decimal']}")
-        _write_or_print("\n".join(lines) + "\n", args.out)
+        _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -104,7 +118,7 @@ def _cmd_diagrams(args: argparse.Namespace) -> int:
         print(f"diagrams: need 1 <= loops <= {dg.MAX_LOOPS}", file=sys.stderr)
         return 2
     ds = dg.enumerate_diagrams(args.loops)
-    print(f"{len(ds)} distinct {args.loops}-loop box diagram(s)")
+    _emit(f"{len(ds)} distinct {args.loops}-loop box diagram(s)\n")
     if args.dot_dir:
         outdir = Path(args.dot_dir)
         try:
@@ -115,7 +129,7 @@ def _cmd_diagrams(args: argparse.Namespace) -> int:
         for i, d in enumerate(ds):
             name = f"boxdiag_n{args.loops}_{i}"
             _write(outdir / f"{name}.dot", dg.to_dot(d, name))
-        print(f"wrote {len(ds)} DOT file(s) to {outdir}")
+        _emit(f"wrote {len(ds)} DOT file(s) to {outdir}\n")
     return 0
 
 
@@ -133,13 +147,13 @@ def _cmd_magic(args: argparse.Namespace) -> int:
         "failures": list(report.failures),
     }
     if args.json:
-        _write_or_print(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
         status = "PASS" if report.passed else "FAIL"
-        print(f"magic identities at {report.n} loop(s), k <= {report.k_max}: "
-              f"{report.diagram_count} diagram(s), both generator families: {status}")
+        _emit(f"magic identities at {report.n} loop(s), k <= {report.k_max}: "
+              f"{report.diagram_count} diagram(s), both generator families: {status}\n")
         for f in report.failures:
-            print(f"  {f}")
+            _emit(f"  {f}\n")
     return 0 if report.passed else 1
 
 
@@ -156,12 +170,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     payload = report.payload()
     payload["suite"] = args.suite
     if args.json:
-        _write_or_print(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
         for c in report.checks:
             status = "PASS" if c.passed else "FAIL"
-            print(f"{c.name:16s} residual={c.residual:.3e}  tol={c.tolerance:.1e}  "
-                  f"nodes={c.nodes}  {status}")
+            _emit(f"{c.name:16s} residual={c.residual:.3e}  tol={c.tolerance:.1e}  "
+                  f"nodes={c.nodes}  {status}\n")
     return 0 if report.passed else 1
 
 
@@ -171,7 +185,7 @@ def _cmd_phi(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"phi: {exc}", file=sys.stderr)
         return 2
-    print(f"{val:.17g}")
+    _emit(f"{val:.17g}\n")
     return 0
 
 
@@ -226,9 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    finally:  # what a command wrote is buffered: a full disk or a closed pipe shows here
+        _stdout(sys.stdout.flush)
 
 
 if __name__ == "__main__":

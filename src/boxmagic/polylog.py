@@ -234,16 +234,17 @@ def lambda_rho(x: float, y: float) -> tuple[float, float]:
 
 
 def phi(L: int, x: float, y: float) -> float:
-    """L-loop ladder function Phi^(L)(x, y), the real part of the closed form above."""
+    """L-loop ladder function Phi^(L)(x, y), the real part of the closed form above, evaluated
+    with the arguments ordered x >= y: Phi^(L) is symmetric, and phi(L, x, y) == phi(L, y, x) exactly."""
     if L < 1:
         raise ValueError("loop order must be >= 1")
+    if y > x:
+        x, y = y, x
     lam, rho = lambda_rho(x, y)
     lyx = math.log(y / x)
     a, b = -1.0 / (rho * x), -rho * y
-    if not math.isfinite(a):  # a subnormal x overflows 1/(rho x); Phi^(L) is symmetric in (x, y)
-        if not math.isfinite(-1.0 / (rho * y)):
-            raise ValueError(f"-1/(rho x) = {a} and -1/(rho y) are not finite at (x, y) = ({x}, {y})")
-        return phi(L, y, x)
+    if not math.isfinite(a):  # with x >= y, 1/(rho x) overflows only where both arguments are subnormal
+        raise ValueError(f"-1/(rho x) and -1/(rho y) are not finite at (x, y) = ({x}, {y})")
     total = 0.0
     for j in range(L, 2 * L + 1):
         weight = (-1) ** j * math.factorial(j) / (math.factorial(j - L) * math.factorial(2 * L - j))

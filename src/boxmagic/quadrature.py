@@ -12,8 +12,11 @@ f(lam q) = sum_d lam^d f_d(q), and N(lam q - P) = lam^2 N(q) - lam B_P(q)
 + N(P) with B_P linear in q; so the powers of the entries
 (`tbasis.EntryPowers`), every f_d and every B_P are built once per node
 block, and the loop over the phases forms only denominators (`integrate`).
-Both passes hold the n^3 grid and the values of one block of nodes
-(`_blocks`).  Each check makes one such pass over all its integrands.
+Both passes build the nodes block by block from n x n chart tables
+(`_blocks`) and hold the values of one block of GRAM_BLOCK nodes, so their
+memory does not grow with n^3 or with the number of blocks; a Gram pass
+writes its rows into one preallocated buffer per side.  Each check makes
+one such pass over all its integrands.
 Every node sum is numpy's pairwise sum, or a Gram product that BLAS
 splits by blocks of the result (`_gram`), added over node blocks in order,
 and the phases are summed in order, so the same flags give the same bits
@@ -58,13 +61,12 @@ __all__ = [
     "SUITES",
 ]
 
-# Nodes of the S^3 grid that one pass holds, on either cycle: n <= 64.
+# Nodes of the S^3 grid that one pass sums over, on either cycle: n <= 64.
 NODE_BUDGET = 2**18
 
-# Grid nodes per block of a pass (`_blocks`), so that the 30-60 value rows of
-# a Gram pass take about 16 MB at any n; the default grids (at most 24^3 nodes
-# on the kernel checks, 32^3 on normalization) fit in one or two.
-GRAM_BLOCK = 2**14
+# Grid nodes per block of a pass (`_blocks`): one row of values takes 64 kB,
+# and the 60 prim and 60 dual rows of the cycle Gram pass 7.9 MB, at any n.
+GRAM_BLOCK = 2**12
 
 
 class DomainError(ValueError):
@@ -90,26 +92,6 @@ class QuadratureSpec:
             raise ValueError("node count per pass exceeds the configured budget")
 
 
-def _grid(radius: float, n: int):
-    """The S^3_R product rule, flattened: (z11, z12, z21, z22, weights) at n^3 nodes.
-
-    Both cycles are integrated over it (U(2)_R adds `_phases`).  The chart
-    gets each 1-D node array on its own axis, so exp, cos and sin run over
-    n values per angle; the weights are the chart density times the
-    Gauss-Legendre theta weights and the cell measure.
-    """
-    periodic = np.arange(n) * (2.0 * np.pi / n)
-    x, wgl = np.polynomial.legendre.leggauss(n)
-    theta = 0.25 * np.pi * (x + 1.0)
-    wth = wgl * 0.25 * np.pi
-    try:
-        *z, density = chart_s3(radius, periodic[:, None, None], theta[:, None], periodic)
-    except OverflowError:  # the radius power R^3 in the chart density (numpy overflows give inf)
-        raise OverflowError("a value of the s3 chart leaves the float range") from None
-    w = (density * wth[:, None] * (2.0 * np.pi / n) ** 2).astype(complex)
-    return tuple(a.ravel() for a in np.broadcast_arrays(*z, w))
-
-
 def _phases(chart: str, R: float, n: int, powers) -> tuple[np.ndarray, np.ndarray]:
     """Phases lam_k of a cycle over the S^3_R grid, and weight factors, one column per power m.
 
@@ -130,10 +112,31 @@ def _phases(chart: str, R: float, n: int, powers) -> tuple[np.ndarray, np.ndarra
 
 
 def _blocks(R: float, n: int):
-    """The S^3_R grid of `_grid` in order, as (z11, z12, z21, z22, weights) blocks of GRAM_BLOCK nodes."""
-    grid = _grid(R, n)
-    for start in range(0, grid[0].size, GRAM_BLOCK):
-        yield tuple(x[start:start + GRAM_BLOCK] for x in grid)
+    """The S^3_R product rule, in order, as (z11, z12, z21, z22, weights) blocks of GRAM_BLOCK nodes.
+
+    Both cycles are integrated over it (U(2)_R adds `_phases`).  The node
+    (psi_i, theta_j, chi_k) is number (i n + j) n + k.  The chart runs once
+    over n x n tables, (psi, theta) for z11 and z22 and (chi, theta) for z12
+    and z21, so exp, cos and sin run over n values per angle; each block
+    gathers its nodes from the tables.  The weights are the chart density
+    times the Gauss-Legendre theta weights and the cell measure.
+    """
+    periodic = np.arange(n) * (2.0 * np.pi / n)
+    x, wgl = np.polynomial.legendre.leggauss(n)
+    theta = 0.25 * np.pi * (x + 1.0)
+    wth = wgl * 0.25 * np.pi
+    try:
+        *tables, density = chart_s3(R, periodic[:, None], theta, periodic[:, None])
+    except OverflowError:  # the radius power R^3 in the chart density (numpy overflows give inf)
+        raise OverflowError("a value of the s3 chart leaves the float range") from None
+    w = (density * wth * (2.0 * np.pi / n) ** 2).astype(complex)
+    z11, z12, z21, z22 = (t.ravel() for t in tables)
+    for start in range(0, n**3, GRAM_BLOCK):
+        node = np.arange(start, min(start + GRAM_BLOCK, n**3))
+        ij = node // n  # (psi_i, theta_j): i n + j
+        j = ij % n
+        kj = node % n * n + j  # (chi_k, theta_j): k n + j
+        yield z11[ij], z12[kj], z21[kj], z22[ij], w[j]
 
 
 def integrate(spec: QuadratureSpec, rows) -> np.ndarray:
@@ -439,12 +442,15 @@ def _gram(spec: QuadratureSpec, prims, duals) -> np.ndarray:
 
     m = np.add.outer([degree(f) for f in prims], [degree(f) for f in duals]) + 4
     phase = _phases(spec.chart, R, n, m.ravel())[1].sum(axis=0).reshape(m.shape)
+    # One (rows, block) buffer per side; each block writes its rows in place.
+    bufs = [np.empty((len(fs), min(GRAM_BLOCK, n**3)), dtype=complex) for fs in (prims, duals)]
     gram = None
     for a, b, c, d, w in _blocks(R, n):
         powers = EntryPowers(a, b, c, d)
-        # A row may be a constant (t^0 N^0); broadcasting against w gives it every node.
-        prim, dual = (np.array(np.broadcast_arrays(w, *(powers.value(f) for f in fs))[1:])
-                      for fs in (prims, duals))
+        prim, dual = (buf[:, :w.size] for buf in bufs)
+        for rows, fs in ((prim, prims), (dual, duals)):
+            for row, f in zip(rows, fs):
+                row[...] = powers.value(f)  # a constant row (t^0 N^0) fills every node
         prim *= w
         part = prim @ dual.T if min(len(prim), len(dual)) > 1 else (prim[:, None] * dual).sum(axis=-1)
         gram = part if gram is None else gram + part

@@ -254,9 +254,10 @@ class TestPhi:
             assert abs(phi(L, x, y) - w) <= 1e-12 * abs(w), (x, y)
 
     def test_symmetry(self):
+        # The arguments are ordered x >= y before the closed form, so the values are equal bit for bit.
         for L in range(1, 7):
             for x, y in PHI_POINTS:
-                assert phi(L, x, y) == pytest.approx(phi(L, y, x), rel=1e-12)
+                assert phi(L, x, y) == phi(L, y, x)
 
     def test_mpmath_integral(self):
         mpmath = pytest.importorskip("mpmath")
@@ -273,8 +274,8 @@ class TestPhi:
 
     def test_mpmath_closed_form(self):
         # The same closed form at 40 digits, over x = 1e-4 .. 0.2 at y = 0.3 (the region
-        # ends near x = 0.2046).  The worst relative error measured is 2.1e-13.  For
-        # x << y the float sum cancels as ln(y/x) grows: 5.4e-11 at x = 1e-10, L = 6.
+        # ends near x = 0.2046) and at x = 1e-100 and 1e-300.  The worst relative error
+        # measured is 8.7e-15.
         mpmath = pytest.importorskip("mpmath")
 
         def closed(L, x, y):
@@ -289,8 +290,8 @@ class TestPhi:
 
         with mpmath.workdps(40):
             for L in range(1, 7):
-                for x in np.geomspace(1e-4, 0.2, 12):
-                    assert phi(L, float(x), 0.3) == pytest.approx(closed(L, x, 0.3), rel=5e-13), (L, x)
+                for x in [*np.geomspace(1e-4, 0.2, 12), 1e-100, 1e-300]:
+                    assert phi(L, float(x), 0.3) == pytest.approx(closed(L, x, 0.3), rel=1e-13), (L, x)
 
     def test_bad_order(self):
         with pytest.raises(ValueError):
@@ -308,7 +309,7 @@ class TestPhi:
 
     @pytest.mark.parametrize("x", [1e-320, 5e-324, 4e-309])
     def test_subnormal_x_takes_swapped_value(self, x):
-        # -1/(rho x) overflows, so phi evaluates the symmetric function at (y, x).
+        # phi orders its arguments x >= y, so -1/(rho x) is taken at x = 0.2 and stays finite.
         for L in (1, 2, 6):
             assert phi(L, x, 0.2) == phi(L, 0.2, x)
             assert math.isfinite(phi(L, x, 0.2))

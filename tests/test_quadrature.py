@@ -14,7 +14,6 @@ from boxmagic.hc import ComplexQuaternion, GroupElement, chart_s3
 from boxmagic.quadrature import (
     DomainError,
     QuadratureSpec,
-    _grid,
     _kernel_pass,
     _orthogonality_grams,
     _phases,
@@ -47,10 +46,15 @@ ONE_LOOP_PTS = (
 )
 
 
+def s3_grid(R: float, n: int):
+    """The S^3_R grid that a pass reaches, (z11, z12, z21, z22, weights): the blocks of `_blocks` concatenated."""
+    return tuple(np.concatenate(x) for x in zip(*quadrature._blocks(R, n)))
+
+
 def u2_slices(R: float, n: int):
     """The u2 nodes and weights that a kernel pass reaches, one (n, n^3) row per phase:
-    lam_k times the s3 grid of `_grid`, with the weight factor of power 4 of `_phases`."""
-    *z, w = _grid(R, n)
+    lam_k times the s3 grid, with the weight factor of power 4 of `_phases`."""
+    *z, w = s3_grid(R, n)
     lam, fac = _phases("u2", R, n, [4])
     return [np.multiply.outer(lam, x) for x in z] + [np.multiply.outer(fac[:, 0], w)]
 
@@ -81,7 +85,7 @@ class TestSpecAndGrids:
         cases = (
             ("u2", (math.pi / n) * (2 * math.pi / n) ** 2, [a.ravel() for a in u2_slices(0.8, n)],
              lambda R, a: chart_u2(R, math.pi * a[0] / n, periodic[a[1]], thetas[a[2]], periodic[a[3]])),
-            ("s3", (2 * math.pi / n) ** 2, _grid(0.8, n),
+            ("s3", (2 * math.pi / n) ** 2, s3_grid(0.8, n),
              lambda R, a: chart_s3(R, periodic[a[0]], thetas[a[1]], periodic[a[2]])),
         )
         for chart, cell, grid, at in cases:
@@ -109,14 +113,19 @@ class TestSpecAndGrids:
     @pytest.mark.parametrize("chart", ["u2", "s3"])
     @pytest.mark.parametrize("n", [4, 12, 20, 24, 32])
     @pytest.mark.parametrize("R", [0.8, 1.0, 1.25])
-    def test_grid_bitwise_matches_meshgrid_build(self, chart, n, R):
-        # Both cycles build one s3 piece of n^3 nodes, bit for bit the meshgrid
-        # build; the u2 nodes lam_k q and their weights are the meshgrid's 4-cycle
-        # to rounding, a few ulps (the phase multiplies last, not first; 2.4 eps measured).
-        got = _grid(R, n)
-        for g, w in zip(got, meshgrid_grid("s3", R, n)):
-            assert g.shape == w.shape == (n**3,)
-            assert np.array_equal(g.view(np.float64), w.view(np.float64))
+    def test_grid_bitwise_matches_meshgrid_build(self, monkeypatch, chart, n, R):
+        # Both cycles build one s3 piece of n^3 nodes, block by block, bit for bit
+        # the meshgrid build: in blocks of GRAM_BLOCK nodes (the last one ragged at
+        # n = 20 and 24) and of 500; the u2 nodes lam_k q and their weights are the
+        # meshgrid's 4-cycle to rounding, a few ulps (the phase multiplies last, not
+        # first; 2.4 eps measured).
+        for block in (quadrature.GRAM_BLOCK, 500):
+            monkeypatch.setattr(quadrature, "GRAM_BLOCK", block)
+            sizes = [blk[0].size for blk in quadrature._blocks(R, n)]
+            assert sizes[:-1] == [block] * (len(sizes) - 1) and 0 < sizes[-1] <= block
+            for g, w in zip(s3_grid(R, n), meshgrid_grid("s3", R, n)):
+                assert g.shape == w.shape == (n**3,)
+                assert np.array_equal(g.view(np.float64), w.view(np.float64))
         if chart == "u2":
             want = meshgrid_grid("u2", R, n)
             for g, w, scale in zip(u2_slices(R, n), want, [R] * 4 + [np.abs(want[4]).max()]):
@@ -132,7 +141,7 @@ class TestSpecAndGrids:
         # only that node's N(Z - P) flushes below 1/DBL_MAX.  The message names the
         # row and the node Z = lam_2 q_5, not the s3 node q_5.
         R, n, k, j = 1e-147, 4, 2, 5
-        *q, _ = _grid(R, n)
+        *q, _ = s3_grid(R, n)
         lam, _ = _phases("u2", R, n, ())
         P = ComplexQuaternion(*(lam[k] * z[j] * (1 + 1e-10) for z in q))
         one = BasisExpansion.one()
@@ -149,7 +158,7 @@ class TestSpecAndGrids:
         # second node of the second block, and the message still names lam_2 q_5.
         monkeypatch.setattr(quadrature, "GRAM_BLOCK", 4)
         R, n, k, j = 1e-147, 4, 2, 5
-        *q, _ = _grid(R, n)
+        *q, _ = s3_grid(R, n)
         lam, _ = _phases("u2", R, n, ())
         P = ComplexQuaternion(*(lam[k] * z[j] * (1 + 1e-10) for z in q))
         rows = [(BasisExpansion.one(), (None,)), (BasisExpansion.monomial("z11", 1), (P,))]
@@ -446,16 +455,17 @@ def record_kernel_passes(monkeypatch):
 
 
 def record_grids(monkeypatch):
-    """Spy on quadrature._grid: a list of (R, n, node count) per S^3 grid built."""
+    """Spy on quadrature._blocks: a list of (R, n, node count) per S^3 grid built, counted as its blocks go by."""
     calls = []
-    real = quadrature._grid
+    real = quadrature._blocks
 
     def spy(R, n):
-        grid = real(R, n)
-        calls.append((R, n, grid[0].size))
-        return grid
+        calls.append((R, n, 0))
+        for blk in real(R, n):
+            calls[-1] = (R, n, calls[-1][2] + blk[0].size)
+            yield blk
 
-    monkeypatch.setattr(quadrature, "_grid", spy)
+    monkeypatch.setattr(quadrature, "_blocks", spy)
     return calls
 
 
