@@ -83,6 +83,16 @@ def _emit(text: str, out: str | None = None) -> None:
         _stdout(sys.stdout.write, text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose help goes through `_emit`; argparse's own write swallows a failure."""
+
+    def print_help(self, file=None):
+        if file is None:
+            _emit(self.format_help())
+        else:
+            super().print_help(file)
+
+
 def _emit_table(args: argparse.Namespace, payload: dict, title: str, key: str) -> int:
     """Write an exact table payload as JSON, CSV or text lines `key=... exact decimal`."""
     if args.format == "json":
@@ -161,22 +171,27 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from .quadrature import run_suite
 
     try:
-        report = run_suite(args.suite, radius=args.radius, nodes=args.nodes, tol=args.tol)
+        checks = run_suite(args.suite, radius=args.radius, nodes=args.nodes, tol=args.tol)
     except (ValueError, ArithmeticError) as exc:  # node count or budget, a point on the wrong side
         # of the cycle, or a radius so extreme that a chart or an integrand leaves the float range
         where = "" if args.radius is None else f" at radius {args.radius:g}"
         print(f"verify: {args.suite}{where}: {exc}", file=sys.stderr)
         return 2
-    payload = report.payload()
-    payload["suite"] = args.suite
+    passed = all(c.passed for c in checks)
+    payload = {
+        "schema": "boxmagic.verify-report/1",
+        "passed": passed,
+        "checks": [c.payload() for c in checks],
+        "suite": args.suite,
+    }
     if args.json:
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
-        for c in report.checks:
+        for c in checks:
             status = "PASS" if c.passed else "FAIL"
             _emit(f"{c.name:16s} residual={c.residual:.3e}  tol={c.tolerance:.1e}  "
                   f"nodes={c.nodes}  {status}\n")
-    return 0 if report.passed else 1
+    return 0 if passed else 1
 
 
 def _cmd_phi(args: argparse.Namespace) -> int:
@@ -190,7 +205,7 @@ def _cmd_phi(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="boxmagic", description=__doc__,
+    p = _Parser(prog="boxmagic", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 

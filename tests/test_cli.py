@@ -191,10 +191,10 @@ class TestVerify:
                        f"a value of the {chart} chart leaves the float range\n")
 
     def test_tiny_radius_names_the_integrand(self, capsys):
-        # The s3 pass of the normalization meets N(Z)^-2 = inf before any division by R^3 = 0.
-        code, out, err = run(capsys, "verify", "normalization", "--radius", "1e-200", "--nodes", "8")
+        # R^3 is a normal float at this radius, and the s3 pass of the normalization meets N(Z)^-2 = inf.
+        code, out, err = run(capsys, "verify", "normalization", "--radius", "1e-100", "--nodes", "8")
         assert (code, out) == (2, "")
-        assert err.startswith("verify: normalization at radius 1e-200: non-finite value of integrand 0 at node")
+        assert err.startswith("verify: normalization at radius 1e-100: non-finite value of integrand 0 at node")
 
     def test_extreme_radius_warns_nothing(self, capsys):
         # numpy's overflow and invalid-value warnings stay quiet; the
@@ -294,6 +294,9 @@ CONTRACT_GRID = [
     (("verify", "normalization", "--radius", "-1"), 2),
     (("verify", "poisson", "--radius", "nan"), 2),
     (("verify", "collapse", "--tol", "0"), 2),
+    (("verify", "collapse", "--tol", "1e308"), 0),  # the radius independence counts 100 times at every tol
+    (("verify", "orthogonality", "--radius", "1e-3"), 0),  # each Gram entry against its size R^D
+    (("verify", "orthogonality", "--radius", "1000"), 0),
     (("verify", "conformal", "--radius", "1e-3"), 0),
     (("verify", "conformal", "--radius", "100"), 0),
     # Radii whose charts or integrands leave the float range.
@@ -304,6 +307,9 @@ CONTRACT_GRID = [
     (("verify", "orthogonality", "--radius", "1e60", "--nodes", "8"), 2),
     (("verify", "orthogonality", "--radius", "1e-60", "--nodes", "8"), 2),
     (("verify", "conformal", "--radius", "1e60", "--nodes", "8"), 2),
+    # R^3 subnormal (1e-321) or zero: the s3 weights would lose their digits.
+    (("verify", "poisson", "--radius", "1e-107"), 2),
+    (("verify", "poisson", "--radius", "1e-110"), 2),
     (("verify", "normalization", "--nodes", "8", "--out", "{missing}"), 2),
     (("phi", "--level", "2", "--x", "0.1", "--y", "0.2"), 0),
     (("phi", "--level", "2", "--x", "0.1", "--y", "nan"), 2),
@@ -337,6 +343,10 @@ CONTRACT_GRID = [
     (("magic", "--loops", "2", "--k-max", "4", ">{closed}"), 2),
     (("verify", "normalization", "--nodes", "8", "--json", ">{closed}"), 2),
     (("phi", "--level", "1", "--x", "0.1", "--y", "0.2", ">{closed}"), 2),
+    (("--help", ">{full}"), 2),
+    (("mu", "--help", ">{full}"), 2),
+    (("--help", ">{closed}"), 2),
+    (("mu", "--help", ">{closed}"), 2),
 ]
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import json
 import math
 import re
 
@@ -132,15 +133,16 @@ class TestSpecAndGrids:
                 assert np.abs(g.ravel() - w).max() <= 4 * np.finfo(float).eps * scale
 
     def test_nonfinite_integrand_reported(self):
-        # N(Z) underflows to 0 at this radius, so 1/N(Z) is infinite at every node.
+        # N(Z)^2 = R^4 underflows to 0 at this radius, so 1/N(Z)^2 is infinite at every node.
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
-            integrate(QuadratureSpec("s3", 1e-170, 8), [(BasisExpansion.one(), (None,))])
+            integrate(QuadratureSpec("s3", 1e-100, 8), [(BasisExpansion.one(), (None, None))])
 
     def test_nonfinite_value_names_row_and_node(self):
         # A pole next to the u2 node lam_2 q_5 (relative offset 1e-10): at this radius
-        # only that node's N(Z - P) flushes below 1/DBL_MAX.  The message names the
-        # row and the node Z = lam_2 q_5, not the s3 node q_5.
-        R, n, k, j = 1e-147, 4, 2, 5
+        # that node's N(Z - P), about 1e-20 R^2, is below the rounding of its terms of
+        # size R^2 and comes out as 0, so only that node's value is infinite.  The
+        # message names the row and the node Z = lam_2 q_5, not the s3 node q_5.
+        R, n, k, j = 1e-100, 4, 2, 5
         *q, _ = s3_grid(R, n)
         lam, _ = _phases("u2", R, n, ())
         P = ComplexQuaternion(*(lam[k] * z[j] * (1 + 1e-10) for z in q))
@@ -157,7 +159,7 @@ class TestSpecAndGrids:
         # The same pole next to lam_2 q_5, with blocks of 4 nodes: q_5 is the
         # second node of the second block, and the message still names lam_2 q_5.
         monkeypatch.setattr(quadrature, "GRAM_BLOCK", 4)
-        R, n, k, j = 1e-147, 4, 2, 5
+        R, n, k, j = 1e-100, 4, 2, 5
         *q, _ = s3_grid(R, n)
         lam, _ = _phases("u2", R, n, ())
         P = ComplexQuaternion(*(lam[k] * z[j] * (1 + 1e-10) for z in q))
@@ -187,6 +189,25 @@ class TestSpecAndGrids:
         assert got[0] == integrate(spec, [inv_sq])[0]
         assert abs(got[0] - (-2j * math.pi**3)) <= 1e-10
         assert abs(got[1]) <= 1e-12
+
+    @pytest.mark.parametrize("chart", ["u2", "s3"])
+    @pytest.mark.parametrize("n", [8, 20])
+    def test_row_value_does_not_depend_on_its_neighbours(self, chart, n):
+        # Each row's phase sums are reduced on their own: a row keeps its bits alone,
+        # next to a row with the same poles, and next to a row with other poles.
+        spec = QuadratureSpec(chart, 1.0, n)
+        row = (BasisExpansion.monomial("z11", 2), (W_IN, WP_IN))
+        (alone,) = integrate(spec, [row])
+        for other in ((BasisExpansion.monomial("z12", 1), (W_IN, WP_IN)), (BasisExpansion.one(), (None, W_IN))):
+            assert integrate(spec, [other, row])[1] == alone
+            assert integrate(spec, [row, other])[0] == alone
+
+    def test_subnormal_density_refused(self):
+        # R^3 below the smallest normal float: the weights would lose their digits
+        # without any value leaving the float range, so the radius is refused.
+        for R in (1e-103, 1e-107, 1e-110):
+            with pytest.raises(OverflowError, match="a value of the s3 chart leaves the float range"):
+                integrate(QuadratureSpec("s3", R, 8), [(BasisExpansion.one(), (None,))])
 
 
 class TestNormalization:
@@ -258,6 +279,17 @@ class TestCollapse:
         assert all((c["radius_independence"] is None) == single for c in res.details["cases"].values())
         if single:
             assert res.residual == max(c["residual"] for c in res.details["cases"].values())
+
+    def test_residual_does_not_depend_on_tol(self):
+        # The radius independence counts 100 times at every tol: it passes below tol / 100.
+        default = collapse_check()
+        assert default.details["r_independence_tol"] == 1e-8
+        assert default.residual == 100 * default.details["r_independence_worst"]
+        for tol in (1e-3, 1e308):
+            res = collapse_check(tol=tol)
+            assert res.passed
+            assert res.residual == default.residual
+            assert res.details["r_independence_tol"] == tol / 100
 
 
 def two_point_collapse(ij: str, k: int, nodes: int) -> complex:
@@ -382,7 +414,7 @@ class TestOrthogonality:
     # sums the 4-D grid.
     @pytest.mark.parametrize("nodes_s3, nodes_u2", [(5, 5), (7, 7), (12, 12), (16, 12), (24, 16), (32, 12)])
     def test_gram_matches_per_pair_sums(self, nodes_s3, nodes_u2):
-        (gs, want_s), (gu, want_u) = _orthogonality_grams(0.9, nodes_s3, nodes_u2)
+        (gs, want_s, _), (gu, want_u, _) = _orthogonality_grams(0.9, nodes_s3, nodes_u2)
         sphere, cycle = orthogonality_pairs(3, 0.9, nodes_s3, nodes_u2)
         assert gs.shape == sphere.shape == (30, 30)
         assert gu.shape == cycle.shape == (60, 60)
@@ -397,22 +429,40 @@ class TestOrthogonality:
         whole = _orthogonality_grams(0.9, 12, 12)
         monkeypatch.setattr(quadrature, "GRAM_BLOCK", 500)
         blocked = _orthogonality_grams(0.9, 12, 12)
-        for (g1, _), (g2, _) in zip(whole, blocked):
+        for (g1, *_), (g2, *_) in zip(whole, blocked):
             assert np.abs(g1 - g2).max() <= 1e-15
 
     def test_mixed_degree_row_refused(self):
-        # A row with terms of two degrees has no single phase factor.
+        # A row with terms of two degrees has no single phase factor, in either pass.
         mixed = BasisExpansion({TIndex(0, 0, 0, 0): 1, TIndex(1, 1, 1, 0): 1})
         for chart in ("u2", "s3"):
+            spec = QuadratureSpec(chart, 0.9, 8)
             with pytest.raises(ValueError):
-                quadrature._gram(QuadratureSpec(chart, 0.9, 8), [mixed], [BasisExpansion.one()])
+                quadrature._gram(spec, [mixed], [BasisExpansion.one()])
+            with pytest.raises(ValueError):
+                integrate(spec, [(BasisExpansion.one(), (None,)), (mixed, (W_IN,))])
+
+    @pytest.mark.parametrize("R", [1e-3, 1e-2, 0.1, 10.0, 100.0, 1e3, 1e6])
+    def test_passes_at_every_radius(self, R):
+        # An entry of degree D in R is of size R^D times rounding; each error is taken
+        # relative to that size, so the residual stays at rounding level at every radius.
+        res = orthogonality_check(R=R)
+        assert res.passed
+        assert res.residual <= 1e-13
+
+    def test_default_radius_residual_is_an_absolute_error(self):
+        # At the default radius the worst entries have size R^0 = 1.
+        (gs, want_s, _), (gu, want_u, _) = _orthogonality_grams(0.9, 24, 16)
+        res = orthogonality_check()
+        assert res.details["sphere_worst"] == np.abs(gs - np.diag(want_s)).max()
+        assert res.details["cycle_worst"] == np.abs(gu - np.diag(want_u)).max()
 
     def test_targets_are_the_exact_pairings(self):
         # Over the check's own index lists and duals, the exact sphere pairing
         # and the exact 4-cycle pairing give its targets: the diagonals it
         # compares against, and zeros everywhere else.
         idxs = list(quadrature._basis_indices())
-        (_, want_s), (_, want_u) = _orthogonality_grams(0.9, 4, 4)
+        (_, want_s, _), (_, want_u, _) = _orthogonality_grams(0.9, 4, 4)
         sphere = [[exact_H_pairing(BasisExpansion({TIndex(*i, 0): 1}), quadrature._dual(*j, -1)) for j in idxs]
                   for i in idxs]
         assert all(v.im == 0 for row in sphere for v in row)
@@ -563,11 +613,15 @@ class TestSuiteRunner:
         assert payload["suite"] == "all" and len(payload["checks"]) == len(quadrature.SUITES)
         assert {type(v) for v in leaves(payload)} <= {float, int, str, bool, type(None)}
 
-    def test_all_suites_pass_at_reduced_nodes(self):
-        rep = run_suite("normalization", nodes=12)
-        assert rep.passed
-        payload = rep.payload()
+    def test_all_suites_pass_at_reduced_nodes(self, capsys):
+        # The CLI builds the report from the checks that run_suite returns, keys in this order.
+        from boxmagic import cli
+
+        assert cli.main(["verify", "normalization", "--nodes", "12", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == ["schema", "passed", "checks", "suite"]
         assert payload["schema"] == "boxmagic.verify-report/1"
+        assert payload["passed"] is True
         assert payload["checks"][0]["name"] == "normalization"
 
     def test_unknown_suite(self):
@@ -576,8 +630,7 @@ class TestSuiteRunner:
 
     @pytest.mark.parametrize("name", quadrature.SUITES)
     def test_flags_reach_the_check(self, name):
-        res = run_suite(name, radius=0.9, nodes=8, tol=0.5)
-        (check,) = res.checks
+        (check,) = run_suite(name, radius=0.9, nodes=8, tol=0.5)
         assert check.nodes == 8
         assert check.tolerance == 0.5
 
@@ -611,5 +664,7 @@ class TestSuiteRunner:
 
         table = {nm: (recorder(nm), *rest) for nm, (_, *rest) in quadrature._CHECKS.items()}
         monkeypatch.setattr(quadrature, "_CHECKS", table)
-        assert run_suite("all", **flags).passed
+        checks = run_suite("all", **flags)
+        assert [c.name for c in checks] == list(quadrature.SUITES)
+        assert all(c.passed for c in checks)
         assert calls == expected

@@ -69,13 +69,15 @@ with tempfile.TemporaryDirectory() as tmp:
         ["phi", "--level", "2", "--x", "0.01", "--y", "0.5"],
         ["phi", "--level", "3", "--x", "0.1", "--y", "0.2"],
         ["phi", "--level", "4", "--x", "1e-320", "--y", "0.2"],
-        # The one failing command, exit 2: N(Z) flushes to zero at this radius, and
-        # the kernel pass names the first non-finite integrand and its node.
-        ["verify", "lemma-zp", "--radius", "1e-200", "--nodes", "8"],
+        # The one failing command, exit 2: N(Z - W) N(Z - W') flushes to zero at this
+        # radius, and the kernel pass names the first non-finite integrand and its node.
+        ["verify", "lemma-zp", "--radius", "1e-100", "--nodes", "8"],
     ]
     sys.setprofile(profile)
     with contextlib.redirect_stdout(io.StringIO()):
         codes = [main(argv) for argv in commands]
+        with contextlib.suppress(SystemExit):  # the help exits 0 through argparse
+            main(["--help"])
     sys.setprofile(None)
 print(json.dumps({"codes": codes, "entered": sorted(entered), "built": sorted(built)}))
 """
