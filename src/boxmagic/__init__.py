@@ -1,6 +1,6 @@
 """Exact and numerical toolkit for conformal four-point box integrals.
 
-Subpackages:
+Modules:
 
 * `hc`         complexified quaternion arithmetic and cycle charts;
 * `tbasis`     matrix-coefficient polynomial bases and their evaluation;

@@ -51,15 +51,12 @@ become Fractions only in the public results.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-
-from .diagrams import MAX_LOOPS, BoxDiagram, from_history
 
 __all__ = [
     "MagicReport", "a_table", "mu_table", "ladder_image", "diagram_image", "verify_magic",
@@ -151,12 +148,15 @@ def _z_rule(images: list[tuple[int, ...]], m: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def diagram_image(d: BoxDiagram, side: str, k: int) -> tuple[Fraction, ...]:
+def diagram_image(d, side: str, k: int) -> tuple[Fraction, ...]:
     """Image coefficients of the degree-k generator under diagram d: the site rules folded over its history.
 
     The fold runs on the right images of every degree p <= k, from the one-loop
     rows 1/(p+1) sum_q (w11)^(p-q) (w'11)^q; the left image is the reversal.
+    `d` is a `diagrams.BoxDiagram`.
     """
+    from .diagrams import from_history
+
     if side not in SIDES:
         raise ValueError(f"unsupported generator family {side!r}")
     if k < 0:
@@ -174,14 +174,10 @@ def diagram_image(d: BoxDiagram, side: str, k: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(c, den) for c in coeffs)
 
 
-@dataclass(frozen=True)
-class MagicReport:
+class MagicReport(namedtuple("MagicReport", "n k_max diagram_count failures")):
     """Outcome at n loops, k <= k_max: n-loop diagram classes, one failure per level and k (both Z sites)."""
 
-    n: int
-    k_max: int
-    diagram_count: int
-    failures: tuple[str, ...]
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -200,6 +196,8 @@ def verify_magic(n: int, k_max: int) -> MagicReport:
     The class count is a(n) = 4 a(n-1) - 2 a(n-2), a(1) = 1, a(2) = 2 (OEIS A006012),
     held to `enumerate_diagrams` for every n <= MAX_LOOPS by the tests.
     """
+    from .diagrams import MAX_LOOPS
+
     if not (1 <= n <= MAX_LOOPS and k_max >= 0):
         raise ValueError(f"need 1 <= n <= {MAX_LOOPS} and k_max >= 0")
     before, diagram_count = 1, 1  # a(0) = 1 gives a(2) = 4 a(1) - 2 a(0) = 2
@@ -265,4 +263,6 @@ def payload_to_csv(payload: dict) -> str:
 
 
 def payload_to_json(payload: dict) -> str:
+    import json
+
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"

@@ -334,7 +334,10 @@ def normalization_check(radii=(0.8, 1.25), nodes: int = 32, tol: float = 1e-8) -
 
 
 def poisson_check(R: float = 1.0, nodes: int = 24, tol: float = 1e-6, seed: int = 20240) -> CheckResult:
-    """Reproducing property on S^3_R for a spread of harmonic polynomials, at five points W per case."""
+    """Reproducing property on S^3_R for a spread of harmonic polynomials, at five points W per case.
+
+    A degree-d case's error is taken relative to its size R^d.
+    """
     rng = np.random.default_rng(seed)
     cases = {
         "1": BasisExpansion.one(),
@@ -346,13 +349,12 @@ def poisson_check(R: float = 1.0, nodes: int = 24, tol: float = 1e-6, seed: int 
     got = _kernel_pass("s3", R, nodes, [(phi.degt(), (W,)) for _, phi, W in rows])
     details = {}
     for (name, phi, W), g in zip(rows, got):
-        want = phi(W)
-        details[name] = max(details.get(name, 0.0), abs(g - want) / max(1.0, abs(want)))
+        details[name] = max(details.get(name, 0.0), abs(g - phi(W)) / R ** _degree(phi))
     return CheckResult("poisson", max(details.values()), tol, nodes, details)
 
 
 def lemma_zp_check(R: float = 1.0, nodes: int = 20, tol: float = 1e-5, seed: int = 20240) -> CheckResult:
-    """Two-point collapse against its closed form, k <= 3, two entries."""
+    """Two-point collapse against its closed form, k <= 3, two entries, each error relative to its size R^k."""
     rng = np.random.default_rng(seed)
     W = _random_inside(rng, R)
     Wp = _random_inside(rng, R)
@@ -360,8 +362,7 @@ def lemma_zp_check(R: float = 1.0, nodes: int = 20, tol: float = 1e-5, seed: int
     vals = _kernel_pass("u2", R, nodes, [(BasisExpansion.monomial(ij, k), (W, Wp)) for ij, k in powers])
     details = {}
     for (ij, k), got in zip(powers, vals):
-        want = zp_closed_form(ij, k, W, Wp)
-        details[f"{ij}^{k}"] = abs(got - want) / max(1.0, abs(want))
+        details[f"{ij}^{k}"] = abs(got - zp_closed_form(ij, k, W, Wp)) / R**k
     return CheckResult("lemma-zp", max(details.values()), tol, nodes, details)
 
 
@@ -370,7 +371,8 @@ def collapse_check(radii=(0.8, 1.25), nodes: int = 24, tol: float = 1e-6, seed: 
 
     With two or more radii the largest difference between radii counts
     100 times, so it passes below tol / 100 (1e-8 at the default tol); with
-    one it is reported as None.
+    one it is reported as None.  A degree-d case's errors are taken relative
+    to r^d, the size of phi(W) for W inside the smallest radius r.
     """
     indep_ratio = 100
     rng = np.random.default_rng(seed)
@@ -385,7 +387,7 @@ def collapse_check(radii=(0.8, 1.25), nodes: int = 24, tol: float = 1e-6, seed: 
     details = {}
     for row, (name, phi) in enumerate(cases.items()):
         want = phi(W)
-        scale = max(1.0, abs(want))
+        scale = min(radii) ** _degree(phi)
         got = [vals[row] for vals in by_radius]
         err = max(abs(g - want) for g in got) / scale
         indep = None
@@ -426,7 +428,10 @@ def _gram(spec: QuadratureSpec, prims, duals) -> np.ndarray:
     product between threads by blocks of the result, not along the node
     sum; with one row or column numpy calls gemv or dot, which may, so
     those pairings are pairwise sums.  A non-finite sum aborts, naming a
-    node where P * w or D is not finite if there is one.
+    node where P * w or D is not finite if there is one.  A row's 1/N(Z)^e
+    is R^(-2e) in size and can underflow without turning non-finite, so a
+    finite pass at a radius where that is subnormal is refused too, as
+    `_blocks` refuses a subnormal R^3.
     """
     R, n = spec.radius, spec.nodes_per_dim
     m = np.add.outer([_degree(f) for f in prims], [_degree(f) for f in duals]) + 4
@@ -447,6 +452,9 @@ def _gram(spec: QuadratureSpec, prims, duals) -> np.ndarray:
             for vals in (prim, dual):
                 _require_finite(vals, a, b, c, d)
             raise FloatingPointError(f"a pairing sum at radius {R} overflows")
+    e = max((-idx.k for f in (*prims, *duals) for idx in f.coeffs), default=0)
+    if e > 0 and R > sys.float_info.min ** (-0.5 / e):
+        raise FloatingPointError(f"a power 1/N(Z)^{e} of a pairing row underflows at radius {R}")
     return phase * gram
 
 

@@ -28,9 +28,9 @@ which gives the duals of the orthogonality relations
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .hc import ComplexQuaternion
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import json
 import os
@@ -297,6 +298,10 @@ CONTRACT_GRID = [
     (("verify", "collapse", "--tol", "1e308"), 0),  # the radius independence counts 100 times at every tol
     (("verify", "orthogonality", "--radius", "1e-3"), 0),  # each Gram entry against its size R^D
     (("verify", "orthogonality", "--radius", "1000"), 0),
+    (("verify", "orthogonality", "--radius", "1e25"), 0),
+    # The cycle duals' 1/N(Z)^6 is subnormal, or zero, yet finite: refused, not a failed pairing.
+    (("verify", "orthogonality", "--radius", "1e27"), 2),
+    (("verify", "orthogonality", "--radius", "1e30"), 2),
     (("verify", "conformal", "--radius", "1e-3"), 0),
     (("verify", "conformal", "--radius", "100"), 0),
     # Radii whose charts or integrands leave the float range.
@@ -385,42 +390,61 @@ class TestContract:
                 assert "cannot write" in proc.stderr
 
 
-# Modules that only `verify` may load.
-QUADRATURE_STACK = ("numpy", "boxmagic.quadrature", "boxmagic.hc", "boxmagic.tbasis")
-
-# Prints the exit code of main(ARGV) and the QUADRATURE_STACK modules it left loaded.
+# Prints the exit code of main(ARGV), None for ARGV None (the import alone), and the
+# modules loaded since the interpreter came up; a .pth file may preload modules, and those
+# count as loaded before.
 _LOADED_BY_MAIN = """
 import contextlib, io, sys
+bare = set(sys.modules)
 from boxmagic.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    code = main({argv!r})
-print(code, [m for m in {modules!r} if m in sys.modules])
+code = None
+if {argv!r} is not None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main({argv!r})
+print((code, sorted(set(sys.modules) - bare)))
 """
+
+
+def loaded_by(argv: list[str] | None) -> tuple[int | None, set[str]]:
+    """Exit code of main(argv) in a fresh interpreter, and the modules it loaded."""
+    proc = run_process(code=_LOADED_BY_MAIN.format(argv=argv))
+    assert proc.returncode == 0, proc.stderr
+    code, modules = ast.literal_eval(proc.stdout.strip())
+    return code, set(modules)
+
+
+def layers(loaded: set[str]) -> set[str]:
+    """The boxmagic modules among `loaded`, besides the package and the cli."""
+    return {m for m in loaded if m.startswith("boxmagic.")} - {"boxmagic.cli"}
+
+
+# Each command but verify, the layers it loads, and standard-library modules it must not load.
+COMMAND_LAYERS = [
+    (["mu", "--loops", "2", "--k-max", "4"], {"boxmagic.magic"}, {"dataclasses", "inspect", "json"}),
+    (["acoeff", "--loops", "2", "--k", "3"], {"boxmagic.magic"}, {"dataclasses", "inspect", "json"}),
+    (["diagrams", "--loops", "3"], {"boxmagic.diagrams"}, {"fractions", "json"}),
+    (["magic", "--loops", "2", "--k-max", "4"], {"boxmagic.magic", "boxmagic.diagrams"}, {"json"}),
+    (["phi", "--level", "2", "--x", "0.1", "--y", "0.2"], {"boxmagic.polylog"}, {"dataclasses", "json"}),
+]
 
 
 class TestDependencies:
     def test_cli_import_leaves_quadrature_stack_out(self):
-        proc = run_process(code=f"import sys, boxmagic.cli; print([m for m in {QUADRATURE_STACK!r} if m in sys.modules])")
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        # The import builds the parser and loads no layer.
+        _, loaded = loaded_by(None)
+        assert "boxmagic" in loaded and layers(loaded) == set()
+        assert not loaded & {"numpy", "dataclasses", "inspect", "json", "fractions", "decimal", "typing"}
 
-    @pytest.mark.parametrize("argv", [
-        ["mu", "--loops", "2", "--k-max", "4"],
-        ["acoeff", "--loops", "2", "--k", "3"],
-        ["diagrams", "--loops", "3"],
-        ["magic", "--loops", "2", "--k-max", "4"],
-        ["phi", "--level", "2", "--x", "0.1", "--y", "0.2"],
-    ], ids=lambda argv: argv[0])
-    def test_commands_leave_quadrature_stack_out(self, argv):
-        proc = run_process(code=_LOADED_BY_MAIN.format(argv=argv, modules=QUADRATURE_STACK))
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "0 []"
+    @pytest.mark.parametrize("argv, own, absent", COMMAND_LAYERS, ids=[argv[0] for argv, *_ in COMMAND_LAYERS])
+    def test_commands_leave_quadrature_stack_out(self, argv, own, absent):
+        # Each command loads its own layer only; the quadrature layer and numpy are verify's.
+        code, loaded = loaded_by(argv)
+        assert code == 0 and layers(loaded) == own
+        assert not loaded & (absent | {"numpy"})
 
     def test_verify_loads_quadrature_when_it_runs(self):
-        argv = ["verify", "normalization", "--nodes", "8"]
-        proc = run_process(code=_LOADED_BY_MAIN.format(argv=argv, modules=QUADRATURE_STACK))
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == f"0 {list(QUADRATURE_STACK)}"
+        code, loaded = loaded_by(["verify", "normalization", "--nodes", "8"])
+        assert code == 0 and layers(loaded) == {"boxmagic.quadrature", "boxmagic.hc", "boxmagic.tbasis"}
 
     def test_suite_names_match_quadrature(self):
         assert SUITES == quadrature.SUITES

@@ -450,6 +450,13 @@ class TestOrthogonality:
         assert res.passed
         assert res.residual <= 1e-13
 
+    @pytest.mark.parametrize("R", [5e25, 1e27, 1e30])
+    def test_underflowing_dual_refused(self, R):
+        # The cycle duals carry 1/N(Z)^6, of size R^-12: subnormal above R = 4.3e25, and zero
+        # above 1e27 without ever being non-finite; a zeroed dual would read as a failed pairing.
+        with pytest.raises(FloatingPointError, match=re.escape(f"1/N(Z)^6 of a pairing row underflows at radius {R}")):
+            orthogonality_check(R=R)
+
     def test_default_radius_residual_is_an_absolute_error(self):
         # At the default radius the worst entries have size R^0 = 1.
         (gs, want_s, _), (gu, want_u, _) = _orthogonality_grams(0.9, 24, 16)
@@ -517,6 +524,23 @@ def record_grids(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_blocks", spy)
     return calls
+
+
+class TestResidualsAgainstSize:
+    # Each case's error is taken relative to its size R^d; taken relative to max(1, |phi(W)|),
+    # a case of degree d >= 1 would pass any error at a small radius.
+    @pytest.mark.parametrize("check, kwargs, errors", [
+        (poisson_check, {"R": 1e-3}, lambda d: d.values()),
+        (lemma_zp_check, {"R": 1e-3}, lambda d: d.values()),
+        (collapse_check, {"radii": (1e-3,)}, lambda d: [c["residual"] for c in d["cases"].values()]),
+    ], ids=["poisson", "lemma-zp", "collapse"])
+    def test_doubled_value_fails_in_every_case_at_small_radius(self, monkeypatch, check, kwargs, errors):
+        assert check(**kwargs).passed
+        call, closed = BasisExpansion.__call__, quadrature.zp_closed_form
+        monkeypatch.setattr(BasisExpansion, "__call__", lambda f, Z: 2 * call(f, Z))
+        monkeypatch.setattr(quadrature, "zp_closed_form", lambda *args: 2 * closed(*args))
+        res = check(**kwargs)
+        assert min(errors(res.details)) > res.tolerance and not res.passed
 
 
 class TestGridsBuilt:
@@ -595,7 +619,7 @@ class TestSuiteRunner:
         from boxmagic import cli
 
         dumped = []
-        monkeypatch.setattr(cli.json, "dumps", lambda obj, **kw: dumped.append(obj) or "")
+        monkeypatch.setattr(json, "dumps", lambda obj, **kw: dumped.append(obj) or "")
         assert cli.main(["verify", "all", "--json"]) == 0
 
         def leaves(obj):
