@@ -25,7 +25,7 @@ and enumerated up to MAX_LOOPS loops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import chain, groupby, product
 
 __all__ = [
@@ -81,21 +81,16 @@ def _close_at(order, t: str, new) -> frozenset[tuple[str, str]]:
     return frozenset(chain(order, ((a, t) for a in down), ((t, b) for b in up), product(down, up)))
 
 
-@dataclass(frozen=True)
-class BoxDiagram:
+class BoxDiagram(namedtuple("BoxDiagram", "n solid dashed order history", defaults=((),))):
     """An n-loop box diagram with its construction history.
 
     `solid` and `dashed` are edge multisets stored as sorted tuples of
     sorted vertex pairs; `order` is the transitively closed strict
-    partial order; `history` records the slingshot attachment sites in
-    construction order (empty for the one-loop diagram).
+    partial order, a frozenset of pairs; `history` records the slingshot
+    attachment sites in construction order (empty for the one-loop diagram).
     """
 
-    n: int
-    solid: tuple[tuple[str, str], ...]
-    dashed: tuple[tuple[str, str], ...]
-    order: frozenset[tuple[str, str]]
-    history: tuple[str, ...] = field(default=())
+    __slots__ = ()
 
     @property
     def internals(self) -> tuple[str, ...]:

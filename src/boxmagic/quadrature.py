@@ -28,10 +28,10 @@ scale: the cycle normalization integral, the Poisson-type reproducing
 formula on the 3-sphere, the two-point collapse (generator) integral,
 the single-point collapse of the quotient isomorphism, the
 orthogonality relations of both pairings, and the conformal covariance
-of the one-loop four-point integral.  Each takes only what `verify`
-sets (its radius, its node counts, tol) and, if it draws random
-points, their seed; the sizes of its cases are fixed and stated in
-its docstring.
+of the one-loop four-point integral.  Every check takes what `verify`
+sets, under the same names (radius, nodes, tol), and seed if it draws
+random points; the sizes of its cases are fixed and stated in its
+docstring.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -76,7 +75,14 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Product rule over one cycle: n^3 nodes of S^3_R, times n phases on U(2)_R."""
+    """Product rule over one cycle: n^3 nodes of S^3_R, times n phases on U(2)_R.
+
+    A radius is refused where a chart density leaves the float range: R^4 of
+    the u2 density (`_phases`) overflows, or R^3 of the s3 weights (`_blocks`)
+    overflows or is subnormal, so that the weights would lose their digits.
+    This comes before any point is drawn or integrated, so an s3 pass can
+    neither underflow N(Z)^-k nor misplace a point at such a radius.
+    """
 
     chart: str
     radius: float
@@ -91,6 +97,17 @@ class QuadratureSpec:
             raise ValueError("need at least 4 nodes per dimension")
         if self.nodes_per_dim**3 > NODE_BUDGET:
             raise ValueError("node count per pass exceeds the configured budget")
+        R = float(self.radius)  # Python floats raise OverflowError where numpy gives inf
+        try:
+            if self.chart == "u2":
+                R**4
+        except OverflowError:
+            raise OverflowError("a value of the u2 chart leaves the float range") from None
+        try:
+            if R**3 < sys.float_info.min:
+                raise OverflowError
+        except OverflowError:
+            raise OverflowError("a value of the s3 chart leaves the float range") from None
 
 
 def _phases(chart: str, R: float, n: int, powers) -> tuple[np.ndarray, np.ndarray]:
@@ -98,16 +115,11 @@ def _phases(chart: str, R: float, n: int, powers) -> tuple[np.ndarray, np.ndarra
 
     On u2, lam_k = e^{i pi k/n} and the factor is -i R (pi/n) lam_k^m: a term of
     degree d at the u2 node lam_k q, with its weight, is lam_k^(d+4) -i R (pi/n)
-    times its value and weight at the s3 node q.  The u2 density's R^4 is refused
-    here, before an s3 pass can underflow N(Z)^-k.  On s3: lam = 1, factor 1.
+    times its value and weight at the s3 node q.  On s3: lam = 1, factor 1.
     """
     m = np.asarray(powers, dtype=float)
     if chart == "s3":
         return np.ones(1, dtype=complex), np.ones((1, m.size), dtype=complex)
-    try:
-        R**4  # the u2 density's radius power; Python floats raise where numpy gives inf
-    except OverflowError:
-        raise OverflowError("a value of the u2 chart leaves the float range") from None
     phi = np.arange(n) * (np.pi / n)
     return np.exp(1j * phi), (-1j * R * np.pi / n) * np.exp(1j * np.multiply.outer(phi, m))
 
@@ -120,19 +132,13 @@ def _blocks(R: float, n: int):
     over n x n tables, (psi, theta) for z11 and z22 and (chi, theta) for z12
     and z21, so exp, cos and sin run over n values per angle; each block
     gathers its nodes from the tables.  The weights are the chart density
-    times the Gauss-Legendre theta weights and the cell measure.  An R^3
-    that overflows, or is subnormal so the weights lose digits, is refused.
+    times the Gauss-Legendre theta weights and the cell measure.
     """
     periodic = np.arange(n) * (2.0 * np.pi / n)
     x, wgl = np.polynomial.legendre.leggauss(n)
     theta = 0.25 * np.pi * (x + 1.0)
     wth = wgl * 0.25 * np.pi
-    try:
-        if R**3 < sys.float_info.min:  # a Python float raises where R^3 overflows
-            raise OverflowError
-        *tables, density = chart_s3(R, periodic[:, None], theta, periodic[:, None])
-    except OverflowError:
-        raise OverflowError("a value of the s3 chart leaves the float range") from None
+    *tables, density = chart_s3(R, periodic[:, None], theta, periodic[:, None])
     w = (density * wth * (2.0 * np.pi / n) ** 2).astype(complex)
     z11, z12, z21, z22 = (t.ravel() for t in tables)
     for start in range(0, n**3, GRAM_BLOCK):
@@ -317,15 +323,13 @@ def _random_inside(rng: np.random.Generator, R: float) -> ComplexQuaternion:
             return ComplexQuaternion.from_matrix(m)
 
 
-def normalization_check(radii=(0.8, 1.25), nodes: int = 32, tol: float = 1e-8) -> CheckResult:
-    """Cycle normalization: Int dV / N(Z)^2 = -2 pi^3 i at every radius."""
-    if not radii:
-        raise ValueError("normalization check needs at least one radius")
+def normalization_check(radius: float = 1.0, nodes: int = 32, tol: float = 1e-8) -> CheckResult:
+    """Cycle normalization: Int dV / N(Z)^2 = -2 pi^3 i at 0.8 and 1.25 times the radius."""
     target = -2j * np.pi**3
     worst = 0.0
     values = {}
-    for R in radii:
-        spec = QuadratureSpec("u2", float(R), nodes)
+    for R in (0.8 * radius, 1.25 * radius):
+        spec = QuadratureSpec("u2", R, nodes)
         val = complex(_gram(spec, [BasisExpansion({TIndex(0, 0, 0, -2): 1})], [BasisExpansion.one()])[0, 0])
         rel = abs(val - target) / abs(target)
         values[str(R)] = {"value": [val.real, val.imag], "rel_err": rel}
@@ -333,7 +337,7 @@ def normalization_check(radii=(0.8, 1.25), nodes: int = 32, tol: float = 1e-8) -
     return CheckResult("normalization", worst, tol, nodes, {"target": [0.0, -2 * math.pi**3], "radii": values})
 
 
-def poisson_check(R: float = 1.0, nodes: int = 24, tol: float = 1e-6, seed: int = 20240) -> CheckResult:
+def poisson_check(radius: float = 1.0, nodes: int = 24, tol: float = 1e-6, seed: int = 20240) -> CheckResult:
     """Reproducing property on S^3_R for a spread of harmonic polynomials, at five points W per case.
 
     A degree-d case's error is taken relative to its size R^d.
@@ -345,58 +349,53 @@ def poisson_check(R: float = 1.0, nodes: int = 24, tol: float = 1e-6, seed: int 
         "z11^2": BasisExpansion.monomial("z11", 2),
         "t1_00": BasisExpansion({TIndex(2, 0, 0, 0): 1}),
     }
-    rows = [(name, phi, _random_inside(rng, R)) for name, phi in cases.items() for _ in range(5)]
-    got = _kernel_pass("s3", R, nodes, [(phi.degt(), (W,)) for _, phi, W in rows])
+    rows = [(name, phi, _random_inside(rng, radius)) for name, phi in cases.items() for _ in range(5)]
+    got = _kernel_pass("s3", radius, nodes, [(phi.degt(), (W,)) for _, phi, W in rows])
     details = {}
     for (name, phi, W), g in zip(rows, got):
-        details[name] = max(details.get(name, 0.0), abs(g - phi(W)) / R ** _degree(phi))
+        details[name] = max(details.get(name, 0.0), abs(g - phi(W)) / radius ** _degree(phi))
     return CheckResult("poisson", max(details.values()), tol, nodes, details)
 
 
-def lemma_zp_check(R: float = 1.0, nodes: int = 20, tol: float = 1e-5, seed: int = 20240) -> CheckResult:
+def lemma_zp_check(radius: float = 1.0, nodes: int = 20, tol: float = 1e-5, seed: int = 20240) -> CheckResult:
     """Two-point collapse against its closed form, k <= 3, two entries, each error relative to its size R^k."""
     rng = np.random.default_rng(seed)
-    W = _random_inside(rng, R)
-    Wp = _random_inside(rng, R)
+    W = _random_inside(rng, radius)
+    Wp = _random_inside(rng, radius)
     powers = [(ij, k) for ij in ("z11", "z12") for k in range(4)]
-    vals = _kernel_pass("u2", R, nodes, [(BasisExpansion.monomial(ij, k), (W, Wp)) for ij, k in powers])
+    vals = _kernel_pass("u2", radius, nodes, [(BasisExpansion.monomial(ij, k), (W, Wp)) for ij, k in powers])
     details = {}
     for (ij, k), got in zip(powers, vals):
-        details[f"{ij}^{k}"] = abs(got - zp_closed_form(ij, k, W, Wp)) / R**k
+        details[f"{ij}^{k}"] = abs(got - zp_closed_form(ij, k, W, Wp)) / radius**k
     return CheckResult("lemma-zp", max(details.values()), tol, nodes, details)
 
 
-def collapse_check(radii=(0.8, 1.25), nodes: int = 24, tol: float = 1e-6, seed: int = 20240) -> CheckResult:
-    """Single-point collapse: residual against phi(W) at every radius, for z11^k (k <= 3) and t^1_00.
+def collapse_check(radius: float = 1.0, nodes: int = 24, tol: float = 1e-6, seed: int = 20240) -> CheckResult:
+    """Single-point collapse against phi(W) at r = 0.8 R and 1.25 R, for z11^k (k <= 3) and t^1_00.
 
-    With two or more radii the largest difference between radii counts
-    100 times, so it passes below tol / 100 (1e-8 at the default tol); with
-    one it is reported as None.  A degree-d case's errors are taken relative
-    to r^d, the size of phi(W) for W inside the smallest radius r.
+    The difference between the two radii counts 100 times, so it passes
+    below tol / 100 (1e-8 at the default tol).  A degree-d case's errors
+    are taken relative to r^d, the size of phi(W) for W inside the smaller r.
     """
     indep_ratio = 100
     rng = np.random.default_rng(seed)
-    radii = [float(R) for R in radii]
-    W = _random_inside(rng, min(radii))
+    inner, outer = 0.8 * radius, 1.25 * radius
+    W = _random_inside(rng, inner)
     cases = {f"z11^{k}": BasisExpansion.monomial("z11", k) for k in range(4)}
     cases["t1_00"] = BasisExpansion({TIndex(2, 0, 0, 0): 1})
     rows = [(phi.degt(), (None, W)) for phi in cases.values()]
-    by_radius = [_kernel_pass("u2", R, nodes, rows) for R in radii]
-    worst = 0.0
-    worst_indep = 0.0 if len(radii) > 1 else None
+    by_radius = zip(_kernel_pass("u2", inner, nodes, rows), _kernel_pass("u2", outer, nodes, rows))
+    worst = worst_indep = 0.0
     details = {}
-    for row, (name, phi) in enumerate(cases.items()):
+    for (name, phi), (a, b) in zip(cases.items(), by_radius):
         want = phi(W)
-        scale = min(radii) ** _degree(phi)
-        got = [vals[row] for vals in by_radius]
-        err = max(abs(g - want) for g in got) / scale
-        indep = None
-        if worst_indep is not None:
-            indep = max(abs(a - b) for a, b in combinations(got, 2)) / scale
-            worst_indep = max(worst_indep, indep)
+        scale = inner ** _degree(phi)
+        err = max(abs(a - want), abs(b - want)) / scale
+        indep = abs(a - b) / scale
         details[name] = {"residual": err, "radius_independence": indep}
         worst = max(worst, err)
-    residual = worst if worst_indep is None else max(worst, indep_ratio * worst_indep)
+        worst_indep = max(worst_indep, indep)
+    residual = max(worst, indep_ratio * worst_indep)
     return CheckResult(
         "collapse", residual, tol, nodes,
         {"cases": details, "r_independence_worst": worst_indep, "r_independence_tol": tol / indep_ratio},
@@ -458,7 +457,7 @@ def _gram(spec: QuadratureSpec, prims, duals) -> np.ndarray:
     return phase * gram
 
 
-def _orthogonality_grams(R: float, nodes_s3: int, nodes_u2: int):
+def _orthogonality_grams(R: float, nodes: int):
     """Gram matrices of both pairings, each with its exact diagonal and the size of each entry.
 
     Rows and columns follow `_basis_indices`; on the 4-cycle each index
@@ -475,35 +474,37 @@ def _orthogonality_grams(R: float, nodes_s3: int, nodes_u2: int):
     # Harmonic pairing on the 3-sphere.
     prims = [BasisExpansion({TIndex(L, n, m, 0): 1}).degt() for (L, n, m) in idxs]
     duals = [_dual(L, n, m, -1) for (L, n, m) in idxs]
-    sphere = (_gram(QuadratureSpec("s3", R, nodes_s3), prims, duals) / (2.0 * np.pi**2 * R),
+    sphere = (_gram(QuadratureSpec("s3", R, nodes), prims, duals) / (2.0 * np.pi**2 * R),
               np.ones(len(idxs)), size(prims, duals, 2))
 
     # Polynomial pairing on the 4-cycle.
     prims = [BasisExpansion({TIndex(L, n, m, kk): 1}) for (L, n, m) in idxs for kk in (0, 1)]
     duals = [_dual(L, n, m, -kk - 2) for (L, n, m) in idxs for kk in (0, 1)]
-    cycle = (1j / (2.0 * np.pi**3) * _gram(QuadratureSpec("u2", R, nodes_u2), prims, duals),
+    cycle = (1j / (2.0 * np.pi**3) * _gram(QuadratureSpec("u2", R, nodes), prims, duals),
              np.repeat([1.0 / (L + 1) for (L, _, _) in idxs], 2), size(prims, duals, 4))
     return sphere, cycle
 
 
-def orthogonality_check(R: float = 0.9, nodes_s3: int = 24, nodes_u2: int = 16, tol: float = 1e-6) -> CheckResult:
+def orthogonality_check(radius: float = 0.9, nodes: int = 16, tol: float = 1e-6) -> CheckResult:
     """Both orthogonality families against their exact Kronecker values, for 2l <= 3.
 
     The harmonic pairing is integrated over S^3_R for all pairs of an
     element t^l_{n,m} with an inverse-argument dual; the polynomial
     pairing over the 4-cycle additionally scans norm powers k, k' in
     {0, 1} and checks the 1/(2l+1) values with delta matching in k.
-    Each family is one Gram-matrix product over one S^3 grid.  Each
-    entry's error is taken relative to its size R^D, so the check holds
-    at every radius.
+    Each family is one Gram-matrix product over one S^3 grid of `nodes`
+    per dimension.  On S^3_R, N(Z) = R^2, so every sphere integrand is a
+    polynomial of degree <= 6 in the entries, which 16 nodes integrate
+    exactly.  Each entry's error is taken relative to its size R^D, so
+    the check holds at every radius.
     """
-    (gs, want_s, size_s), (gu, want_u, size_u) = _orthogonality_grams(R, nodes_s3, nodes_u2)
+    (gs, want_s, size_s), (gu, want_u, size_u) = _orthogonality_grams(radius, nodes)
     h_worst = float((np.abs(gs - np.diag(want_s)) / size_s).max())
     u_worst = float((np.abs(gu - np.diag(want_u)) / size_u).max())
     return CheckResult(
-        "orthogonality", max(h_worst, u_worst), tol, max(nodes_s3, nodes_u2),
+        "orthogonality", max(h_worst, u_worst), tol, nodes,
         {"pairs_sphere": gs.size, "pairs_cycle": gu.size,
-         "sphere_worst": h_worst, "cycle_worst": u_worst, "radius": R},
+         "sphere_worst": h_worst, "cycle_worst": u_worst, "radius": radius},
     )
 
 
@@ -519,31 +520,33 @@ def _covariance_points(rng: np.random.Generator, r: float):
     return Z1, Z2, W1, W2
 
 
-def conformal_check(r: float = 1.0, nodes: int = 20, tol: float = 1e-4, seed: int = 20240) -> CheckResult:
+def conformal_check(radius: float = 1.0, nodes: int = 20, tol: float = 1e-4, seed: int = 20240) -> CheckResult:
     """Conformal covariance of the one-loop integral under five near-identity maps of scale 0.05.
 
     For h with blocks (a, b, c, d) and inverse blocks (a', b', c', d'),
     the transformed integral must equal
     N(a'-Z1 c') N(c Z2+d) N(c W1+d) N(a'-W2 c') times the original.
-    The maps are conjugated by the dilation Z -> rZ, so they move the
+    The maps are conjugated by the dilation Z -> RZ, so they move the
     points by the same relative amount at every radius.  A map that
     moves a point across the cycle is refused (DomainError naming the
     point), not redrawn; at this scale none of 20 000 seeds draws one.
-    The maps are drawn first; the original and every moved point set
-    are then integrated in one pass.
+    A radius outside the float range of the charts is refused before
+    any point is drawn (`QuadratureSpec`).  The maps are drawn first;
+    the original and every moved point set are then integrated in one pass.
     """
+    QuadratureSpec("u2", radius, nodes)
     scale = 0.05
     rng = np.random.default_rng(seed)
-    Z1, Z2, W1, W2 = points = _covariance_points(rng, r)
-    _require_one_loop_sides(points, r)
+    Z1, Z2, W1, W2 = points = _covariance_points(rng, radius)
+    _require_one_loop_sides(points, radius)
     maps = []
     for _ in range(5):
-        h = random_near_identity(rng, scale, r)
+        h = random_near_identity(rng, scale, radius)
         moved = tuple(conformal_act(h, P) for P in points)
-        _require_one_loop_sides(moved, r, "h({})")
+        _require_one_loop_sides(moved, radius, "h({})")
         maps.append((h, moved))
     one = BasisExpansion.one()
-    base, *moved_vals = _kernel_pass("u2", r, nodes, [(one, points)] + [(one, moved) for _, moved in maps])
+    base, *moved_vals = _kernel_pass("u2", radius, nodes, [(one, points)] + [(one, moved) for _, moved in maps])
     details = []
     for (h, _), moved in zip(maps, moved_vals):
         fac = (
@@ -556,15 +559,14 @@ def conformal_check(r: float = 1.0, nodes: int = 20, tol: float = 1e-4, seed: in
     return CheckResult("conformal", max(details), tol, nodes, {"samples": details, "scale": scale})
 
 
-# Each suite's check, the argument that --radius sets ("radii" takes a
-# tuple) and the arguments that --nodes sets.
+# Each suite's check; every check takes radius, nodes and tol, the flags of `verify`.
 _CHECKS = {
-    "normalization": (normalization_check, "radii", ("nodes",)),
-    "poisson": (poisson_check, "R", ("nodes",)),
-    "lemma-zp": (lemma_zp_check, "R", ("nodes",)),
-    "collapse": (collapse_check, "radii", ("nodes",)),
-    "orthogonality": (orthogonality_check, "R", ("nodes_s3", "nodes_u2")),
-    "conformal": (conformal_check, "r", ("nodes",)),
+    "normalization": normalization_check,
+    "poisson": poisson_check,
+    "lemma-zp": lemma_zp_check,
+    "collapse": collapse_check,
+    "orthogonality": orthogonality_check,
+    "conformal": conformal_check,
 }
 SUITES = tuple(_CHECKS)
 
@@ -574,19 +576,12 @@ def run_suite(name: str, radius: float | None = None, nodes: int | None = None,
     """Run one named check (or "all"), in SUITES order; only the flags given are passed on."""
     if name != "all" and name not in _CHECKS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES + ('all',)}")
+    kwargs = {k: v for k, v in (("radius", radius), ("nodes", nodes), ("tol", tol)) if v is not None}
     checks = []
     for nm in SUITES if name == "all" else (name,):
-        check, radius_arg, node_args = _CHECKS[nm]
-        kwargs = {}
-        if radius is not None:
-            kwargs[radius_arg] = (radius,) if radius_arg == "radii" else radius
-        if nodes is not None:
-            kwargs.update(dict.fromkeys(node_args, nodes))
-        if tol is not None:
-            kwargs["tol"] = tol
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # non-finite values raise
-                checks.append(check(**kwargs))
+                checks.append(_CHECKS[nm](**kwargs))
         except (ValueError, ArithmeticError) as exc:
             if name != "all":
                 raise

@@ -98,20 +98,20 @@ def test_criterion_05_diagram_combinatorics():
 
 def test_criterion_06_cycle_normalization():
     with _Budget("criterion 6: normalization -2 pi^3 i at R in {0.8, 1.25}, 32 nodes", 10.0):
-        res = normalization_check(radii=(0.8, 1.25), nodes=32, tol=1e-8)
+        res = normalization_check(radius=1.0, nodes=32, tol=1e-8)  # at 0.8 R and 1.25 R
         assert res.passed, res.details
 
 
 def test_criterion_07_poisson_formula():
     with _Budget("criterion 7: sphere reproducing formula, residual <= 1e-6", 10.0):
-        res = poisson_check(R=1.0, nodes=24, tol=1e-6)
+        res = poisson_check(radius=1.0, nodes=24, tol=1e-6)
         assert res.passed, res.details
 
 
 def test_criterion_08_two_point_and_single_point_collapse():
     with _Budget("criterion 8: generator collapse <= 1e-5; quotient collapse <= 1e-6, "
                  "R-independent <= 1e-8", 60.0):
-        res = lemma_zp_check(R=1.0, nodes=20, tol=1e-5)
+        res = lemma_zp_check(radius=1.0, nodes=20, tol=1e-5)
         assert res.passed, res.details
         # (i/2 pi^3) Int (degt phi)(Z) / (N(Z) N(Z-W)) dV = phi(W) at both radii
         phis = [BasisExpansion.monomial("z11", k) for k in range(4)]
@@ -125,13 +125,13 @@ def test_criterion_08_two_point_and_single_point_collapse():
 
 def test_criterion_09_orthogonality_relations():
     with _Budget("criterion 9: orthogonality relations vs delta/(2l+1), residual <= 1e-6", 60.0):
-        res = orthogonality_check(R=0.9, nodes_s3=24, nodes_u2=16, tol=1e-6)
+        res = orthogonality_check(radius=0.9, nodes=16, tol=1e-6)
         assert res.passed, res.details
 
 
 def test_criterion_10_conformal_covariance():
     with _Budget("criterion 10: one-loop conformal covariance, residual <= 1e-4", 60.0):
-        res = conformal_check(r=1.0, nodes=20, tol=1e-4)
+        res = conformal_check(radius=1.0, nodes=20, tol=1e-4)
         assert res.passed, res.details
 
 

@@ -180,12 +180,14 @@ class TestVerify:
 
     @pytest.mark.parametrize("suite, chart, radius", [
         ("normalization", "u2", "1e200"), ("poisson", "s3", "1e200"), ("conformal", "u2", "1e160"),
-        ("normalization", "u2", "1e100"),
-    ], ids=["normalization-u2", "poisson-s3", "conformal-u2", "normalization-u2-1e100"])
+        ("normalization", "u2", "1e100"), ("conformal", "s3", "1e-310"), ("conformal", "s3", "5e-324"),
+    ], ids=["normalization-u2", "poisson-s3", "conformal-u2", "normalization-u2-1e100",
+            "conformal-s3-1e-310", "conformal-s3-5e-324"])
     def test_chart_overflow_is_named(self, capsys, suite, chart, radius):
-        # The radius power in the chart density (R^4 on u2, R^3 on s3) leaves the float range;
-        # the conformal points pass their side checks first.  At 1e100 only R^4 overflows: the
-        # check refuses the radius rather than fail on an underflowed N(Z)^-2.
+        # The radius power in the chart density (R^4 on u2, R^3 on s3) leaves the float range.
+        # At 1e100 only R^4 overflows: the check refuses the radius rather than fail on an
+        # underflowed N(Z)^-2.  A subnormal R^3 is refused before conformal draws its points,
+        # so no point is blamed for a side that the radius cannot resolve.
         code, out, err = run(capsys, "verify", suite, "--radius", radius, "--nodes", "8")
         assert (code, out) == (2, "")
         assert err == (f"verify: {suite} at radius {float(radius):g}: "
@@ -312,6 +314,9 @@ CONTRACT_GRID = [
     (("verify", "orthogonality", "--radius", "1e60", "--nodes", "8"), 2),
     (("verify", "orthogonality", "--radius", "1e-60", "--nodes", "8"), 2),
     (("verify", "conformal", "--radius", "1e60", "--nodes", "8"), 2),
+    # R^3 subnormal or zero: refused as a float-range radius before a point is drawn or side-checked.
+    (("verify", "conformal", "--radius", "1e-310"), 2),
+    (("verify", "conformal", "--radius", "5e-324"), 2),
     # R^3 subnormal (1e-321) or zero: the s3 weights would lose their digits.
     (("verify", "poisson", "--radius", "1e-107"), 2),
     (("verify", "poisson", "--radius", "1e-110"), 2),
@@ -422,8 +427,9 @@ def layers(loaded: set[str]) -> set[str]:
 COMMAND_LAYERS = [
     (["mu", "--loops", "2", "--k-max", "4"], {"boxmagic.magic"}, {"dataclasses", "inspect", "json"}),
     (["acoeff", "--loops", "2", "--k", "3"], {"boxmagic.magic"}, {"dataclasses", "inspect", "json"}),
-    (["diagrams", "--loops", "3"], {"boxmagic.diagrams"}, {"fractions", "json"}),
-    (["magic", "--loops", "2", "--k-max", "4"], {"boxmagic.magic", "boxmagic.diagrams"}, {"json"}),
+    (["diagrams", "--loops", "3"], {"boxmagic.diagrams"}, {"dataclasses", "inspect", "fractions", "json"}),
+    (["magic", "--loops", "2", "--k-max", "4"], {"boxmagic.magic", "boxmagic.diagrams"},
+     {"dataclasses", "inspect", "json"}),
     (["phi", "--level", "2", "--x", "0.1", "--y", "0.2"], {"boxmagic.polylog"}, {"dataclasses", "json"}),
 ]
 

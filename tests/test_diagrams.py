@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import random
 
@@ -144,7 +143,7 @@ class TestOrderClosure:
         d = attach_slingshot(one_loop(), "W2")
         validate_diagram(d)
         assert ("W1", "T2") in d.order and ("T2", "T1") in d.order
-        broken = dataclasses.replace(d, order=d.order - {("W1", "T1")})
+        broken = d._replace(order=d.order - {("W1", "T1")})
         with pytest.raises(ValueError, match="not transitively closed"):
             validate_diagram(broken)
 
@@ -153,8 +152,8 @@ class TestOrderClosure:
         # Dropping the one-loop relation between T1 and v leaves a closed, strict order
         # in which no cycle separates v: no internal vertex lies below a Z or above a W.
         d = one_loop()
-        broken = dataclasses.replace(d, order=frozenset(r for r in d.order if set(r) != {"T1", v}))
-        validate_diagram(dataclasses.replace(broken, order=d.order))
+        broken = d._replace(order=frozenset(r for r in d.order if set(r) != {"T1", v}))
+        validate_diagram(broken._replace(order=d.order))
         with pytest.raises(ValueError, match=f"no internal vertex (below|above) {v}"):
             validate_diagram(broken)
 
@@ -184,10 +183,10 @@ def _variants(rng: random.Random, d: BoxDiagram) -> list[BoxDiagram]:
                       dashed=tuple(sorted(tuple(sorted((rn(a), rn(b)))) for a, b in d.dashed)),
                       order=frozenset((rn(a), rn(b)) for a, b in d.order))]
     if len(d.dashed) < d.n - 1:
-        out.append(dataclasses.replace(d, solid=d.solid[1:], dashed=tuple(sorted(d.dashed + d.solid[:1]))))
+        out.append(d._replace(solid=d.solid[1:], dashed=tuple(sorted(d.dashed + d.solid[:1]))))
     if d.order:
         a, b = min(d.order)
-        out.append(dataclasses.replace(d, order=d.order - {(a, b)} | {(b, a)}))
+        out.append(d._replace(order=d.order - {(a, b)} | {(b, a)}))
     return out
 
 
@@ -255,7 +254,7 @@ class TestCanonicalKey:
         d = from_history(("Z2", "W1"))
         for history in ((), ("Z2",), ("Z2", "W1", "W1")):
             with pytest.raises(ValueError, match="history"):
-                canonical_key(dataclasses.replace(d, history=history))
+                canonical_key(d._replace(history=history))
         with pytest.raises(ValueError, match="history"):
             canonical_key(_random_diagram(random.Random(3), 3))
 

@@ -216,10 +216,6 @@ class TestNormalization:
         assert res.passed
         assert res.residual <= 1e-10
 
-    def test_empty_radii_refused(self):
-        with pytest.raises(ValueError, match="at least one radius"):
-            normalization_check(radii=())
-
     def test_single_radius_value(self):
         (val,) = integrate(QuadratureSpec("u2", 1.1, 12), [(BasisExpansion.one(), (None, None))])
         assert abs(val - (-2j * math.pi**3)) <= 1e-10
@@ -270,15 +266,19 @@ class TestCollapse:
         a, b = (_kernel_pass("u2", R, 20, [(phi.degt(), (None, W_IN))])[0] for R in (0.8, 1.25))
         assert abs(a - b) <= 1e-10
 
-    @pytest.mark.parametrize("radii", [(0.8, 1.25), (0.9,)])
-    def test_independence_needs_two_radii(self, radii):
-        res = collapse_check(radii=radii, nodes=16)
+    def test_every_radius_checks_independence(self, capsys):
+        # The check integrates at 0.8 R and 1.25 R for every R, also the one that --radius sets.
+        from boxmagic import cli
+
+        res = collapse_check(radius=0.5, nodes=16)
         assert res.passed
-        single = len(radii) == 1
-        assert (res.details["r_independence_worst"] is None) == single
-        assert all((c["radius_independence"] is None) == single for c in res.details["cases"].values())
-        if single:
-            assert res.residual == max(c["residual"] for c in res.details["cases"].values())
+        assert math.isfinite(res.details["r_independence_worst"])
+        assert all(math.isfinite(c["radius_independence"]) for c in res.details["cases"].values())
+        assert cli.main(["verify", "collapse", "--radius", "0.5", "--json"]) == 0
+        (check,) = json.loads(capsys.readouterr().out)["checks"]
+        assert math.isfinite(check["details"]["r_independence_worst"])
+        assert check["residual"] == max(max(c["residual"] for c in check["details"]["cases"].values()),
+                                        100 * check["details"]["r_independence_worst"])
 
     def test_residual_does_not_depend_on_tol(self):
         # The radius independence counts 100 times at every tol: it passes below tol / 100.
@@ -380,7 +380,7 @@ class TestOneLoop:
                             lambda rng, scale, radius: GroupElement(np.diag([1e3, 1e3, 1, 1]).astype(complex)))
         message = re.escape(f"h(W1) must lie on the 'plus' side of radius {r}")
         with pytest.raises(DomainError, match=message):
-            conformal_check(r=r, nodes=8)
+            conformal_check(radius=r, nodes=8)
         from boxmagic import cli
 
         assert cli.main(["verify", "conformal", "--radius", str(r), "--nodes", "8"]) == 2
@@ -392,29 +392,30 @@ class TestOneLoop:
         monkeypatch.setattr(quadrature, "_kernel_pass", lambda chart, R, nodes, rows: [1.0] * len(rows))
         for r in (1e-3, 1.0, 20.0, 1e5):
             for seed in range(100):
-                assert len(conformal_check(r=r, seed=seed).details["samples"]) == 5
+                assert len(conformal_check(radius=r, seed=seed).details["samples"]) == 5
 
     @pytest.mark.parametrize("r", [1e-3, 0.1, 10.0, 100.0])
     def test_conformal_residual_is_radius_independent(self, r):
         # The maps are conjugated by the dilation Z -> rZ, so the check
         # sees the same configuration at every radius, up to rounding.
-        res = conformal_check(r=r, nodes=8)
+        res = conformal_check(radius=r, nodes=8)
         assert res.passed
-        assert res.residual == pytest.approx(conformal_check(r=1.0, nodes=8).residual, rel=1e-8)
+        assert res.residual == pytest.approx(conformal_check(radius=1.0, nodes=8).residual, rel=1e-8)
 
 
 class TestOrthogonality:
     def test_check_passes(self):
-        res = orthogonality_check(nodes_s3=16, nodes_u2=12)
+        res = orthogonality_check(nodes=12)
         assert res.passed
         assert res.details["pairs_sphere"] == 30 * 30
 
-    # Odd and even node counts, the check's defaults (24, 16), and 32^3 nodes in
-    # two blocks: the cycle Gram is one S^3 pass times a phase sum, the oracle
-    # sums the 4-D grid.
+    # Odd and even node counts, the check's default 16, and 32^3 sphere nodes in
+    # eight blocks: the cycle Gram is one S^3 pass times a phase sum, the oracle
+    # sums the 4-D grid (at most 16^4 nodes, to keep its value rows small).
     @pytest.mark.parametrize("nodes_s3, nodes_u2", [(5, 5), (7, 7), (12, 12), (16, 12), (24, 16), (32, 12)])
     def test_gram_matches_per_pair_sums(self, nodes_s3, nodes_u2):
-        (gs, want_s, _), (gu, want_u, _) = _orthogonality_grams(0.9, nodes_s3, nodes_u2)
+        (gs, want_s, _), _ = _orthogonality_grams(0.9, nodes_s3)
+        _, (gu, want_u, _) = _orthogonality_grams(0.9, nodes_u2)
         sphere, cycle = orthogonality_pairs(3, 0.9, nodes_s3, nodes_u2)
         assert gs.shape == sphere.shape == (30, 30)
         assert gu.shape == cycle.shape == (60, 60)
@@ -426,9 +427,9 @@ class TestOrthogonality:
 
     def test_gram_blocks_add_up(self, monkeypatch):
         # 12^3 = 1728 nodes in blocks of 500, the last one ragged, against one block.
-        whole = _orthogonality_grams(0.9, 12, 12)
+        whole = _orthogonality_grams(0.9, 12)
         monkeypatch.setattr(quadrature, "GRAM_BLOCK", 500)
-        blocked = _orthogonality_grams(0.9, 12, 12)
+        blocked = _orthogonality_grams(0.9, 12)
         for (g1, *_), (g2, *_) in zip(whole, blocked):
             assert np.abs(g1 - g2).max() <= 1e-15
 
@@ -446,7 +447,7 @@ class TestOrthogonality:
     def test_passes_at_every_radius(self, R):
         # An entry of degree D in R is of size R^D times rounding; each error is taken
         # relative to that size, so the residual stays at rounding level at every radius.
-        res = orthogonality_check(R=R)
+        res = orthogonality_check(radius=R)
         assert res.passed
         assert res.residual <= 1e-13
 
@@ -455,11 +456,11 @@ class TestOrthogonality:
         # The cycle duals carry 1/N(Z)^6, of size R^-12: subnormal above R = 4.3e25, and zero
         # above 1e27 without ever being non-finite; a zeroed dual would read as a failed pairing.
         with pytest.raises(FloatingPointError, match=re.escape(f"1/N(Z)^6 of a pairing row underflows at radius {R}")):
-            orthogonality_check(R=R)
+            orthogonality_check(radius=R)
 
     def test_default_radius_residual_is_an_absolute_error(self):
         # At the default radius the worst entries have size R^0 = 1.
-        (gs, want_s, _), (gu, want_u, _) = _orthogonality_grams(0.9, 24, 16)
+        (gs, want_s, _), (gu, want_u, _) = _orthogonality_grams(0.9, 16)
         res = orthogonality_check()
         assert res.details["sphere_worst"] == np.abs(gs - np.diag(want_s)).max()
         assert res.details["cycle_worst"] == np.abs(gu - np.diag(want_u)).max()
@@ -469,7 +470,7 @@ class TestOrthogonality:
         # and the exact 4-cycle pairing give its targets: the diagonals it
         # compares against, and zeros everywhere else.
         idxs = list(quadrature._basis_indices())
-        (_, want_s, _), (_, want_u, _) = _orthogonality_grams(0.9, 4, 4)
+        (_, want_s, _), (_, want_u, _) = _orthogonality_grams(0.9, 4)
         sphere = [[exact_H_pairing(BasisExpansion({TIndex(*i, 0): 1}), quadrature._dual(*j, -1)) for j in idxs]
                   for i in idxs]
         assert all(v.im == 0 for row in sphere for v in row)
@@ -529,17 +530,17 @@ def record_grids(monkeypatch):
 class TestResidualsAgainstSize:
     # Each case's error is taken relative to its size R^d; taken relative to max(1, |phi(W)|),
     # a case of degree d >= 1 would pass any error at a small radius.
-    @pytest.mark.parametrize("check, kwargs, errors", [
-        (poisson_check, {"R": 1e-3}, lambda d: d.values()),
-        (lemma_zp_check, {"R": 1e-3}, lambda d: d.values()),
-        (collapse_check, {"radii": (1e-3,)}, lambda d: [c["residual"] for c in d["cases"].values()]),
+    @pytest.mark.parametrize("check, errors", [
+        (poisson_check, lambda d: d.values()),
+        (lemma_zp_check, lambda d: d.values()),
+        (collapse_check, lambda d: [c["residual"] for c in d["cases"].values()]),
     ], ids=["poisson", "lemma-zp", "collapse"])
-    def test_doubled_value_fails_in_every_case_at_small_radius(self, monkeypatch, check, kwargs, errors):
-        assert check(**kwargs).passed
+    def test_doubled_value_fails_in_every_case_at_small_radius(self, monkeypatch, check, errors):
+        assert check(radius=1e-3).passed
         call, closed = BasisExpansion.__call__, quadrature.zp_closed_form
         monkeypatch.setattr(BasisExpansion, "__call__", lambda f, Z: 2 * call(f, Z))
         monkeypatch.setattr(quadrature, "zp_closed_form", lambda *args: 2 * closed(*args))
-        res = check(**kwargs)
+        res = check(radius=1e-3)
         assert min(errors(res.details)) > res.tolerance and not res.passed
 
 
@@ -548,7 +549,7 @@ class TestGridsBuilt:
 
     @pytest.mark.parametrize("check, want", [
         (normalization_check, [(0.8, 32, 32**3), (1.25, 32, 32**3)]),
-        (orthogonality_check, [(0.9, 24, 24**3), (0.9, 16, 16**3)]),
+        (orthogonality_check, [(0.9, 16, 16**3), (0.9, 16, 16**3)]),
     ])
     def test_pole_free_checks_build_only_s3(self, monkeypatch, check, want):
         calls = record_grids(monkeypatch)
@@ -607,7 +608,7 @@ class TestBatchedChecksAgainstOracles:
         made = conformal_draws(r, 20240)
         assert [keeps for _, keeps in made] == [True] * draws
         calls = record_kernel_passes(monkeypatch)
-        res = conformal_check(r=r, nodes=8)
+        res = conformal_check(radius=r, nodes=8)
         ((_, _, _, rows, _),) = calls
         assert [poles for _, poles in rows[1:]] == [moved for moved, _ in made]
         assert len(res.details["samples"]) == draws
@@ -661,20 +662,12 @@ class TestSuiteRunner:
     @pytest.mark.parametrize("name", quadrature.SUITES)
     def test_checks_take_only_what_verify_and_the_benchmark_set(self, name):
         # --radius, --nodes and --tol, and the seed that the benchmark passes: no other knob.
-        check, radius_arg, node_args = quadrature._CHECKS[name]
-        params = list(inspect.signature(check).parameters)
-        assert params in ([radius_arg, *node_args, "tol"], [radius_arg, *node_args, "tol", "seed"])
+        params = list(inspect.signature(quadrature._CHECKS[name]).parameters)
+        assert params in (["radius", "nodes", "tol"], ["radius", "nodes", "tol", "seed"])
 
     @pytest.mark.parametrize("flags, expected", [
         ({}, dict.fromkeys(quadrature.SUITES, {})),  # each default lives only in its check's signature
-        ({"radius": 0.7, "nodes": 10}, {
-            "normalization": {"radii": (0.7,), "nodes": 10},
-            "poisson": {"R": 0.7, "nodes": 10},
-            "lemma-zp": {"R": 0.7, "nodes": 10},
-            "collapse": {"radii": (0.7,), "nodes": 10},
-            "orthogonality": {"R": 0.7, "nodes_s3": 10, "nodes_u2": 10},
-            "conformal": {"r": 0.7, "nodes": 10},
-        }),
+        ({"radius": 0.7, "nodes": 10}, dict.fromkeys(quadrature.SUITES, {"radius": 0.7, "nodes": 10})),
     ])
     def test_only_given_flags_are_passed(self, monkeypatch, flags, expected):
         calls = {}
@@ -686,7 +679,7 @@ class TestSuiteRunner:
                 return quadrature.CheckResult(name, 0.0, 1.0, 4)
             return check
 
-        table = {nm: (recorder(nm), *rest) for nm, (_, *rest) in quadrature._CHECKS.items()}
+        table = {nm: recorder(nm) for nm in quadrature._CHECKS}
         monkeypatch.setattr(quadrature, "_CHECKS", table)
         checks = run_suite("all", **flags)
         assert [c.name for c in checks] == list(quadrature.SUITES)
