@@ -266,15 +266,17 @@ class TestCollapse:
         a, b = (_kernel_pass("u2", R, 20, [(phi.degt(), (None, W_IN))])[0] for R in (0.8, 1.25))
         assert abs(a - b) <= 1e-10
 
-    def test_every_radius_checks_independence(self, capsys):
-        # The check integrates at 0.8 R and 1.25 R for every R, also the one that --radius sets.
+    @pytest.mark.parametrize("radii", [(), ("--radius", "0.5")])
+    def test_independence_needs_two_radii(self, radii, capsys):
+        # The check integrates at 0.8 R and 1.25 R for every R, the default one and the one
+        # --radius sets, so it reports the radius independence at each.
         from boxmagic import cli
 
-        res = collapse_check(radius=0.5, nodes=16)
+        res = collapse_check(radius=float(radii[1]) if radii else 1.0, nodes=16)
         assert res.passed
         assert math.isfinite(res.details["r_independence_worst"])
         assert all(math.isfinite(c["radius_independence"]) for c in res.details["cases"].values())
-        assert cli.main(["verify", "collapse", "--radius", "0.5", "--json"]) == 0
+        assert cli.main(["verify", "collapse", *radii, "--json"]) == 0
         (check,) = json.loads(capsys.readouterr().out)["checks"]
         assert math.isfinite(check["details"]["r_independence_worst"])
         assert check["residual"] == max(max(c["residual"] for c in check["details"]["cases"].values()),
