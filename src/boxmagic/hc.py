@@ -23,6 +23,7 @@ dV/N(Z)^2 is -2*pi^3*i.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,7 @@ __all__ = [
     "conformal_act",
     "domain_side",
     "chart_s3",
+    "random_matrix",
     "random_near_identity",
     "BOUNDARY_TOL",
 ]
@@ -161,12 +163,15 @@ def chart_s3(R: float, psi, theta, chi):
     return z11, z12, z21, z22, density
 
 
-def random_near_identity(rng: np.random.Generator, scale: float, radius: float = 1.0) -> GroupElement:
+def random_matrix(rng: random.Random, n: int) -> np.ndarray:
+    """n x n complex matrix of entries x + iy, x and y uniform on [-1, 1], drawn entry by entry, row by row."""
+    return np.array([[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)] for _ in range(n)])
+
+
+def random_near_identity(rng: random.Random, scale: float, radius: float = 1.0) -> GroupElement:
     """Random h with ||h - 1|| about `scale` (max-entry), conjugated by Z -> radius Z
     (b times radius, c over radius): it moves points near U(2)_radius by a relative `scale`."""
-    m = np.eye(4, dtype=complex) + scale * (
-        rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))
-    ) / 2.0
+    m = np.eye(4, dtype=complex) + scale * random_matrix(rng, 4) / 2.0
     m[:2, 2:] *= radius
     m[2:, :2] /= radius
     return GroupElement(m)

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from fractions import Fraction
 from functools import cache
 from itertools import chain, permutations, product
@@ -692,7 +693,7 @@ def conformal_draws(r: float, seed: int):
     Returns the sets and, for each, whether it keeps Z1, Z2 outside and
     W1, W2 inside the cycle.
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     points = quadrature._covariance_points(rng, r)
     draws = []
     for _ in range(5):

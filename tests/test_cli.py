@@ -149,6 +149,12 @@ class TestVerify:
         assert payload["suite"] == "normalization"
         assert payload["checks"][0]["passed"] is True
 
+    def test_normalization_keys_its_radii_by_their_digits(self, capsys):
+        # 0.8 * 0.7 is 0.5599999999999999 as a float; each key is its radius to 15 digits.
+        code, out, _ = run(capsys, "verify", "normalization", "--radius", "0.7", "--nodes", "8", "--json")
+        assert code == 0
+        assert list(json.loads(out)["checks"][0]["details"]["radii"]) == ["0.56", "0.875"]
+
     def test_orthogonality_json(self, capsys):
         # Its residual is a numpy scalar; the JSON must still hold plain values.
         code, out, _ = run(capsys, "verify", "orthogonality", "--json")
@@ -452,6 +458,12 @@ class TestDependencies:
         code, loaded = loaded_by(["verify", "normalization", "--nodes", "8"])
         assert code == 0 and layers(loaded) == {"boxmagic.quadrature", "boxmagic.hc", "boxmagic.tbasis"}
 
+    def test_seeded_check_leaves_numpy_random_out(self):
+        # The seeded checks draw their points with the standard library's random.Random.
+        code, loaded = loaded_by(["verify", "conformal", "--nodes", "8"])
+        assert code == 0 and layers(loaded) == {"boxmagic.quadrature", "boxmagic.hc", "boxmagic.tbasis"}
+        assert not {m for m in loaded if m == "numpy.random" or m.startswith("numpy.random.")}
+
     def test_suite_names_match_quadrature(self):
         assert SUITES == quadrature.SUITES
 
@@ -486,10 +498,10 @@ print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
 # Peak RSS bounds in MB: `verify all`, and each check at --nodes 64; measured
-# 50.0, and 32.5, 44.0, 41.2, 40.8, 44.0 and 44.8 MB.
-BOUND_ALL = 60
-BOUNDS_64 = {"normalization": 39, "poisson": 53, "lemma-zp": 50, "collapse": 49, "orthogonality": 53,
-             "conformal": 54}
+# 43.0, and 32.1, 37.0, 34.1, 33.4, 43.7 and 38.1 MB.
+BOUND_ALL = 52
+BOUNDS_64 = {"normalization": 39, "poisson": 45, "lemma-zp": 41, "collapse": 40, "orthogonality": 53,
+             "conformal": 46}
 linux_rss = pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB and inherited on Linux")
 
 

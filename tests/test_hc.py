@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import random
 
 import numpy as np
 import pytest
@@ -116,9 +117,9 @@ class TestConformalAction:
         assert abs(got.z12 - s * Z.z12) < 1e-12
 
     def test_both_formulas_agree(self):
-        rng = np.random.default_rng(7)
+        rng, draw = np.random.default_rng(7), random.Random(7)
         for _ in range(10):
-            h = random_near_identity(rng, 0.1)
+            h = random_near_identity(draw, 0.1)
             Z = random_cq(rng)
             a = conformal_act(h, Z)
             b = conformal_act_alt(h, Z)
@@ -126,10 +127,10 @@ class TestConformalAction:
                 assert abs(getattr(a, attr) - getattr(b, attr)) <= 1e-12
 
     def test_composition(self):
-        rng = np.random.default_rng(11)
+        rng, draw = np.random.default_rng(11), random.Random(11)
         for _ in range(10):
-            h1 = random_near_identity(rng, 0.05)
-            h2 = random_near_identity(rng, 0.05)
+            h1 = random_near_identity(draw, 0.05)
+            h2 = random_near_identity(draw, 0.05)
             Z = random_cq(rng, scale=0.5)
             lhs = conformal_act(GroupElement(block(h1.a, h1.b, h1.c, h1.d) @ block(h2.a, h2.b, h2.c, h2.d)), Z)
             rhs = conformal_act(h1, conformal_act(h2, Z))
@@ -137,7 +138,7 @@ class TestConformalAction:
                 assert abs(getattr(lhs, attr) - getattr(rhs, attr)) <= 1e-10
 
     def test_group_inverse_blocks(self):
-        h = random_near_identity(np.random.default_rng(1), 0.2)
+        h = random_near_identity(random.Random(1), 0.2)
         prod = block(h.a, h.b, h.c, h.d) @ block(h.ap, h.bp, h.cp, h.dp)
         assert np.allclose(prod, np.eye(4), atol=1e-12)
 

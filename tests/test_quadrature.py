@@ -5,13 +5,14 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import random
 import re
 
 import numpy as np
 import pytest
 
 from boxmagic import quadrature
-from boxmagic.hc import ComplexQuaternion, GroupElement, chart_s3
+from boxmagic.hc import ComplexQuaternion, GroupElement, chart_s3, domain_side
 from boxmagic.quadrature import (
     DomainError,
     QuadratureSpec,
@@ -210,6 +211,22 @@ class TestSpecAndGrids:
                 integrate(QuadratureSpec("s3", R, 8), [(BasisExpansion.one(), (None,))])
 
 
+class TestDraws:
+    # The checks' points are on their sides by construction, and no check tests them;
+    # 10 000 draws each show it.
+    def test_inside_draws_stay_within_half_the_radius(self):
+        rng = random.Random(1)
+        for R in (1e-3, 1.0, 1e5):
+            ms = np.array([quadrature._random_inside(rng, R).as_matrix() for _ in range(10_000)])
+            assert np.linalg.norm(ms, 2, axis=(1, 2)).max() <= 0.5 * R
+
+    def test_covariance_points_are_on_their_sides(self):
+        rng = random.Random(2)
+        for _ in range(10_000):
+            points = quadrature._covariance_points(rng, 1.0)
+            assert [domain_side(P, 1.0) for P in points] == ["minus", "minus", "plus", "plus"]
+
+
 class TestNormalization:
     def test_both_radii(self):
         res = normalization_check(nodes=16)
@@ -347,7 +364,7 @@ class TestOneLoop:
         # Points drawn like the checks' points: the conformal check's own draws, and
         # singular values in [1.6, 2.5] outside and [0.05, 0.6] inside.
         if draw < 3:
-            points = quadrature._covariance_points(np.random.default_rng(draw), 1.0)
+            points = quadrature._covariance_points(random.Random(draw), 1.0)
         else:
             rng = np.random.default_rng(draw)
             points = [random_point(rng, lo, hi, False) for lo, hi in ((1.6, 2.5),) * 2 + ((0.05, 0.6),) * 2]
