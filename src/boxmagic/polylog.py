@@ -23,16 +23,16 @@ fast polylogarithm computation", 2006):
 Li_1(z) = -ln(1-z) in closed form.  The coefficient tables are exact
 rationals built once per order N and rounded to floats.
 
-The ladder functions take cross-ratio arguments x, y in the region
-x, y > 0, lambda^2 = (1-x-y)^2 - 4xy > 0, x + y < 1.  One closed form
-serves every loop order L (Usyukina and Davydychev, Phys. Lett. B 305
-(1993) 136):
+The ladder functions Phi^(L)(x, y) come from one closed form for every loop
+order L and every x, y > 0 (Usyukina and Davydychev, Phys. Lett. B 305
+(1993) 136).  With x >= y, z and zbar the roots of u^2 - (1+x-y) u + x,
+w = 1 - 1/z and wbar = 1 - 1/zbar lie below 1 where lambda^2 =
+(1-x-y)^2 - 4xy >= 0 and are complex conjugates where it is negative:
 
-    Phi^(L) = -1/(L! lambda) sum_{j=L}^{2L} (-1)^j j! ln^(2L-j)(y/x)
-              / ((j-L)! (2L-j)!) * [Li_j(-1/(rho x)) - Li_j(-rho y)].
+    Phi^(L) = 1/(z - zbar) sum_{f=0}^{L} c_f ln^f(y/x) [Li_{2L-f}(w) - Li_{2L-f}(wbar)],
+    c_f = (-1)^f (2L-f)! / (L! f! (L-f)!);
 
-At L = 1 it has the constant term pi^2/3 and agrees with the
-one-dimensional integral representation of Phi^(1).
+at lambda = 0 the bracket over z - zbar is its limit Li_{2L-f-1}(w)/(x w).
 """
 
 from __future__ import annotations
@@ -42,15 +42,7 @@ import functools
 import math
 from fractions import Fraction
 
-__all__ = [
-    "li",
-    "li_series",
-    "li_integral",
-    "lambda_rho",
-    "phi",
-    "phi1",
-    "phi2",
-]
+__all__ = ["li", "li_series", "li_integral", "phi", "phi1", "phi2"]
 
 _SERIES_RADIUS = 0.5
 _SERIES_TOL = 1e-17
@@ -62,6 +54,11 @@ _SERIES_MAX_TERMS = 10_000
 # |ln z| = 4 and below 1e-20 at 3.22.
 _LOG_RADIUS = 4.0
 _LOG_TERMS = 72
+
+# Below |z - zbar| = _NEAR_ROOTS (z + zbar) the plain difference would lose up to 1e-15 (z + zbar)/|z - zbar|; there
+# the bracket is the mean of Li_{n-1}(w)/(x w) over [wbar, w] by the 4-point Gauss rule, (node, weight/2): <= 2e-15.
+_NEAR_ROOTS = 0.03
+_GAUSS4 = tuple((s * (3 / 7 - t * 2 / 7 * 1.2**0.5) ** 0.5, (18 + t * 30**0.5) / 72) for t in (1, -1) for s in (1, -1))
 
 def _check_branch(z: complex) -> None:
     if z.imag == 0 and z.real >= 1.0:
@@ -213,43 +210,45 @@ def li(N: int, z: complex) -> complex:
     return (-1) ** (N + 1) * inner - _horner(_tables(N)[1], cmath.log(-z))
 
 
-def lambda_rho(x: float, y: float) -> tuple[float, float]:
-    """The auxiliary pair lambda = sqrt((1-x-y)^2 - 4xy), rho = 2/(1-x-y+lambda).
-
-    Refuses (x, y) outside the region x, y > 0, x + y < 1, lambda^2 > 0,
-    where rho > 1.
-    """
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"arguments must be finite, got (x, y) = ({x}, {y})")
-    if x <= 0 or y <= 0:
-        raise ValueError("arguments must be positive")
-    if x + y >= 1.0:
-        raise ValueError(f"(x, y) = ({x}, {y}) leaves the principal region x + y < 1")
-    lam2 = (1.0 - x - y) ** 2 - 4.0 * x * y
-    if lam2 <= 0:
-        raise ValueError(f"lambda^2 = {lam2} is not positive at (x, y) = ({x}, {y})")
-    lam = math.sqrt(lam2)
-    rho = 2.0 / (1.0 - x - y + lam)
-    return lam, rho
+def _li_one_minus(N: int, u: complex) -> tuple[complex, float]:
+    """Li_N(1 - u) = rest + constant, N >= 1: for |u| < 1/2 the ln z expansion at ln(1 - u), zeta(N) kept apart."""
+    if abs(u) >= 0.5:
+        return li(N, 1.0 - u), 0.0
+    c = _tables(N)[0]
+    v = complex(0.5 * math.log1p(u.real * (u.real - 2.0) + u.imag**2), math.atan2(-u.imag, 1.0 - u.real))  # ln(1-u)
+    return v * _horner(c[1:], v) - v ** (N - 1) / math.factorial(N - 1) * cmath.log(-v), c[0]
 
 
 def phi(L: int, x: float, y: float) -> float:
-    """L-loop ladder function Phi^(L)(x, y), the real part of the closed form above, evaluated
-    with the arguments ordered x >= y: Phi^(L) is symmetric, and phi(L, x, y) == phi(L, y, x) exactly."""
+    """L-loop ladder function Phi^(L)(x, y) by the closed form above, so phi(L, x, y) == phi(L, y, x) exactly."""
     if L < 1:
         raise ValueError("loop order must be >= 1")
-    if y > x:
-        x, y = y, x
-    lam, rho = lambda_rho(x, y)
-    lyx = math.log(y / x)
-    a, b = -1.0 / (rho * x), -rho * y
-    if not math.isfinite(a):  # with x >= y, 1/(rho x) overflows only where both arguments are subnormal
-        raise ValueError(f"-1/(rho x) and -1/(rho y) are not finite at (x, y) = ({x}, {y})")
+    given = (x, y)  # named by every refusal, in the order given
+    if not (0 < x < math.inf and 0 < y < math.inf):
+        raise ValueError(f"arguments must be finite and positive, got (x, y) = {given}")
+    x, y = max(x, y), min(x, y)
+    p = math.sqrt(x) + math.sqrt(y)
+    m = (x - y) / p  # sqrt(x) - sqrt(y) to a relative 2e-16, even where they nearly cancel
+    a, d = (1.0 - p) * (1.0 + p), (1.0 - m) * (1.0 + m)  # lambda^2 = a d, each factor without overflow
+    lam, b = math.sqrt(abs(a)) * math.sqrt(abs(d)) * (1j if (a < 0) != (d < 0) else 1.0), 1.0 + x - y
+    z = 0.5 * b + 0.5 * lam  # z - zbar = lambda, without cancellation since b >= 1
+    u, ubar = 1.0 / z, z / x  # 1 - w and 1 - wbar
+    if not cmath.isfinite(ubar):  # with x >= y, where both arguments are subnormal or near the float maximum
+        raise ValueError(f"1 - wbar = z/x is not finite at (x, y) = {given}: the arguments leave the float range")
+    q = y / x  # ln(y/x) to a relative 2e-16: y - x is exact where q > 1/2, and q may be subnormal or 0
+    lyx = math.log1p((y - x) / x) if q > 0.5 else math.log(q) if q > 1e-300 else math.log(y) - math.log(x)
+    nodes = [(weight, 0.5 * (b - node * lam) / x) for node, weight in _GAUSS4] if abs(lam) < _NEAR_ROOTS * b else []
     total = 0.0
-    for j in range(L, 2 * L + 1):
-        weight = (-1) ** j * math.factorial(j) / (math.factorial(j - L) * math.factorial(2 * L - j))
-        total += weight * lyx ** (2 * L - j) * (li(j, a) - li(j, b)).real
-    return -total / (math.factorial(L) * lam)
+    for f in range(L + 1):
+        n = 2 * L - f
+        if nodes:  # z near zbar: the mean of Li_{n-1}(w)/(x w) over [wbar, w], by u = 1 - w; 1/u at n = 1, 1 at w = 0
+            bracket = sum(g * (1.0 if v == 1 else 1.0 / v if n == 1 else sum(_li_one_minus(n - 1, v)) / (1.0 - v))
+                          for g, v in nodes) / x
+        else:
+            (rest, const), (rest_bar, const_bar) = _li_one_minus(n, u), _li_one_minus(n, ubar)
+            bracket = ((rest - rest_bar) + (const - const_bar)) / lam
+        total += (-1) ** f * math.comb(2 * L - f, L) / math.factorial(f) * lyx**f * bracket
+    return total.real
 
 
 def phi1(x: float, y: float, constant: str = "pi-squared") -> float:

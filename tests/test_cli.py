@@ -21,6 +21,7 @@ from boxmagic.diagrams import MAX_LOOPS
 from boxmagic.hc import ComplexQuaternion
 from boxmagic.polylog import phi
 from boxmagic.tbasis import BasisExpansion, TIndex
+from oracles import phi_oracle
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -248,8 +249,8 @@ class TestPhi:
     def test_levels_one_and_two_bytes(self, capsys):
         # Level 1 is phi(1, x, y), the closed form with the constant term pi^2/3.  Both are
         # evaluated at (x, y) = (0.2, 0.1), in the order x >= y; the closed form in mpmath at
-        # 40 digits gives 7.5422291378112677 and 34.328001574515014.
-        for level, text in (("1", "7.5422291378112662\n"), ("2", "34.328001574515014\n")):
+        # 60 digits gives 7.54222913781126769 and 34.3280015745150139 (level 2 prints 2 ulps low).
+        for level, text in (("1", "7.5422291378112662\n"), ("2", "34.328001574515\n")):
             code, out, _ = run(capsys, "phi", "--level", level, "--x", "0.1", "--y", "0.2")
             assert (code, out) == (0, text)
 
@@ -261,16 +262,31 @@ class TestPhi:
 
     def test_constant_variant_flag(self, capsys):
         # Level 1 has one constant term, pi^2/3, so there is no flag to choose it.
-        assert run(capsys, "phi", "--level", "1", "--x", "0.1", "--y", "0.1")[:2] == (0, "9.1077808919432748\n")
+        # 9.10778089194327407 at 60 digits.
+        assert run(capsys, "phi", "--level", "1", "--x", "0.1", "--y", "0.1")[:2] == (0, "9.1077808919432712\n")
         with pytest.raises(SystemExit) as exc:
             run(capsys, "phi", "--level", "1", "--x", "0.1", "--y", "0.1", "--constant", "pi-squared")
         assert exc.value.code == 2
         assert "--constant" in capsys.readouterr().err
 
     def test_region_violation_exit_2(self, capsys):
-        code, _, err = run(capsys, "phi", "--level", "1", "--x", "0.6", "--y", "0.6")
-        assert code == 2
-        assert "lambda" in err or "region" in err
+        # (0.6, 0.6) lies outside the former region x + y < 1, lambda^2 > 0: it now has a value, exit 0.
+        code, out, _ = run(capsys, "phi", "--level", "1", "--x", "0.6", "--y", "0.6")
+        assert code == 0
+        assert float(out) == pytest.approx(phi_oracle(1, 0.6, 0.6)[0], rel=1e-12)
+
+    @pytest.mark.parametrize("x, y, named", [
+        ("0", "0.2", "(x, y) = (0.0, 0.2)"),
+        ("0.2", "-0.5", "(x, y) = (0.2, -0.5)"),
+        ("nan", "0.1", "(x, y) = (nan, 0.1)"),
+        ("0.1", "inf", "(x, y) = (0.1, inf)"),
+        ("1e-320", "1e-320", "(x, y) = (1e-320, 1e-320)"),  # both subnormal
+        ("1e308", "1e308", "(x, y) = (1e+308, 1e+308)"),  # lambda^2 overflows
+    ])
+    def test_refusals_name_their_input(self, capsys, x, y, named):
+        code, out, err = run(capsys, "phi", "--level", "2", "--x", x, "--y", y)
+        assert (code, out) == (2, "")
+        assert named in err
 
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -330,13 +346,15 @@ CONTRACT_GRID = [
     (("phi", "--level", "2", "--x", "0.1", "--y", "0.2"), 0),
     (("phi", "--level", "2", "--x", "0.1", "--y", "nan"), 2),
     (("phi", "--level", "1", "--x", "inf", "--y", "0.1"), 2),
-    (("phi", "--level", "1", "--x", "0.6", "--y", "0.6"), 2),
+    (("phi", "--level", "1", "--x", "0.6", "--y", "0.6"), 0),  # lambda^2 < 0: once refused, now a value
     (("phi", "--level", "3", "--x", "0.1", "--y", "0.2"), 0),
     (("phi", "--level", "7", "--x", "0.1", "--y", "0.2"), 2),
     (("phi", "--level", "2", "--x", "1e-320", "--y", "0.2"), 0),
     (("phi", "--level", "2", "--x", "1e-320", "--y", "1e-320"), 2),
-    (("phi", "--level", "2", "--x", "1e200", "--y", "1e200"), 2),  # x + y >= 1: refused before lambda^2 overflows
-    (("phi", "--level", "3", "--x", "1e120", "--y", "1e-3"), 2),
+    # Values that the integral representation confirms (tests/test_polylog.py, test_huge_arguments_match_integral).
+    (("phi", "--level", "2", "--x", "1e200", "--y", "1e200"), 0),
+    (("phi", "--level", "3", "--x", "1e120", "--y", "1e-3"), 0),
+    (("phi", "--level", "1", "--x", "1e308", "--y", "1e308"), 2),  # lambda^2 leaves the float range
     (("mu", "--loops", "2", "--k-max", "4", "--out", "{missing}"), 2),
     (("mu", "--loops", "0"), 2),
     (("acoeff", "--loops", "2", "--k", "x"), 2),

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxmagic.polylog import lambda_rho, li, li_integral, li_series, phi, phi1, phi2
+from boxmagic import polylog
+from boxmagic.polylog import li, li_integral, li_series, phi, phi1, phi2
 from oracles import li_oracle, li_series_complex, phi_oracle
 
 # 50-digit reference values from an independent multiprecision evaluation
@@ -81,8 +82,8 @@ class TestLi:
 
 
 # Li_N test grid: the annulus 1/2 < |z| < 1, the unit circle away from
-# z = 1, the negative real axis beyond -1 (where -1/(rho x) lands), and
-# complex |z| > 1 on both sides of the cut.
+# z = 1, the negative real axis beyond -1 (where wbar = 1 - 1/zbar lands at
+# small x), and complex |z| > 1 on both sides of the cut.
 ANNULUS = [cmath.rect(r, a) for r in (0.55, 0.75, 0.95) for a in (0.0, 0.8, 2.0, -2.6, math.pi)]
 UNIT_CIRCLE = [cmath.exp(1j * a) for a in (0.3, -0.3, 1.0, 2.0, -2.5, math.pi)]
 NEGATIVE_AXIS = [-1.2, -2.4, -7.0, -100.0, -1e4]
@@ -90,9 +91,32 @@ OUTSIDE = [complex(re, s * im) for re, im in ((1.5, 0.8), (3.0, 2.0), (-2.0, 0.5
            for s in (1, -1)]
 LI_GRID = ANNULUS + UNIT_CIRCLE + NEGATIVE_AXIS + OUTSIDE
 
-# Phi test points in the principal region, including (0.7, 0.0025) with
-# rho x near 2.4 and both orders of every off-diagonal pair.
+# Phi test points in the principal region x + y < 1, lambda^2 > 0, including
+# (0.7, 0.0025) with wbar near -2.4, and both orders of every off-diagonal pair.
 PHI_POINTS = [(0.1, 0.2), (0.2, 0.1), (0.7, 0.0025), (0.0025, 0.7), (0.01, 0.3), (0.05, 0.05), (0.2, 0.3)]
+
+# Phi test points outside that region, x >= y (where the integral oracle holds): a grid over
+# lambda^2 < 0 and over x + y > 1 with lambda^2 > 0, x up to 30, where `phi_oracle` is good to
+# 5e-13, and the points first measured there.  The form agrees with the oracle to 1.4e-12 at
+# x = 100, y <= 5, the oracle's own limit.
+NEW_DOMAIN = [(x, q * x) for x in (0.3, 0.6, 1.0, 2.0, 5.0, 10.0, 30.0) for q in (0.01, 0.05, 0.3, 0.7, 1.0)
+              if (1 - x - q * x) ** 2 < 4 * q * x * x or x + q * x > 1]
+NEW_DOMAIN += [(0.26, 0.25), (1.2, 0.05), (100.0, 80.0)]
+
+
+def _li_arguments(monkeypatch, points) -> list[tuple[int, complex]]:
+    """(N, z) of every li call that phi(L, x, y) makes, L = 1..6, over the points."""
+    seen, li_ = [], polylog.li
+
+    def recording(N, z):
+        seen.append((N, complex(z)))
+        return li_(N, z)
+
+    monkeypatch.setattr(polylog, "li", recording)
+    for L in range(1, 7):
+        for x, y in points:
+            phi(L, x, y)
+    return seen
 
 
 class TestLiOracle:
@@ -134,14 +158,14 @@ class TestLiSeries:
             assert isinstance(got, complex)
             assert _bits(got) == _bits(want), (N, z)
 
-    def test_ladder_arguments_bits(self):
-        # The arguments phi hands to li: -1/(rho x) and -rho y on the negative axis.
-        for x, y in PHI_POINTS:
-            _, rho = lambda_rho(x, y)
-            for z in (-1.0 / (rho * x), -rho * y):
-                for N in range(2, 13):
-                    if abs(z) <= 0.5:
-                        assert _bits(li(N, z)) == _bits(li_series_complex(N, complex(z))), (N, z)
+    def test_ladder_arguments_bits(self, monkeypatch):
+        # The arguments phi hands to li, w = 1 - 1/z and wbar = 1 - 1/zbar: real where lambda^2 >= 0,
+        # complex conjugates where it is negative.  Inside the series disc they keep the complex loop's bits.
+        seen = _li_arguments(monkeypatch, PHI_POINTS + NEW_DOMAIN)
+        assert any(z.imag == 0 for _, z in seen) and any(z.imag != 0 for _, z in seen)
+        for N, z in seen:
+            if N >= 2 and abs(z) <= 0.5:  # Li_1 is a closed form
+                assert _bits(li(N, z)) == _bits(li_series_complex(N, complex(z))), (N, z)
 
     def test_huge_orders(self):
         # The table reaches 3**700, which overflows a float; the series ends at j = 2.
@@ -154,32 +178,43 @@ class TestLiSeries:
             li_series(2, 0.999)
 
 
-class TestLambdaRho:
-    def test_value(self):
-        lam, _ = lambda_rho(0.1, 0.1)
-        assert lam == pytest.approx(math.sqrt(0.6), rel=1e-15)
+def _w_form(mpmath, L: int, x: float, y: float) -> float:
+    """Phi^(L)(x, y) by the closed form of `polylog` in mpmath, 40 digits beyond those that the
+    difference over z - zbar cancels, and its limit Li_{2L-f-1}(w)/(x w) where lambda^2 = 0 exactly."""
+    x, y = max(x, y), min(x, y)
+    with mpmath.workdps(800):
+        lam2 = (1 - mpmath.mpf(x) - y) ** 2 - 4 * mpmath.mpf(x) * y
+    with mpmath.workdps(40 + (int(-mpmath.log10(abs(lam2))) if lam2 else 0) + int(abs(math.log10(x)))):
+        x, y = mpmath.mpf(x), mpmath.mpf(y)
+        b = 1 + x - y
+        lam = mpmath.sqrt(b * b - 4 * x)
+        z, zb = (b + lam) / 2, (b - lam) / 2
+        w, wb = 1 - 1 / z, 1 - 1 / zb
+        lyx = mpmath.log(y / x)
+        total = 0
+        for f in range(L + 1):
+            n = 2 * L - f
+            c = (-1) ** f * mpmath.factorial(n) / (mpmath.factorial(L) * mpmath.factorial(f) * mpmath.factorial(L - f))
+            bracket = (mpmath.polylog(n, w) - mpmath.polylog(n, wb)) / (z - zb) if lam2 else mpmath.polylog(n - 1, w) / (x * w)
+            total += c * lyx**f * bracket
+        return float(mpmath.re(total))
 
-    def test_symmetry(self):
-        assert lambda_rho(0.1, 0.3) == pytest.approx(lambda_rho(0.3, 0.1))
 
-    def test_defining_relation(self):
-        x, y = 0.15, 0.22
-        lam, rho = lambda_rho(x, y)
-        assert rho * (1 - x - y + lam) == pytest.approx(2.0, rel=1e-14)
+def _integral(mpmath, L: int, x: float, y: float) -> float:
+    """Phi^(L)(x, y), x >= y, from the Usyukina-Davydychev integral in mpmath, at 50 digits beyond
+    those that the break points t = 1 - 10^-j need; the integrand peaks within about 1/sqrt(x) of t = 1."""
+    x, y = max(x, y), min(x, y)
+    k = max(0, int(math.log10(x))) // 2 + 3
+    with mpmath.workdps(50 + 2 * k):
+        x, y = mpmath.mpf(x), mpmath.mpf(y)
+        lyx = mpmath.log(y / x)
 
-    def test_region_violation(self):
-        with pytest.raises(ValueError):
-            lambda_rho(0.5, 0.5)
-        with pytest.raises(ValueError):
-            lambda_rho(-0.1, 0.2)
+        def f(t):
+            lt = mpmath.log(t)
+            return lt ** (L - 1) * (lyx + lt) ** (L - 1) * (lyx + 2 * lt) / (y * t * t + (1 - x - y) * t + x)
 
-    def test_non_finite_rejected(self):
-        for x, y in ((0.1, math.nan), (math.nan, 0.1), (math.inf, 0.1), (0.1, -math.inf)):
-            with pytest.raises(ValueError, match="finite"):
-                lambda_rho(x, y)
-            with pytest.raises(ValueError, match="finite"):
-                phi2(x, y)
-
+        points = [0, min(y, mpmath.mpf(1) / 2), mpmath.mpf(1) / 2] + [1 - mpmath.mpf(10) ** -j for j in range(1, 2 * k)] + [1]
+        return float(-mpmath.quad(f, sorted(set(points))) / (mpmath.factorial(L) * mpmath.factorial(L - 1)))
 
 class TestPhi1:
     def test_regression(self):
@@ -206,8 +241,8 @@ class TestPhi1:
         assert math.isfinite(phi1(0.17, 0.17))
 
     def test_region_violation(self):
-        with pytest.raises(ValueError):
-            phi1(0.6, 0.6)
+        # (0.6, 0.6) lies outside the former region x + y < 1, lambda^2 > 0; it now has a value.
+        assert phi1(0.6, 0.6) == pytest.approx(phi_oracle(1, 0.6, 0.6)[0], rel=1e-12)
 
 
 class TestPhi2:
@@ -227,13 +262,13 @@ class TestPhi2:
     def test_finite_at_equal_arguments(self):
         assert math.isfinite(phi2(0.05, 0.05))
 
-    def test_li_arguments_off_cut(self):
-        # In the admissible region rho > 0, so -rho x is strictly negative.
-        from boxmagic.polylog import lambda_rho as lr
-
-        for (x, y) in ((0.05, 0.1), (0.2, 0.2), (0.01, 0.3)):
-            _, rho = lr(x, y)
-            assert -rho * x < 0 and -rho * y < 0
+    def test_li_arguments_off_cut(self, monkeypatch):
+        # w and wbar never lie on the cut [1, oo): where they are real, 1 - w = 1/z > 0.  Near w = 1
+        # (z huge) phi carries 1 - w itself and hands li nothing; li would refuse 1.0.
+        points = PHI_POINTS + NEW_DOMAIN + [(1e30, 0.5), (1e120, 1e-3), (1e200, 1e200), (4.49e307, 1.0), (1.0, 1e-300)]
+        seen = _li_arguments(monkeypatch, points)
+        assert seen
+        assert not [(N, z) for N, z in seen if z.imag == 0 and z.real >= 1.0]
 
 
 class TestPhi:
@@ -293,13 +328,71 @@ class TestPhi:
                 for x in [*np.geomspace(1e-4, 0.2, 12), 1e-100, 1e-300]:
                     assert phi(L, float(x), 0.3) == pytest.approx(closed(L, x, 0.3), rel=1e-13), (L, x)
 
+    @pytest.mark.parametrize("L", range(1, 7))
+    def test_new_domain_matches_integral(self, L):
+        # Outside the former region x + y < 1, lambda^2 > 0, which phi refused.
+        want = phi_oracle(L, [p[0] for p in NEW_DOMAIN], [p[1] for p in NEW_DOMAIN])
+        for (x, y), w in zip(NEW_DOMAIN, want):
+            assert abs(phi(L, x, y) - w) <= 1e-12 * abs(w), (x, y)
+            assert phi(L, x, y) == phi(L, y, x)
+
+    def test_mpmath_integral_outside_the_former_region(self):
+        # lambda^2 < 0 at the first five points, x + y > 1 with lambda^2 > 0 at the last two;
+        # the worst relative error measured is 4.9e-16.
+        mpmath = pytest.importorskip("mpmath")
+        for x, y in ((0.5, 0.5), (0.4, 0.3), (1, 1), (2, 1.5), (0.9, 0.2), (4, 0.01), (9, 1)):
+            for L in (1, 2, 4, 6):
+                assert phi(L, x, y) == pytest.approx(_integral(mpmath, L, x, y), rel=1e-13), (L, x, y)
+
+    def test_huge_arguments_match_integral(self):
+        # w = 1 - 1/z rounds to 1 here (at (1e120, 1e-3)) or lies within 1e-100 of it: phi carries
+        # 1 - w = 1/z itself.  Measured: 0 and 4.6e-16 against the integral.
+        mpmath = pytest.importorskip("mpmath")
+        for L, x, y in ((2, 1e200, 1e200), (3, 1e120, 1e-3)):
+            assert phi(L, x, y) == pytest.approx(_integral(mpmath, L, x, y), rel=1e-14), (L, x, y)
+
+    def test_lambda_zero_limit(self):
+        # On the curves |sqrt(x) -+ sqrt(y)| = 1, where z = zbar, and at a relative 1e-20 (one
+        # rounding) and 1e-6 from them; (1, 1e-300) has w = 0 in floats.  Worst measured: 2.0e-15.
+        mpmath = pytest.importorskip("mpmath")
+        points = [(4.0, 1.0), (0.25, 0.25), (1.0, 1e-300)]
+        points += [(x, (math.sqrt(x) - 1) ** 2 * (1 + rel)) for x in (2.0, 4.0, 50.0) for rel in (1e-20, 1e-6, -1e-6)]
+        points += [(x, (1 - math.sqrt(x)) ** 2 * (1 + rel)) for x in (0.3, 0.7) for rel in (1e-20, 1e-6, -1e-6)]
+        for x, y in points:
+            for L in range(1, 7):
+                assert phi(L, x, y) == pytest.approx(_w_form(mpmath, L, x, y), rel=1e-14), (L, x, y)
+
+    def test_near_roots_threshold(self, monkeypatch):
+        # The switch between the plain difference over z - zbar and the Gauss mean of its derivative
+        # sits where their errors cross: at r = |z - zbar|/(z + zbar) = _NEAR_ROOTS / 3 the plain
+        # difference alone is 9.5e-14 off and at 3 _NEAR_ROOTS the Gauss rule alone 1.5e-11, while phi
+        # stays within 2.0e-14 on both sides of the switch (real and complex lambda, x from 0.09 to 1e4).
+        mpmath = pytest.importorskip("mpmath")
+        r0 = polylog._NEAR_ROOTS
+
+        def worst(ratio, threshold=r0):
+            monkeypatch.setattr(polylog, "_NEAR_ROOTS", threshold)
+            err = 0.0
+            for x in (0.09, 0.25, 0.6, 4.0, 100.0, 1e4):
+                for sign in (1, -1):  # lambda^2 = sign (ratio b)^2, b = 1 + x - y
+                    y = 1 + x - 2 * math.sqrt(x / (1 - sign * ratio**2))
+                    for L in (1, 2, 6):
+                        want = _w_form(mpmath, L, x, y)
+                        err = max(err, abs(phi(L, x, y) - want) / abs(want))
+            return err
+
+        for ratio in (r0 / 3, 0.9 * r0, 1.1 * r0, 3 * r0):
+            assert worst(ratio) <= 3e-14, ratio
+        assert worst(r0 / 3, threshold=0.0) > 3e-14
+        assert worst(3 * r0, threshold=math.inf) > 3e-14
+
     def test_bad_order(self):
         with pytest.raises(ValueError):
             phi(0, 0.1, 0.2)
 
     @pytest.mark.parametrize("x", [1e-320, 5e-324, 4e-309])
     def test_subnormal_x_refused(self, x):
-        # With y subnormal too, -1/(rho x) and -1/(rho y) both overflow: the
+        # With y subnormal too, 1 - wbar = z/x overflows (z is near 1): the
         # closed form would give nan at (x, y) and at (y, x).
         for L in (1, 2, 6):
             with pytest.raises(ValueError, match=re.escape(f"(x, y) = ({x}, {x})")):
@@ -309,12 +402,12 @@ class TestPhi:
 
     @pytest.mark.parametrize("x", [1e-320, 5e-324, 4e-309])
     def test_subnormal_x_takes_swapped_value(self, x):
-        # phi orders its arguments x >= y, so -1/(rho x) is taken at x = 0.2 and stays finite.
+        # phi orders its arguments x >= y, so z/x is taken at x = 0.2 and stays finite.
         for L in (1, 2, 6):
             assert phi(L, x, 0.2) == phi(L, 0.2, x)
             assert math.isfinite(phi(L, x, 0.2))
         assert phi1(x, 0.2) == phi1(0.2, x)
-        assert phi(1, 1e-320, 0.2) == 1485.034107005204
+        assert phi(1, 1e-320, 0.2) == 1485.0341070052043  # 1485.0341070052043959 at 60 digits
 
     def test_smallest_finite_argument_is_finite(self):
         for L in (1, 2, 6):
