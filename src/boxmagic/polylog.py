@@ -144,8 +144,8 @@ def li_series(N: int, z: complex) -> complex:
     the imaginary parts of complex arithmetic would stay zero, so the
     result has the same bits, at a fraction of the cost.
     """
-    if abs(z) >= 1.0:
-        raise ValueError("series representation requires |z| < 1")
+    if not abs(z) < 1.0:  # also refuses a non-finite z, whose |z| is inf or nan
+        raise ValueError(f"series representation requires |z| < 1, got z = {z}")
     if z.imag == 0:
         z, total, term = z.real, 0.0, 1.0
     else:
@@ -182,7 +182,7 @@ def li_integral(N: int, z: complex) -> complex:
     if z == 0:
         return 0.0 + 0.0j
     w = cmath.log(z)
-    if abs(w) > _LOG_RADIUS:
+    if not abs(w) <= _LOG_RADIUS:  # also refuses a non-finite z, whose |ln z| is inf or nan
         raise ValueError(f"ln z expansion requires |ln z| <= {_LOG_RADIUS}, got {abs(w):.3g} at z = {z}")
     c, _ = _tables(N)
     return _horner(c, w) - w ** (N - 1) / math.factorial(N - 1) * cmath.log(-w)
@@ -198,6 +198,8 @@ def li(N: int, z: complex) -> complex:
     if N < 1:
         raise ValueError("polylogarithm order must be >= 1")
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"Li argument {z} is not finite")
     _check_branch(z)
     if N == 1:
         return -cmath.log(1.0 - z)

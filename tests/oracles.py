@@ -351,23 +351,24 @@ def validate_diagram(d: BoxDiagram) -> None:
     for v in EXTERNALS:
         if net_degree(d, v) != 1:
             raise ValueError(f"external vertex {v} has net degree {net_degree(d, v)} != 1")
-    for (a, b) in d.order:
+    order = d.order  # BoxDiagram derives it on every read
+    for (a, b) in order:
         if a == b:
             raise ValueError(f"order is not irreflexive at {a}")
-        if (b, a) in d.order:
+        if (b, a) in order:
             raise ValueError(f"order contains a 2-cycle {a} <-> {b}")
-    if transitive_closure(d.order) != d.order:
-        raise ValueError(f"order is not transitively closed: {sorted(transitive_closure(d.order) - d.order)} missing")
+    if transitive_closure(order) != order:
+        raise ValueError(f"order is not transitively closed: {sorted(transitive_closure(order) - order)} missing")
     # Each Z lies outside some cycle and each W inside one: an internal vertex below each Z, above each W.
     for v in EXTERNALS:
         below = v.startswith("Z")
-        if not any((t, v) in d.order if below else (v, t) in d.order for t in d.internals):
+        if not any((t, v) in order if below else (v, t) in order for t in d.internals):
             raise ValueError(f"no internal vertex {'below' if below else 'above'} {v}")
 
 
 def brute_force_key(d: BoxDiagram) -> tuple:
     """Least (n, solid, dashed, order) encoding over all n! internal relabellings."""
-    internals = d.internals
+    internals, order = d.internals, d.order
     best = None
     for perm in permutations(internals):
         mapping = dict(zip(internals, perm))
@@ -379,7 +380,7 @@ def brute_force_key(d: BoxDiagram) -> tuple:
             d.n,
             tuple(sorted(tuple(sorted((rn(a), rn(b)))) for (a, b) in d.solid)),
             tuple(sorted(tuple(sorted((rn(a), rn(b)))) for (a, b) in d.dashed)),
-            tuple(sorted((rn(a), rn(b)) for (a, b) in d.order)),
+            tuple(sorted((rn(a), rn(b)) for (a, b) in order)),
         )
         if best is None or key < best:
             best = key
@@ -402,8 +403,8 @@ def refinement_key(d: BoxDiagram) -> tuple:
     for edges, count in ((d.solid, solid), (d.dashed, dashed)):
         for (a, b) in edges:
             count[(a, b)] = count[(b, a)] = count.get((a, b), 0) + 1
-    internals = d.internals
-    rel = {v: {u: (solid.get((v, u), 0), dashed.get((v, u), 0), (v, u) in d.order, (u, v) in d.order)
+    internals, order = d.internals, d.order
+    rel = {v: {u: (solid.get((v, u), 0), dashed.get((v, u), 0), (v, u) in order, (u, v) in order)
                for u in EXTERNALS + internals if u != v}
            for v in internals}
     colour = {v: tuple(rel[v][x] for x in EXTERNALS) for v in internals}
@@ -427,7 +428,7 @@ def refinement_key(d: BoxDiagram) -> tuple:
             d.n,
             tuple(sorted(tuple(sorted((rn(a), rn(b)))) for (a, b) in d.solid)),
             tuple(sorted(tuple(sorted((rn(a), rn(b)))) for (a, b) in d.dashed)),
-            tuple(sorted((rn(a), rn(b)) for (a, b) in d.order)),
+            tuple(sorted((rn(a), rn(b)) for (a, b) in order)),
         )
         if best is None or key < best:
             best = key

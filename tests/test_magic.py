@@ -211,8 +211,7 @@ class TestDiagramImage:
 
     def test_history_checked(self):
         d = from_history(("Z1",))
-        broken = type(d)(n=d.n, solid=d.solid[:-1] + (("T1", "T1"),), dashed=d.dashed,
-                         order=d.order, history=d.history)
+        broken = d._replace(solid=d.solid[:-1] + (("T1", "T1"),))
         with pytest.raises(ValueError):
             diagram_image(broken, "left", 1)
 

@@ -80,6 +80,16 @@ class TestLi:
         with pytest.raises(ValueError):
             li(0, 0.5)
 
+    @pytest.mark.parametrize("fn", [li, li_series, li_integral], ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, complex(1, math.inf), complex(0.2, math.nan)],
+                             ids=repr)
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_non_finite_refused(self, fn, z, N):
+        # Li_2(nan) used to recurse through the inversion until RecursionError, li_series said
+        # "did not converge", and li and li_integral returned nan for some of these.
+        with pytest.raises(ValueError, match=re.escape(repr(z))):
+            fn(N, z)
+
 
 # Li_N test grid: the annulus 1/2 < |z| < 1, the unit circle away from
 # z = 1, the negative real axis beyond -1 (where wbar = 1 - 1/zbar lands at
