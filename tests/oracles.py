@@ -31,8 +31,10 @@ The polylogarithms, the ladder functions and the eigenvalues mu (as
 shifted Legendre moments of the loop kernel) are checked against
 one-dimensional integral representations, summed by a Gauss-Legendre
 rule after the substitution t = s^6, which tames the logarithmic
-end-point singularities; the power series of Li_N has a reference that
-runs in complex arithmetic with integer powers at every argument.
+end-point singularities (for Phi^(L) at x > 1 split near t = 1, where the
+integrand peaks); the power series of Li_N has a reference that runs in
+complex arithmetic with integer powers at every argument, and the
+Bernoulli numbers one by their defining recurrence.
 
 The quadrature grids have a reference build that evaluates exp, cos
 and sin over full meshgrids, the 4-cycle a chart of its own
@@ -585,10 +587,10 @@ def magic_failures_fraction(n: int, k_max: int) -> list[str]:
 
 
 def li_series_complex(N: int, z: complex, tol: float = 1e-17, max_terms: int = 10_000) -> complex:
-    """sum_{j>=1} z^j / j^N in complex arithmetic with integer powers j**N at every z.
+    """sum_{j>=1} z^j / j^N in complex arithmetic with integer powers j**N at every z, term by term.
 
-    The reference for `polylog.li_series`, which runs real z in float
-    arithmetic and divides by a table of float(j**N); the two must give
+    A reference for `polylog.li_series`, which sums a fixed number of terms
+    by Horner's rule; where one term decides the sum (huge N) the two give
     the same bits.
     """
     if abs(z) >= 1.0:
@@ -605,8 +607,38 @@ def li_series_complex(N: int, z: complex, tol: float = 1e-17, max_terms: int = 1
     raise RuntimeError("polylogarithm series did not converge")
 
 
+def bernoulli_recurrence(m: int) -> tuple[Fraction, ...]:
+    """Bernoulli numbers B_0..B_m (B_1 = -1/2) by sum_{k<=n} C(n+1, k) B_k = 0, exact.
+
+    The reference for `polylog._bernoulli`, which takes them from the tangent numbers.
+    """
+    b = [Fraction(1)]
+    for n in range(1, m + 1):
+        b.append(-sum(math.comb(n + 1, k) * b[k] for k in range(n)) / (n + 1))
+    return tuple(b)
+
+
 _GL_NODES = 400
 _GL_POWER = 6
+
+
+@cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the _GL_NODES-point Gauss-Legendre rule on [-1, 1].
+
+    numpy's nodes after two Newton steps on P_n, and the weights
+    2 / ((1 - x^2) P_n'(x)^2) at them: numpy's own weights are only good to
+    about 1e-13 at 400 nodes (the x^2 moment is 3.5e-14 off), these to 1e-16.
+    """
+    x, _ = np.polynomial.legendre.leggauss(_GL_NODES)
+    for step in range(3):
+        p0, p1 = np.ones_like(x), x  # P_(k-1), P_k at the nodes
+        for k in range(2, _GL_NODES + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = _GL_NODES * (x * p1 - p0) / (x * x - 1.0)
+        if step < 2:
+            x = x - p1 / dp
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
 
 
 @cache
@@ -615,7 +647,7 @@ def _gauss_legendre_01() -> tuple[np.ndarray, np.ndarray]:
 
     The arrays are shared by every caller and marked read-only.
     """
-    x, w = np.polynomial.legendre.leggauss(_GL_NODES)
+    x, w = _gauss_legendre()
     s = 0.5 * (x + 1.0)
     t, wt = s**_GL_POWER, 0.5 * w * _GL_POWER * s ** (_GL_POWER - 1)
     t.flags.writeable = wt.flags.writeable = False
@@ -634,14 +666,27 @@ def phi_oracle(L: int, x, y) -> np.ndarray:
 
     Phi^(L) = -1/(L!(L-1)!) Int_0^1 ln^(L-1)(t) (ln(y/x) + ln t)^(L-1)
               (ln(y/x) + 2 ln t) / (y t^2 + (1-x-y) t + x) dt.
+
+    The integrand peaks within about 1/sqrt(x) of t = 1, so for x > 1 the
+    rule is split at t0 = 1 - 1/sqrt(x): the rule of `li_oracle` scaled to
+    [0, t0] and a plain Gauss-Legendre rule on [t0, 1], which carries
+    1 - t itself, so that ln t = log1p(-(1 - t)) and the denominator
+    (1 - t)(x - y t) + t lose nothing near t = 1.  Unsplit (t0 = 1 for
+    x <= 1, where the second part has zero weight) the rule loses accuracy
+    at large x: 1.4e-12 at (100, 1).
     """
     t, w = _gauss_legendre_01()
+    g, gw = _gauss_legendre()
     x = np.atleast_1d(np.asarray(x, dtype=float))[:, None]
     y = np.atleast_1d(np.asarray(y, dtype=float))[:, None]
-    lt = np.log(t)[None, :]
+    d0 = np.where(x > 1.0, 1.0 / np.sqrt(np.maximum(x, 1.0)), 0.0)  # 1 - t0
+    t0 = 1.0 - d0
+    d = np.concatenate([1.0 - t0 * t, d0 * 0.5 * (1.0 - g)], axis=1)  # 1 - t
+    t, w = np.concatenate([t0 * t, t0 + d0 * 0.5 * (1.0 + g)], axis=1), np.concatenate([t0 * w, d0 * 0.5 * gw], axis=1)
+    lt = np.where(d < 0.5, np.log1p(-np.minimum(d, 0.5)), np.log(t))
     lyx = np.log(y / x)
-    f = lt ** (L - 1) * (lyx + lt) ** (L - 1) * (lyx + 2.0 * lt) / (y * t * t + (1.0 - x - y) * t + x)
-    return -(f @ w) / (math.factorial(L) * math.factorial(L - 1))
+    f = lt ** (L - 1) * (lyx + lt) ** (L - 1) * (lyx + 2.0 * lt) / (d * (x - y * t) + t)
+    return -(f * w).sum(axis=1) / (math.factorial(L) * math.factorial(L - 1))
 
 
 def mu_legendre(n: int, k: int) -> float:

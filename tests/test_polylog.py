@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from boxmagic import polylog
 from boxmagic.polylog import li, li_integral, li_series, phi, phi1, phi2
-from oracles import li_oracle, li_series_complex, phi_oracle
+from oracles import bernoulli_recurrence, li_oracle, li_series_complex, phi_oracle
 
 # 50-digit reference values from an independent multiprecision evaluation
 # of the same formulas.
@@ -80,6 +80,12 @@ class TestLi:
         with pytest.raises(ValueError):
             li(0, 0.5)
 
+    def test_bernoulli_numbers_match_recurrence(self):
+        # The tables take B_0..B_m from the tangent numbers; the defining recurrence gives the same Fractions.
+        want = bernoulli_recurrence(200)
+        for m in range(201):
+            assert polylog._bernoulli(m) == want[: m + 1], m
+
     @pytest.mark.parametrize("fn", [li, li_series, li_integral], ids=lambda fn: fn.__name__)
     @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, complex(1, math.inf), complex(0.2, math.nan)],
                              ids=repr)
@@ -106,26 +112,31 @@ LI_GRID = ANNULUS + UNIT_CIRCLE + NEGATIVE_AXIS + OUTSIDE
 PHI_POINTS = [(0.1, 0.2), (0.2, 0.1), (0.7, 0.0025), (0.0025, 0.7), (0.01, 0.3), (0.05, 0.05), (0.2, 0.3)]
 
 # Phi test points outside that region, x >= y (where the integral oracle holds): a grid over
-# lambda^2 < 0 and over x + y > 1 with lambda^2 > 0, x up to 30, where `phi_oracle` is good to
-# 5e-13, and the points first measured there.  The form agrees with the oracle to 1.4e-12 at
-# x = 100, y <= 5, the oracle's own limit.
-NEW_DOMAIN = [(x, q * x) for x in (0.3, 0.6, 1.0, 2.0, 5.0, 10.0, 30.0) for q in (0.01, 0.05, 0.3, 0.7, 1.0)
-              if (1 - x - q * x) ** 2 < 4 * q * x * x or x + q * x > 1]
+# lambda^2 < 0 and over x + y > 1 with lambda^2 > 0, x up to 1000, and the points first measured
+# there.  `phi_oracle`, split near t = 1 for x > 1, is within 9e-16 of the integral in mpmath at
+# x = 30 .. 1000; at x = 100 .. 1000 w = 1 - 1/z lies within 0.1 of 1.
+NEW_DOMAIN = [(x, q * x) for x in (0.3, 0.6, 1.0, 2.0, 5.0, 10.0, 30.0, 100.0, 300.0, 1000.0)
+              for q in (0.01, 0.05, 0.3, 0.7, 1.0) if (1 - x - q * x) ** 2 < 4 * q * x * x or x + q * x > 1]
 NEW_DOMAIN += [(0.26, 0.25), (1.2, 0.05), (100.0, 80.0)]
 
 
 def _li_arguments(monkeypatch, points) -> list[tuple[int, complex]]:
-    """(N, z) of every li call that phi(L, x, y) makes, L = 1..6, over the points."""
-    seen, li_ = [], polylog.li
+    """(N, z) of every Li_N that phi(L, x, y) hands on, L = 1..6, over the points: complex z to
+    `li`, real z (where lambda^2 >= 0) to the float path `_li_real`."""
+    seen = []
 
-    def recording(N, z):
-        seen.append((N, complex(z)))
-        return li_(N, z)
+    def recording(f):
+        def call(N, z):
+            seen.append((N, z))
+            return f(N, z)
+        return call
 
-    monkeypatch.setattr(polylog, "li", recording)
-    for L in range(1, 7):
-        for x, y in points:
-            phi(L, x, y)
+    with monkeypatch.context() as patch:
+        patch.setattr(polylog, "li", recording(polylog.li))
+        patch.setattr(polylog, "_li_real", recording(polylog._li_real))
+        for L in range(1, 7):
+            for x, y in points:
+                phi(L, x, y)
     return seen
 
 
@@ -142,6 +153,18 @@ class TestLiOracle:
             for z in LI_GRID[::3]:
                 want = complex(mpmath.polylog(N, z))
                 assert abs(li(N, z) - want) <= 1e-13 * abs(want), (N, z)
+
+    def test_negative_axis_mpmath(self):
+        # Where the ln z expansion once ran at |ln z| near pi and met the inversion (up to 8.3e-15,
+        # at (4, -0.582)): the float path takes the duplication relation on [-1, -1/2) and the
+        # inversion below -1.  Worst measured: 6.8e-16.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for N in range(2, 7):
+                for x in [-1.1 + 0.005 * i for i in range(121)] + [-1.0]:
+                    want = mpmath.polylog(N, x)
+                    got = li(N, x)
+                    assert got.imag == 0 and abs(got.real - want) <= 1.5e-15 * abs(want), (N, x)
 
 
 def _bits(z: complex) -> tuple[str, str]:
@@ -163,19 +186,34 @@ SERIES_GRID = (
 class TestLiSeries:
     @pytest.mark.parametrize("N", [1, 2, 3, 4, 7, 12, 40])
     def test_bits_match_complex_loop(self, N):
+        # On the real axis the float Horner loop keeps the bits of the real part of the complex one.
         for z in SERIES_GRID:
-            got, want = li_series(N, z), li_series_complex(N, z)
+            got = li_series(N, z)
             assert isinstance(got, complex)
-            assert _bits(got) == _bits(want), (N, z)
+            if complex(z).imag == 0:
+                x = complex(z).real
+                assert _bits(got) == _bits(complex(polylog._series(N, complex(x), abs(x)).real)), (N, z)
 
     def test_ladder_arguments_bits(self, monkeypatch):
-        # The arguments phi hands to li, w = 1 - 1/z and wbar = 1 - 1/zbar: real where lambda^2 >= 0,
-        # complex conjugates where it is negative.  Inside the series disc they keep the complex loop's bits.
+        # The arguments phi hands on, w = 1 - 1/z and wbar = 1 - 1/zbar: real where lambda^2 >= 0,
+        # complex conjugates where it is negative.  The real ones inside the series disc keep the
+        # bits of the complex Horner loop's real part.
         seen = _li_arguments(monkeypatch, PHI_POINTS + NEW_DOMAIN)
-        assert any(z.imag == 0 for _, z in seen) and any(z.imag != 0 for _, z in seen)
+        assert any(isinstance(z, float) for _, z in seen) and any(isinstance(z, complex) for _, z in seen)
         for N, z in seen:
-            if N >= 2 and abs(z) <= 0.5:  # Li_1 is a closed form
-                assert _bits(li(N, z)) == _bits(li_series_complex(N, complex(z))), (N, z)
+            if isinstance(z, float) and N >= 2 and abs(z) <= 0.5:  # Li_1 is a closed form
+                assert _bits(li(N, z)) == _bits(complex(polylog._series(N, complex(z), abs(z)).real)), (N, z)
+
+    def test_mpmath(self):
+        # Horner's rule over a term count fixed from |z|: within 2.8e-16 measured, where the
+        # term-by-term loop of `li_series_complex` reaches 2.1e-15.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for N in (1, 2, 3, 4, 7, 12, 40):
+                for z in SERIES_GRID:
+                    if abs(z) < 0.95:  # mpmath's Li_1 is -ln(1 - z), which loses a subnormal z
+                        want = complex(-mpmath.log1p(-z) if N == 1 else mpmath.polylog(N, z))
+                        assert abs(li_series(N, z) - want) <= 5e-16 * abs(want), (N, z)
 
     def test_huge_orders(self):
         # The table reaches 3**700, which overflows a float; the series ends at j = 2.

@@ -71,6 +71,11 @@ with tempfile.TemporaryDirectory() as tmp:
         ["phi", "--level", "2", "--x", "0.01", "--y", "0.5"],
         ["phi", "--level", "3", "--x", "0.1", "--y", "0.2"],
         ["phi", "--level", "4", "--x", "1e-320", "--y", "0.2"],
+        # lambda^2 < 0: w and wbar are complex, |w| = sqrt(y/x), and phi hands them to li, which
+        # takes the ln z expansion at |w| = 1 and the power series at |w| = 0.45.  Every real
+        # argument above stays on the float path.
+        ["phi", "--level", "2", "--x", "0.6", "--y", "0.6"],
+        ["phi", "--level", "2", "--x", "1", "--y", "0.2"],
         # The one failing command, exit 2: N(Z - W) N(Z - W') flushes to zero at this
         # radius, and the kernel pass names the first non-finite integrand and its node.
         ["verify", "lemma-zp", "--radius", "1e-100", "--nodes", "8"],
