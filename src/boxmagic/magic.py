@@ -155,14 +155,10 @@ def diagram_image(d, side: str, k: int) -> tuple[Fraction, ...]:
     rows 1/(p+1) sum_q (w11)^(p-q) (w'11)^q; the left image is the reversal.
     `d` is a `diagrams.BoxDiagram`.
     """
-    from .diagrams import from_history
-
     if side not in SIDES:
         raise ValueError(f"unsupported generator family {side!r}")
     if k < 0:
         raise ValueError("generator degree must be >= 0")
-    if from_history(d.history).solid != d.solid:
-        raise ValueError("diagram history does not reproduce the diagram")
     images = [_a_numerators(1, p)[0] for p in range(k + 1)]
     for m, site in enumerate(d.history, start=1):
         if site.startswith("W"):

@@ -248,10 +248,19 @@ def li_integral(N: int, z: complex) -> complex:
     return complex(_expansion(N, w, 0))
 
 
+def _log1m(z):
+    """ln(1 - z), float for float z < 1: log1p keeps the digits of a small |z|; cmath.log(1 - z) those near z = 1."""
+    if isinstance(z, float):
+        return math.log1p(-z)
+    if abs(z) < 0.5:  # ln|1 - z| = log1p(x (x - 2) + y^2) / 2, whose argument rounds to -1 near z = 1
+        return complex(0.5 * math.log1p(z.real * (z.real - 2.0) + z.imag**2), math.atan2(-z.imag, 1.0 - z.real))
+    return cmath.log(1.0 - z)
+
+
 def _li_real(N: int, x: float) -> float:
     """Li_N(x) for real x < 1 in float arithmetic: the series, the ln x expansion, duplication or inversion."""
     if N == 1:
-        return -math.log1p(-x)
+        return -_log1m(x)
     if -_SERIES_RADIUS <= x <= _SERIES_RADIUS:
         return _series(N, x, abs(x))
     if x > 0.0:
@@ -268,7 +277,7 @@ def _li_real(N: int, x: float) -> float:
 def li(N: int, z: complex) -> complex:
     """Principal-branch polylogarithm Li_N(z) for integer N >= 1.
 
-    Li_1(z) = -ln(1-z) in closed form; otherwise the power series for
+    Li_1(z) = -ln(1-z) in closed form (`_log1m`); otherwise the power series for
     |z| <= 1/2, the ln z expansion for 1/2 < |z| <= 1 and the inversion
     relation for |z| > 1.  A real z runs in float arithmetic, with the
     duplication relation for -1 <= z < -1/2.
@@ -279,10 +288,10 @@ def li(N: int, z: complex) -> complex:
     if not cmath.isfinite(z):
         raise ValueError(f"Li argument {z} is not finite")
     _check_branch(z)
-    if N == 1:
-        return -cmath.log(1.0 - z)
     if z.imag == 0:
         return complex(_li_real(N, z.real))
+    if N == 1:
+        return -_log1m(z)
     r = abs(z)
     if r <= _SERIES_RADIUS:
         return li_series(N, z)
@@ -297,14 +306,9 @@ def _li_one_minus(N: int, u: complex) -> tuple[complex, float]:
 
     A float u (0 < u, where lambda^2 >= 0) runs in float arithmetic.
     """
-    real = isinstance(u, float)
     if abs(u) >= 0.5:
-        return (_li_real(N, 1.0 - u) if real else li(N, 1.0 - u)), 0.0
-    if real:
-        v = math.log1p(-u)
-    else:
-        v = complex(0.5 * math.log1p(u.real * (u.real - 2.0) + u.imag**2), math.atan2(-u.imag, 1.0 - u.real))  # ln(1-u)
-    return _expansion(N, v, 1), _tables(N)[0][0]
+        return (_li_real(N, 1.0 - u) if isinstance(u, float) else li(N, 1.0 - u)), 0.0
+    return _expansion(N, _log1m(u), 1), _tables(N)[0][0]
 
 
 def phi(L: int, x: float, y: float) -> float:

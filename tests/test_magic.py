@@ -210,10 +210,11 @@ class TestDiagramImage:
             diagram_image(one_loop(), "middle", 2)
 
     def test_history_checked(self):
-        d = from_history(("Z1",))
-        broken = d._replace(solid=d.solid[:-1] + (("T1", "T1"),))
-        with pytest.raises(ValueError):
-            diagram_image(broken, "left", 1)
+        # The fold reads the history alone, and the type checks its sites before any fold runs.
+        with pytest.raises(ValueError, match="got 'T1'"):
+            diagram_image(diagrams.BoxDiagram(("Z1", "T1")), "left", 1)
+        d = from_history(("Z1", "W2"))
+        assert diagram_image(d, "left", 3) == image_by_history_fraction(d.history, "left", 3)
 
 
 class TestEigenvalueExtract:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 import re
 
 import numpy as np
@@ -153,6 +154,19 @@ class TestLiOracle:
             for z in LI_GRID[::3]:
                 want = complex(mpmath.polylog(N, z))
                 assert abs(li(N, z) - want) <= 1e-13 * abs(want), (N, z)
+
+    def test_li1_mpmath(self):
+        # Li_1(z) = -ln(1 - z): rounding 1 - z drops the digits of a small |z| (li(1, 1e-20) once
+        # returned -0, and li(1, 1e-20 + 1e-20j) was 0.71 off), so li takes log1p there and
+        # cmath.log(1 - z) near z = 1, where log1p's argument rounds to -1.
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(17)
+        points = [1e-20, 1e-9, -1e-9, 1e-20 + 1e-20j, 1e-9 + 1e-12j, 1e-12j, 1 + 1e-10j, 1 - 1e-8 + 1e-8j, -2.5]
+        points += [complex(rng.uniform(-r, r), rng.uniform(-r, r)) for r in (0.5, 3.0) for _ in range(300)]
+        with mpmath.workdps(40):
+            for z in points:
+                want = -mpmath.log1p(-mpmath.mpmathify(z))
+                assert abs(li(1, z) - want) <= 1e-15 * abs(want), z
 
     def test_negative_axis_mpmath(self):
         # Where the ln z expansion once ran at |ln z| near pi and met the inversion (up to 8.3e-15,

@@ -34,7 +34,6 @@ STAYING = {
     "polylog.phi2": BENCHMARK,
     "quadrature.one_loop_eval": "ROADMAP item 2 compares it with the closed form in a `nested` check",
     "diagrams.BoxDiagram.order": "perfbench/worker.py:65 digests sorted(d.order) (ROADMAP item 9)",
-    "diagrams._close_at": "BoxDiagram.order closes with it for perfbench/worker.py:65 (ROADMAP item 9)",
 }
 
 # Runs each command through main() under a profiler and prints, as JSON,
