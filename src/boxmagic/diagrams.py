@@ -41,7 +41,6 @@ __all__ = [
     "ADJACENT",
     "MAX_LOOPS",
     "BoxDiagram",
-    "one_loop",
     "attach_slingshot",
     "from_history",
     "canonical_key",
@@ -98,11 +97,18 @@ class BoxDiagram(namedtuple("BoxDiagram", "history")):
     __slots__ = ()
 
     def __new__(cls, history: tuple[str, ...] = ()):
-        self = super().__new__(cls, tuple(history))
-        for site in self.history:
+        return cls._make((history,))
+
+    @classmethod
+    def _make(cls, iterable):
+        """namedtuple's `_make`, which the constructor and `_replace` call: it refuses any site that is not
+        one of EXTERNALS, so no construction path skips the check."""
+        (history,) = iterable
+        history = tuple(history)
+        for site in history:
             if site not in EXTERNALS:
                 raise ValueError(f"site must be one of {EXTERNALS}, got {site!r}")
-        return self
+        return tuple.__new__(cls, (history,))
 
     @property
     def n(self) -> int:
@@ -127,11 +133,6 @@ class BoxDiagram(namedtuple("BoxDiagram", "history")):
         chain = [t for t, s in reversed(sites) if s[0] == "W"] + ["T1"] + [t for t, s in sites if s[0] == "Z"]
         levels = [("W1", "W2"), *((t,) for t in chain), ("Z1", "Z2")]
         return frozenset((a, b) for i, low in enumerate(levels) for high in levels[i + 1:] for a in low for b in high)
-
-
-def one_loop() -> BoxDiagram:
-    """The one-loop diagram: T1 joined to all four externals, W1, W2 < T1 < Z1, Z2."""
-    return BoxDiagram(())
 
 
 def attach_slingshot(d: BoxDiagram, site: str) -> BoxDiagram:
@@ -180,7 +181,8 @@ def enumerate_diagrams(n: int) -> list[BoxDiagram]:
         raise ValueError("loop count must be >= 1")
     if n > MAX_LOOPS:
         raise ValueError(f"enumeration supports at most {MAX_LOOPS} loops")
-    current = {canonical_key(one_loop()): one_loop()}
+    start = BoxDiagram()
+    current = {canonical_key(start): start}
     for _ in range(n - 1):
         nxt: dict[object, BoxDiagram] = {}
         for d in current.values():

@@ -60,7 +60,7 @@ from itertools import accumulate
 
 __all__ = [
     "MagicReport", "a_table", "mu_table", "ladder_image", "diagram_image", "verify_magic",
-    "fraction_str", "fraction_decimal", "mu_table_payload", "a_table_payload", "payload_to_csv", "payload_to_json",
+    "fraction_str", "fraction_decimal", "mu_table_payload", "a_table_payload", "payload_to_json",
 ]
 
 SIDES = ("left", "right")
@@ -225,40 +225,21 @@ def fraction_decimal(x: Fraction) -> str:
         return str(Decimal(x.numerator) / Decimal(x.denominator))
 
 
+def _table_payload(schema: str, head: dict, key: str, rows) -> dict:
+    """A table payload: `schema`, the `head` fields, then one {key: i, exact, decimal} row per (i, value) in `rows`."""
+    values = [{key: i, "exact": fraction_str(v), "decimal": fraction_decimal(v)} for i, v in rows]
+    return {"schema": schema, **head, "values": values}
+
+
 def mu_table_payload(n: int, k_max: int) -> dict:
-    return {
-        "schema": "boxmagic.mu-table/1",
-        "loops": n,
-        "k_max": k_max,
-        "values": [
-            {"k": k, "exact": fraction_str(v), "decimal": fraction_decimal(v)}
-            for k, v in enumerate(mu_table(n, k_max), start=1)
-        ],
-    }
+    return _table_payload("boxmagic.mu-table/1", {"loops": n, "k_max": k_max}, "k", enumerate(mu_table(n, k_max), 1))
 
 
 def a_table_payload(n: int, k: int) -> dict:
-    return {
-        "schema": "boxmagic.a-table/1",
-        "loops": n,
-        "k": k,
-        "values": [
-            {"p": p, "exact": fraction_str(v), "decimal": fraction_decimal(v)}
-            for p, v in enumerate(a_table(n, k))
-        ],
-    }
-
-
-def payload_to_csv(payload: dict) -> str:
-    """CSV rendering of a mu- or a-table payload (exact and decimal columns)."""
-    key = "k" if payload["schema"].startswith("boxmagic.mu-table") else "p"
-    lines = [f"{key},exact,decimal"]
-    for row in payload["values"]:
-        lines.append(f'{row[key]},{row["exact"]},{row["decimal"]}')
-    return "\n".join(lines) + "\n"
+    return _table_payload("boxmagic.a-table/1", {"loops": n, "k": k}, "p", enumerate(a_table(n, k)))
 
 
 def payload_to_json(payload: dict) -> str:
     import json
 
-    return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+    return json.dumps(payload, indent=2) + "\n"

@@ -55,9 +55,10 @@ class TestMu:
         assert [row["exact"] for row in payload["values"]] == ["1/1", "0/1", "0/1"]
 
     def test_csv(self, capsys):
-        code, out, _ = run(capsys, "mu", "--loops", "2", "--k-max", "2", "--format", "csv")
+        code, out, _ = run(capsys, "mu", "--loops", "2", "--k-max", "5", "--format", "csv")
         assert code == 0
         assert out.splitlines()[0] == "k,exact,decimal"
+        assert "5,1/20,0.05" in out.splitlines()
 
     def test_range_violation_exit_2(self, capsys):
         code, _, err = run(capsys, "mu", "--loops", "99", "--k-max", "3")
@@ -299,6 +300,30 @@ class TestPhi:
             assert code == 2
             assert out == ""
             assert "finite" in err
+
+
+# Each report command in every format it takes, and a verify run that fails (exit 1).
+OUT_CASES = [
+    *((("mu", "--loops", "2", "--k-max", "5", "--format", f), 0) for f in ("text", "json", "csv")),
+    *((("acoeff", "--loops", "3", "--k", "4", "--format", f), 0) for f in ("text", "json", "csv")),
+    (("magic", "--loops", "3", "--k-max", "4"), 0),
+    (("magic", "--loops", "3", "--k-max", "4", "--json"), 0),
+    (("verify", "normalization", "--nodes", "8"), 0),
+    (("verify", "normalization", "--nodes", "8", "--json"), 0),
+    (("verify", "normalization", "--nodes", "8", "--tol", "1e-300"), 1),
+    (("verify", "normalization", "--nodes", "8", "--tol", "1e-300", "--json"), 1),
+]
+
+
+class TestOut:
+    @pytest.mark.parametrize("argv, expected", OUT_CASES, ids=[" ".join(a) for a, _ in OUT_CASES])
+    def test_file_holds_what_stdout_would(self, capsys, tmp_path, argv, expected):
+        # With --out the report goes to the file alone, byte for byte, and the exit code stays.
+        code, printed, _ = run(capsys, *argv)
+        assert code == expected and printed
+        path = tmp_path / "report"
+        assert run(capsys, *argv, "--out", str(path)) == (expected, "", "")
+        assert path.read_text(encoding="utf-8") == printed
 
 
 # (argv, exit code): usage errors exit 2, a check that really fails exits 1.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import pickle
 import random
 from collections import Counter, namedtuple
 from itertools import product
@@ -19,7 +20,6 @@ from boxmagic.diagrams import (
     canonical_key,
     enumerate_diagrams,
     from_history,
-    one_loop,
     to_dot,
 )
 from boxmagic.magic import verify_magic
@@ -46,7 +46,7 @@ class Ordered(namedtuple("Ordered", "n solid dashed order history", defaults=(()
 
 class TestOneLoop:
     def test_structure(self):
-        d = one_loop()
+        d = BoxDiagram()
         validate_diagram(d)
         assert d.n == 1
         assert len(d.dashed) == 0
@@ -54,12 +54,12 @@ class TestOneLoop:
 
     def test_integrand_factors(self):
         # Solid edges are the 1/N factors of the integrand, dashed edges the N factors.
-        d = one_loop()
+        d = BoxDiagram()
         assert set(d.solid) == {("T1", "W1"), ("T1", "W2"), ("T1", "Z1"), ("T1", "Z2")}
         assert d.dashed == ()
 
     def test_order(self):
-        d = one_loop()
+        d = BoxDiagram()
         assert ("W1", "T1") in d.order and ("T1", "Z2") in d.order
         assert ("W1", "Z1") in d.order  # transitive closure
 
@@ -67,7 +67,7 @@ class TestOneLoop:
 class TestSlingshot:
     def test_two_loop_ladder_integrand(self):
         # Attaching at W2 must reproduce the two-loop ladder factor list.
-        d = attach_slingshot(one_loop(), "W2")
+        d = attach_slingshot(BoxDiagram(), "W2")
         validate_diagram(d)
         assert sorted(d.solid) == sorted(
             [("T1", "Z1"), ("T1", "Z2"), ("T1", "W1"), ("T1", "T2"),
@@ -78,31 +78,31 @@ class TestSlingshot:
     def test_carried_order_gives_nested_radii(self):
         # Attaching at Z2: the old relation W2 < T1 < Z2 carries over as
         # T1 < T2, so the cycle of T1 lies inside that of T2.
-        d = attach_slingshot(one_loop(), "Z2")
+        d = attach_slingshot(BoxDiagram(), "Z2")
         assert ("T1", "T2") in d.order
 
     def test_attach_w2_order(self):
-        d = attach_slingshot(one_loop(), "W2")
+        d = attach_slingshot(BoxDiagram(), "W2")
         assert ("T2", "T1") in d.order
         assert ("W1", "T2") in d.order and ("W2", "T2") in d.order and ("T2", "Z1") in d.order
 
     def test_two_distinct_two_loop_diagrams(self):
-        keys = {canonical_key(attach_slingshot(one_loop(), s)) for s in EXTERNALS}
+        keys = {canonical_key(attach_slingshot(BoxDiagram(), s)) for s in EXTERNALS}
         assert len(keys) == 2
 
     def test_z2_and_w2_give_isomorphic_diagrams(self):
-        kz = canonical_key(attach_slingshot(one_loop(), "Z2"))
-        kw = canonical_key(attach_slingshot(one_loop(), "W2"))
+        kz = canonical_key(attach_slingshot(BoxDiagram(), "Z2"))
+        kw = canonical_key(attach_slingshot(BoxDiagram(), "W2"))
         assert kz == kw
 
     def test_z1_and_w2_give_distinct_diagrams(self):
-        kz = canonical_key(attach_slingshot(one_loop(), "Z1"))
-        kw = canonical_key(attach_slingshot(one_loop(), "W2"))
+        kz = canonical_key(attach_slingshot(BoxDiagram(), "Z1"))
+        kw = canonical_key(attach_slingshot(BoxDiagram(), "W2"))
         assert kz != kw
 
     def test_invariants_through_five_loops(self):
         # Degree/count invariants hold after every attachment sequence.
-        frontier = [one_loop()]
+        frontier = [BoxDiagram()]
         for _ in range(4):
             nxt = []
             for d in frontier[:16]:
@@ -115,17 +115,35 @@ class TestSlingshot:
     def test_bad_site_rejected(self):
         # The sites are the one input from outside, and the type checks every one of them.
         with pytest.raises(ValueError):
-            attach_slingshot(one_loop(), "T1")
+            attach_slingshot(BoxDiagram(), "T1")
         message = r"site must be one of \('Z1', 'Z2', 'W1', 'W2'\), got 'X1'"
         with pytest.raises(ValueError, match=message):
             BoxDiagram(("X1",))
         with pytest.raises(ValueError, match=message):
             attach_slingshot(from_history(("Z2", "W1")), "X1")
 
+    def test_every_construction_path_refuses_a_bad_site(self):
+        # namedtuple's _make and _replace, and unpickling, build a diagram too: each of them
+        # refuses "X1" with the constructor's message, so canonical_key never meets a bare KeyError.
+        d = BoxDiagram(("Z1",))
+        paths = {
+            "constructor": lambda: BoxDiagram(("X1",)),
+            "_make": lambda: BoxDiagram._make([("X1",)]),
+            "_replace": lambda: d._replace(history=("X1",)),
+            "attach_slingshot": lambda: attach_slingshot(d, "X1"),
+            "from_history": lambda: from_history(("Z1", "X1")),
+            "pickle": lambda: pickle.loads(pickle.dumps(d).replace(b"Z1", b"X1")),
+        }
+        for build in paths.values():
+            with pytest.raises(ValueError, match=r"^site must be one of \('Z1', 'Z2', 'W1', 'W2'\), got 'X1'$"):
+                build()
+        assert d._replace(history=["W2"]) == BoxDiagram(("W2",)) == BoxDiagram._make([["W2"]])
+        assert pickle.loads(pickle.dumps(d)) == d
+
 
 class TestOrderClosure:
     def test_one_loop_matches_fixpoint_oracle(self):
-        assert one_loop().order == transitive_closure(_ONE_LOOP_RELATIONS)
+        assert BoxDiagram().order == transitive_closure(_ONE_LOOP_RELATIONS)
 
     def test_reference_relations_follow_the_letter_rule(self):
         # The new vertex lies above the W's and below the Z's of {site} and ADJACENT[site], and
@@ -144,7 +162,7 @@ class TestOrderClosure:
         # Every attachment to every history of at most five sites, so every
         # diagram up to seven loops: the order is the fixpoint closure of the
         # renamed parent order plus the attachment's new relations.
-        frontier = [one_loop()]
+        frontier = [BoxDiagram()]
         attached = 0
         for _ in range(6):
             children = []
@@ -177,7 +195,7 @@ class TestOrderClosure:
             assert ends <= set(d.solid), history
 
     def test_validate_rejects_open_order(self):
-        d = attach_slingshot(one_loop(), "W2")
+        d = attach_slingshot(BoxDiagram(), "W2")
         validate_diagram(d)
         assert ("W1", "T2") in d.order and ("T2", "T1") in d.order
         broken = Ordered(d.n, d.solid, d.dashed, d.order - {("W1", "T1")})
@@ -188,7 +206,7 @@ class TestOrderClosure:
     def test_validate_rejects_external_outside_every_cycle_order(self, v):
         # Dropping the one-loop relation between T1 and v leaves a closed, strict order
         # in which no cycle separates v: no internal vertex lies below a Z or above a W.
-        d = one_loop()
+        d = BoxDiagram()
         broken = Ordered(d.n, d.solid, d.dashed, frozenset(r for r in d.order if set(r) != {"T1", v}))
         validate_diagram(broken._replace(order=d.order))
         with pytest.raises(ValueError, match=f"no internal vertex (below|above) {v}"):
@@ -229,7 +247,7 @@ def _variants(rng: random.Random, d: Ordered) -> list[Ordered]:
 
 class TestCanonicalKey:
     def test_stable_for_one_loop(self):
-        assert canonical_key(one_loop()) == canonical_key(one_loop())
+        assert canonical_key(BoxDiagram()) == canonical_key(BoxDiagram())
 
     def test_internal_relabeling_invariance(self):
         ladder3 = from_history(("Z2", "Z2"))
@@ -260,7 +278,7 @@ class TestCanonicalKey:
         # slingshot to isomorphic diagrams gives isomorphic diagrams; so by
         # induction each history has a child tried here with its key and its
         # class.
-        diagrams_seen = [one_loop()]
+        diagrams_seen = [BoxDiagram()]
         diagrams_seen += [attach_slingshot(d, s) for n in range(1, MAX_LOOPS) for d in enumerate_diagrams(n)
                           for s in EXTERNALS]
         assert len(diagrams_seen) == 4485
@@ -300,7 +318,7 @@ class TestCanonicalKey:
         assert (again.n, again.solid, again.dashed, again.order) == (d.n, d.solid, d.dashed, d.order)
 
     def test_size_limit(self):
-        d = one_loop()
+        d = BoxDiagram()
         for _ in range(MAX_LOOPS):
             d = attach_slingshot(d, "Z2")
         assert d.n == MAX_LOOPS + 1 == 9
@@ -379,7 +397,7 @@ class TestEnumeration:
 
 class TestDot:
     def test_export_shape(self):
-        d = attach_slingshot(one_loop(), "W2")
+        d = attach_slingshot(BoxDiagram(), "W2")
         dot = to_dot(d, "g")
         assert dot.startswith("graph g {")
         assert '"Z1" [shape=box];' in dot

@@ -29,6 +29,7 @@ BENCHMARK = "perfbench/spans.py wraps it by name for `--trace 1`, or perfbench/w
 STAYING = {
     "magic.ladder_image": BENCHMARK,
     "magic.diagram_image": BENCHMARK,
+    "magic.payload_to_json": BENCHMARK,
     "diagrams.from_history": BENCHMARK,
     "polylog.phi1": BENCHMARK,
     "polylog.phi2": BENCHMARK,
