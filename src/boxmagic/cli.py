@@ -40,6 +40,14 @@ MAX_K = 64
 # equal); listed here so that building the parser does not import numpy.
 SUITES = ("normalization", "poisson", "lemma-zp", "collapse", "orthogonality", "conformal")
 
+# What `boxmagic --help` says above the commands; the module docstring is for developers.
+DESCRIPTION = """\
+Exact eigenvalue and coefficient tables, box diagrams, the magic identities,
+quadrature checks and the ladder functions Phi^(L) of the conformal four-point
+integrals.  `boxmagic COMMAND --help` lists the options of a command.
+
+Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors."""
+
 
 def _positive(text: str) -> float:
     """argparse type: a finite number > 0."""
@@ -212,8 +220,7 @@ def _cmd_phi(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(prog="boxmagic", description=__doc__,
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p = _Parser(prog="boxmagic", description=DESCRIPTION, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
     mu = sub.add_parser("mu", help="exact eigenvalue table")

@@ -9,14 +9,14 @@ of q (`_phases`).  Every row is homogeneous, of one degree d = 2l + 2k
 (`_degree`, which both passes call), so f(lam q) = lam^d f(q): a
 pole-free row's U(2)_R sum is its S^3 sum times a phase sum (`_gram`).
 For a kernel row f(Z) / prod_P N(Z - P), N(lam q - P) = lam^2 N(q) -
-lam B_P(q) + N(P) with B_P linear in q; so the powers of the entries
-(`tbasis.EntryPowers`), every f and every B_P are built once per node
-block, and the loop over the phases forms only denominators (`integrate`).
-Both passes build the nodes block by block from n x n chart tables
-(`_blocks`) and hold the values of one block of GRAM_BLOCK nodes, so their
-memory does not grow with n^3 or with the number of blocks; a Gram pass
-writes its rows into one preallocated buffer per side.  Each check makes
-one such pass over all its integrands.
+lam B_P(q) + N(P) with B_P linear in q and N(q) = R^2; so the powers of
+the entries (`tbasis.EntryPowers`), every f and every B_P are built once
+per node block, and the loop over the phases forms only denominators
+(`integrate`).  Both passes build the nodes block by block from n x n chart
+tables (`_blocks`), sized so that a pass's rows hold GRAM_BLOCK complex
+values, so their memory grows with neither n^3, the number of blocks nor
+the rows; a Gram pass writes its rows into one buffer per side.  Each check
+makes one such pass over all its integrands.
 Every node sum is numpy's pairwise sum, or a Gram product that BLAS
 splits by blocks of the result (`_gram`), added over node blocks in order,
 and each kernel row's phase sums are reduced on their own, so the same
@@ -65,9 +65,9 @@ __all__ = [
 # Nodes of the S^3 grid that one pass sums over, on either cycle: n <= 64.
 NODE_BUDGET = 2**18
 
-# Grid nodes per block of a pass (`_blocks`): one row of values takes 64 kB,
-# and the 60 prim and 60 dual rows of the cycle Gram pass 7.9 MB, at any n.
-GRAM_BLOCK = 2**12
+# Complex node values per block of a pass (`_blocks`), 2 MiB: a pass of r rows takes blocks of
+# GRAM_BLOCK // max(r, 32) nodes (the floor covers entry powers and temporaries), 1092 at r = 120.
+GRAM_BLOCK = 2**17
 
 
 class DomainError(ValueError):
@@ -125,15 +125,15 @@ def _phases(chart: str, R: float, n: int, powers) -> tuple[np.ndarray, np.ndarra
     return np.exp(1j * phi), (-1j * R * np.pi / n) * np.exp(1j * np.multiply.outer(phi, m))
 
 
-def _blocks(R: float, n: int):
-    """The S^3_R product rule, in order, as (z11, z12, z21, z22, weights) blocks of GRAM_BLOCK nodes.
+def _blocks(R: float, n: int, rows: int):
+    """The S^3_R product rule, in order, as (z11, z12, z21, z22, weights) blocks of nodes.
 
-    Both cycles are integrated over it (U(2)_R adds `_phases`).  The node
-    (psi_i, theta_j, chi_k) is number (i n + j) n + k.  The chart runs once
-    over n x n tables, (psi, theta) for z11 and z22 and (chi, theta) for z12
-    and z21, so exp, cos and sin run over n values per angle; each block
-    gathers its nodes from the tables.  The weights are the chart density
-    times the Gauss-Legendre theta weights and the cell measure.
+    A pass of `rows` rows of node values gets blocks of GRAM_BLOCK // max(rows, 32)
+    nodes.  Both cycles are integrated over it (U(2)_R adds `_phases`).  The node
+    (psi_i, theta_j, chi_k) is number (i n + j) n + k.  The chart runs once over n x n
+    tables, (psi, theta) for z11 and z22 and (chi, theta) for z12 and z21, so exp, cos
+    and sin run over n values per angle; each block gathers its nodes from the tables.
+    The weights are the chart density times the Gauss-Legendre theta weights and the cell measure.
     """
     periodic = np.arange(n) * (2.0 * np.pi / n)
     x, wgl = np.polynomial.legendre.leggauss(n)
@@ -142,8 +142,9 @@ def _blocks(R: float, n: int):
     *tables, density = chart_s3(R, periodic[:, None], theta, periodic[:, None])
     w = (density * wth * (2.0 * np.pi / n) ** 2).astype(complex)
     z11, z12, z21, z22 = (t.ravel() for t in tables)
-    for start in range(0, n**3, GRAM_BLOCK):
-        node = np.arange(start, min(start + GRAM_BLOCK, n**3))
+    size = max(1, GRAM_BLOCK // max(rows, 32))
+    for start in range(0, n**3, size):
+        node = np.arange(start, min(start + size, n**3))
         ij = node // n  # (psi_i, theta_j): i n + j
         j = ij % n
         kj = node % n * n + j  # (chi_k, theta_j): k n + j
@@ -161,8 +162,8 @@ def integrate(spec: QuadratureSpec, rows) -> np.ndarray:
 
     A pole None stands for N(Z); each f must be homogeneous (`_degree`).  One
     S^3 pass serves every phase lam: f(lam q) = lam^d f(q), and N(lam q - P) =
-    lam (lam N(q) - B_P(q) + N(P)/lam) with B_P(q) = q11 p22 + q22 p11 - q12 p21
-    - q21 p12, so every f and B_P is evaluated once per node block (`_blocks`).
+    lam ((lam N(q) + N(P)/lam) - B_P(q)) with N(q) = R^2 and B_P(q) = q11 p22 + q22 p11
+    - q12 p21 - q21 p12, so every f and B_P is evaluated once per node block (`_blocks`).
     Per phase, each pole set gets its denominator and one division of the
     weights by it, shared by all its rows.  Each node sum, and each row's
     sum over the phases, is numpy's pairwise sum, and the blocks are added in
@@ -171,6 +172,7 @@ def integrate(spec: QuadratureSpec, rows) -> np.ndarray:
     of its block by row and node Z = lam q.  Returns shape (len(rows),).
     """
     R, n = spec.radius, spec.nodes_per_dim
+    N = np.float64(R) ** 2  # N(q) at every node of S^3_R; a numpy scalar, so np.errstate governs its powers
     degrees = [_degree(f) for f, _ in rows]
     lam, fac = _phases(spec.chart, R, n, [d + 4 for d in degrees])
     points = list(dict.fromkeys(P for _, poles in rows for P in poles if P is not None))
@@ -184,35 +186,31 @@ def integrate(spec: QuadratureSpec, rows) -> np.ndarray:
     passes = [([None if P is None else points.index(P) for P in poles], rs,
                np.zeros((len(rs), lam.size), dtype=complex)) for poles, rs in sets.items()]
 
-    for a, b, c, d, w in _blocks(R, n):
-        powers = EntryPowers(a, b, c, d)
-        nq = powers.power("N", 1)
+    for a, b, c, d, w in _blocks(R, n, len(rows) + len(points)):
+        powers = EntryPowers(a, b, c, d, N)
         # B_P(q) for every pole at once: a product that sums over the four entries only.
         B = coeffs @ np.array([a, b, c, d])
         # f at the block's nodes; a constant f stays a scalar.
         values = [[powers.value(rows[r][0]) for r in rs] for _, rs, _ in passes]
         # Node-sized buffers: fresh temporaries in the phase loop would page-fault each time.
-        den, tmp = np.empty_like(nq), np.empty_like(nq)
+        den, tmp = np.empty_like(w), np.empty_like(w)
 
-        def over(top, lk, ln, idx):  # top / prod_P N(lam q - P), each factor lam (lam N(q) - B_P(q) + N(P)/lam)
-            den.fill(lk ** len(idx))
-            for i in idx:
-                if i is not None:
-                    np.add(np.subtract(ln, B[i], out=tmp), NP[i] / lk, out=tmp)
-                np.multiply(den, ln if i is None else tmp, out=den)
+        def over(top, lk, idx):  # top / prod_P N(lam q - P), each factor lam ((lam N + N(P)/lam) - B_P(q))
+            den.fill(lk ** len(idx) * (lk * N) ** idx.count(None))
+            for i in (i for i in idx if i is not None):
+                np.multiply(den, np.subtract(lk * N + NP[i] / lk, B[i], out=tmp), out=den)
             return np.divide(top, den, out=den)
 
         for k, lk in enumerate(lam):
-            ln = lk * nq
             for (idx, _, sums), vals in zip(passes, values):
-                wd = over(w, lk, ln, idx)
+                wd = over(w, lk, idx)
                 sums[:, k] += [np.multiply(v, wd, out=tmp).sum() for v in vals]
 
         if not all(np.isfinite(sums).all() for *_, sums in passes):
             for lk in lam:  # name the block's first non-finite value, phase by phase
                 bad = np.zeros((len(rows), a.size), dtype=complex)
                 for (idx, rs, _), vals in zip(passes, values):
-                    inv = over(1.0, lk, lk * nq, idx)
+                    inv = over(1.0, lk, idx)
                     for r, v in zip(rs, vals):
                         bad[r] = lk ** degrees[r] * v * inv
                 _require_finite(bad, lk * a, lk * b, lk * c, lk * d)
@@ -429,11 +427,12 @@ def _gram(spec: QuadratureSpec, prims, duals) -> np.ndarray:
     R, n = spec.radius, spec.nodes_per_dim
     m = np.add.outer([_degree(f) for f in prims], [_degree(f) for f in duals]) + 4
     phase = _phases(spec.chart, R, n, m.ravel())[1].sum(axis=0).reshape(m.shape)
-    # One (rows, block) buffer per side; each block writes its rows in place.
-    bufs = [np.empty((len(fs), min(GRAM_BLOCK, n**3)), dtype=complex) for fs in (prims, duals)]
-    gram = None
-    for a, b, c, d, w in _blocks(R, n):
-        powers = EntryPowers(a, b, c, d)
+    N = np.float64(R) ** 2  # N(q), as in `integrate`
+    gram, bufs = None, []
+    for a, b, c, d, w in _blocks(R, n, len(prims) + len(duals)):
+        powers = EntryPowers(a, b, c, d, N)
+        # One (rows, block) buffer per side, sized by the first block; each block writes its rows in place.
+        bufs = bufs or [np.empty((len(fs), w.size), dtype=complex) for fs in (prims, duals)]
         prim, dual = (buf[:, :w.size] for buf in bufs)
         for rows, fs in ((prim, prims), (dual, duals)):
             for row, f in zip(rows, fs):

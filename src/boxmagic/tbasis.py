@@ -126,13 +126,14 @@ class EntryPowers:
 
     Each power is the one below it times its base, and each t^l_{n,m}
     is summed once from them, so evaluating many basis elements t * N^k
-    at the same points (scalars or numpy arrays) repeats no product.
+    at the same points (scalars or numpy arrays) repeats no product.  A
+    known N(Z), such as R^2 at every point of S^3_R, may be passed as `n`.
     """
 
     __slots__ = ("_cache",)
 
-    def __init__(self, z11, z12, z21, z22):
-        n = z11 * z22 - z12 * z21
+    def __init__(self, z11, z12, z21, z22, n=None):
+        n = z11 * z22 - z12 * z21 if n is None else n
         self._cache = {(b, 1): v for b, v in zip((0, 1, 2, 3, "N"), (z11, z12, z21, z22, n))}
 
     def power(self, base, e: int):

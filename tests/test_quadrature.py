@@ -48,9 +48,9 @@ ONE_LOOP_PTS = (
 )
 
 
-def s3_grid(R: float, n: int):
-    """The S^3_R grid that a pass reaches, (z11, z12, z21, z22, weights): the blocks of `_blocks` concatenated."""
-    return tuple(np.concatenate(x) for x in zip(*quadrature._blocks(R, n)))
+def s3_grid(R: float, n: int, rows: int = 1):
+    """The S^3_R grid that a pass of `rows` rows reaches, (z11, z12, z21, z22, weights): its blocks concatenated."""
+    return tuple(np.concatenate(x) for x in zip(*quadrature._blocks(R, n, rows)))
 
 
 def u2_slices(R: float, n: int):
@@ -117,21 +117,38 @@ class TestSpecAndGrids:
     @pytest.mark.parametrize("R", [0.8, 1.0, 1.25])
     def test_grid_bitwise_matches_meshgrid_build(self, monkeypatch, chart, n, R):
         # Both cycles build one s3 piece of n^3 nodes, block by block, bit for bit
-        # the meshgrid build: in blocks of GRAM_BLOCK nodes (the last one ragged at
-        # n = 20 and 24) and of 500; the u2 nodes lam_k q and their weights are the
-        # meshgrid's 4-cycle to rounding, a few ulps (the phase multiplies last, not
-        # first; 2.4 eps measured).
-        for block in (quadrature.GRAM_BLOCK, 500):
-            monkeypatch.setattr(quadrature, "GRAM_BLOCK", block)
-            sizes = [blk[0].size for blk in quadrature._blocks(R, n)]
+        # the meshgrid build: in blocks of GRAM_BLOCK // max(rows, 32) nodes, 4096 for
+        # a pass of up to 32 rows and 1092 for 120 rows, and 500 at a budget of 500 * 32
+        # values, the last block mostly ragged; the u2 nodes lam_k q and
+        # their weights are the meshgrid's 4-cycle to rounding, a few ulps (the phase
+        # multiplies last, not first; 2.4 eps measured).
+        for budget, rows, block in ((quadrature.GRAM_BLOCK, 30, 4096), (quadrature.GRAM_BLOCK, 120, 1092),
+                                    (500 * 32, 1, 500)):
+            monkeypatch.setattr(quadrature, "GRAM_BLOCK", budget)
+            sizes = [blk[0].size for blk in quadrature._blocks(R, n, rows)]
             assert sizes[:-1] == [block] * (len(sizes) - 1) and 0 < sizes[-1] <= block
-            for g, w in zip(s3_grid(R, n), meshgrid_grid("s3", R, n)):
+            for g, w in zip(s3_grid(R, n, rows), meshgrid_grid("s3", R, n)):
                 assert g.shape == w.shape == (n**3,)
                 assert np.array_equal(g.view(np.float64), w.view(np.float64))
         if chart == "u2":
             want = meshgrid_grid("u2", R, n)
             for g, w, scale in zip(u2_slices(R, n), want, [R] * 4 + [np.abs(want[4]).max()]):
                 assert np.abs(g.ravel() - w).max() <= 4 * np.finfo(float).eps * scale
+
+    @pytest.mark.parametrize("n", [4, 16, 24, 32])
+    @pytest.mark.parametrize("R", [1e-3, 0.8, 1.0, 1.25, 1e3])
+    def test_every_node_has_norm_r_squared(self, n, R):
+        # Both passes take N(q) = R^2 as one scalar for every node of S^3_R; the nodes
+        # agree to rounding (2.9 eps R^2 measured).
+        z11, z12, z21, z22, _ = s3_grid(R, n)
+        assert np.abs(z11 * z22 - z12 * z21 - R**2).max() <= 4 * np.finfo(float).eps * R**2
+
+    def test_norm_power_overflow_obeys_errstate(self):
+        # N(q) = R^2 is a numpy scalar, so its powers under- and overflow as np.errstate says,
+        # as the node arrays of N(q) did: 1/N(Z)^2 = 1e400 raises here, it does not turn inf.
+        row = (BasisExpansion({TIndex(0, 0, 0, -2): 1}), ())
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="encountered"):
+            integrate(QuadratureSpec("s3", 1e-100, 8), [row])
 
     def test_nonfinite_integrand_reported(self):
         # N(Z)^2 = R^4 underflows to 0 at this radius, so 1/N(Z)^2 is infinite at every node.
@@ -173,12 +190,13 @@ class TestSpecAndGrids:
 
     @pytest.mark.parametrize("chart", ["u2", "s3"])
     def test_kernel_blocks_add_up(self, monkeypatch, chart):
-        # 12^3 = 1728 nodes in blocks of 500, the last one ragged, against one block.
+        # 12^3 = 1728 nodes in blocks of 500 (a pass of 5 rows counts as 32), the last one
+        # ragged, against one block.
         spec = QuadratureSpec(chart, 1.0, 12)
         rows = [(BasisExpansion.monomial("z11", 2), (W_IN, WP_IN)), (BasisExpansion.one(), (None, W_IN)),
                 (BasisExpansion({TIndex(2, 0, 0, 0): 1}).degt(), (WP_IN,))]
         whole = integrate(spec, rows)
-        monkeypatch.setattr(quadrature, "GRAM_BLOCK", 500)
+        monkeypatch.setattr(quadrature, "GRAM_BLOCK", 500 * 32)
         assert np.abs(integrate(spec, rows) - whole).max() <= 1e-14 * np.abs(whole).max()
 
     def test_row_stack_sums_each_row(self):
@@ -445,9 +463,11 @@ class TestOrthogonality:
             assert np.abs(cycle - np.diag(want_u)).max() <= 1e-6
 
     def test_gram_blocks_add_up(self, monkeypatch):
-        # 12^3 = 1728 nodes in blocks of 500, the last one ragged, against one block.
+        # 12^3 = 1728 nodes in blocks of 500 (the 120 rows of the cycle pass) and 1000 (the
+        # 60 of the sphere pass), the last one ragged, against one block.
+        monkeypatch.setattr(quadrature, "GRAM_BLOCK", 12**3 * 120)
         whole = _orthogonality_grams(0.9, 12)
-        monkeypatch.setattr(quadrature, "GRAM_BLOCK", 500)
+        monkeypatch.setattr(quadrature, "GRAM_BLOCK", 500 * 120)
         blocked = _orthogonality_grams(0.9, 12)
         for (g1, *_), (g2, *_) in zip(whole, blocked):
             assert np.abs(g1 - g2).max() <= 1e-15
@@ -536,9 +556,9 @@ def record_grids(monkeypatch):
     calls = []
     real = quadrature._blocks
 
-    def spy(R, n):
+    def spy(R, n, rows):
         calls.append((R, n, 0))
-        for blk in real(R, n):
+        for blk in real(R, n, rows):
             calls[-1] = (R, n, calls[-1][2] + blk[0].size)
             yield blk
 
